@@ -16,10 +16,13 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import numbers
 import os
 import struct
 import sys
+import tempfile
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -76,6 +79,9 @@ class Scenario:
             raise ScenarioError(f"unknown scheme {self.scheme!r}")
         if self.k is None:
             self.k = 64 if self.scheme_enum.is_fsi else 80
+        for name in ("k", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ScenarioError(f"{name} must be an integer")
         if self.k < 1:
             raise ScenarioError("k must be >= 1")
         for t in self.targets:
@@ -83,8 +89,11 @@ class Scenario:
                     or "velocity_kmh" not in t:
                 raise ScenarioError("each target needs range_m and velocity_kmh")
         try:
-            self.waveform_config()
-        except ValueError as e:
+            cfg = self.waveform_config()
+            self.target_list()
+            receiver.si_filter(np.zeros(cfg.l_occ), self.n_guard)   # its bounds
+            detect.check_rel_threshold(self.rel_threshold)
+        except (TypeError, ValueError) as e:
             raise ScenarioError(str(e))
 
     @classmethod
@@ -164,6 +173,7 @@ def pattern_cache_key(scn: Scenario) -> str:
     rel = {k: getattr(scn, k) for k in
            ("n_fft", "m_codes", "n_cp", "scs_hz", "carrier_hz", "k",
             "n_guard", "scheme")}
+    rel["format"] = 2   # the .npz layout written by load_or_build_pattern
     return hashlib.sha256(json.dumps(rel, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -174,28 +184,33 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "jcas"
 
 
+def pattern_path(scn: Scenario) -> Path:
+    return cache_dir() / f"pattern_{pattern_cache_key(scn)}.npz"
+
+
 def load_or_build_pattern(scn: Scenario, schedule: Schedule,
                           validate: bool = False) -> receiver.PatternTensor:
+    """The cached pattern of scn; a missing or unreadable file is rebuilt."""
     cfg = scn.waveform_config()
-    key = pattern_cache_key(scn)
-    path = cache_dir() / f"pattern_{key}.npz"
-    if path.exists():
-        z = np.load(path)
-        return receiver.PatternTensor(
-            p=z["p"], p_sol=z["p_sol"], cond=z["cond"],
-            resolvable=z["resolvable"], band=int(z["band"]),
-            grid_size=int(z["grid_size"]), n_guard=int(z["n_guard"]),
-            k=int(z["k"]),
-            validation_error=float(z["validation_error"]) if z["validation_error"] >= 0 else None)
+    path = pattern_path(scn)
+    try:
+        with np.load(path) as z:
+            return receiver.PatternTensor(**{k: z[k][()] for k in z.files})
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile):
+        pass
     pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard)
     if validate:
         receiver.validate_pattern(pat, cfg, schedule)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, p=pat.p, p_sol=pat.p_sol, cond=pat.cond,
-             resolvable=pat.resolvable, band=pat.band,
-             grid_size=pat.grid_size, n_guard=pat.n_guard, k=pat.k,
-             validation_error=pat.validation_error
-             if pat.validation_error is not None else -1.0)
+    # write beside the target and rename, so readers never see a partial file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, **{k: v for k, v in vars(pat).items() if v is not None})
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return pat
 
 
@@ -365,8 +380,7 @@ def run_calibrate(scn: Scenario) -> Path:
     schedule = make_schedule(scn.scheme_enum, scn.m_codes, scn.k, seed=scn.seed)
     pat = load_or_build_pattern(scn, schedule, validate=True)
     n_bad = int((~pat.resolvable[scn.n_guard:]).sum())
-    key = pattern_cache_key(scn)
-    path = cache_dir() / f"pattern_{key}.npz"
+    path = pattern_path(scn)
     print(f"pattern cached at {path}")
     print(f"validation error: {pat.validation_error}")
     if n_bad:
@@ -395,10 +409,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        if args.verb == "simulate":
+        if args.verb in ("simulate", "calibrate"):
             scn = load_scenario(args.scenario)
             if args.seed is not None:
                 scn.seed = args.seed
+        if args.verb == "simulate":
             report = run_simulate(scn, args.out_dir)
             if report["flagged_pattern_bins"]:
                 return 3
@@ -411,9 +426,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 3
             return 0
         if args.verb == "calibrate":
-            scn = load_scenario(args.scenario)
-            if args.seed is not None:
-                scn.seed = args.seed
             run_calibrate(scn)
             return 0
         if args.verb == "selftest":

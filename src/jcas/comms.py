@@ -8,28 +8,13 @@ conjugates, which separates data from the implanted chirp exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scheduler import Schedule
 from .waveform import CodeMatrix, FreqGrid, WaveformConfig, assemble_frame, \
-    make_code_matrix, unitary_dft
+    data_codes, symbol_rotation, transmit_constants, unitary_dft
 
 QPSK_SCALE = 1 / np.sqrt(2)
-
-
-@dataclass(frozen=True)
-class CommsLink:
-    """Flat known-gain link parameters for a loopback measurement."""
-
-    cfg: WaveformConfig
-    gain: complex = 1.0
-    snr_db: float | None = None   # Es/N0 on despread data symbols; None = noiseless
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return 2 * (self.cfg.m_codes - 1) * self.cfg.l_occ
 
 
 def modulate(bits: np.ndarray) -> np.ndarray:
@@ -45,8 +30,8 @@ def demodulate(symbols: np.ndarray) -> np.ndarray:
     """Hard-decision QPSK demapping (inverse of modulate, noiselessly)."""
     s = np.asarray(symbols).ravel()
     bits = np.empty((s.size, 2), dtype=np.int64)
-    bits[:, 0] = (s.real < 0).astype(np.int64)
-    bits[:, 1] = (s.imag < 0).astype(np.int64)
+    bits[:, 0] = s.real < 0
+    bits[:, 1] = s.imag < 0
     return bits.ravel()
 
 
@@ -59,11 +44,17 @@ def despread(grid: np.ndarray | FreqGrid, codes: CodeMatrix,
     spectrum for a clean symbol.
     """
     s = grid.s if isinstance(grid, FreqGrid) else np.asarray(grid)
-    m = codes.m
-    groups = s.reshape(-1, m)
-    est = groups @ np.conj(codes.u.T)   # column i: inner products with u_i
-    data = {i: est[:, i] for i in range(m) if i != sensing_code}
-    return data, est[:, sensing_code]
+    est = _code_estimates(s, codes, np.arange(codes.m))
+    data = {i: est[i] for i in range(codes.m) if i != sensing_code}
+    return data, est[sensing_code]
+
+
+def _code_estimates(spectra: np.ndarray, codes: CodeMatrix,
+                    which: np.ndarray) -> np.ndarray:
+    """Inner products of each M-subcarrier group with the codes ``which``:
+    spectra (..., N) and which (..., C) give (..., C, N/M)."""
+    groups = spectra.reshape(*spectra.shape[:-1], -1, codes.m)
+    return np.conj(codes.u[which]) @ np.swapaxes(groups, -1, -2)
 
 
 def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
@@ -88,34 +79,26 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
 
     payload = modulate(bits).reshape(k, m - 1, l)
     tx = assemble_frame(cfg, schedule, payload=payload)
-    rx = gain * tx.samples
+    rx = tx.samples   # the frame is ours: receive in place
+    rx *= gain
     if snr_db is not None:
         if rng is None:
             raise ValueError("noise requires a random source")
         sigma2 = abs(gain) ** 2 * 10 ** (-snr_db / 10)
-        rx = rx + rng.normal(0, np.sqrt(sigma2 / 2), rx.shape) \
-            + 1j * rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
+        rx += rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
+        rx += 1j * rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
 
-    codes = make_code_matrix(m)
-    rotate = tx.rotated
-    err = 0
-    evm_num = 0.0
-    s_len = cfg.symbol_len
-    for ks in range(k):
-        body = rx[ks * s_len + cfg.n_cp:(ks + 1) * s_len]
-        spec = unitary_dft(body) / gain
-        if rotate:
-            spec = spec * np.exp(-2j * np.pi * ks / m)
-        data, _ = despread(spec, codes, schedule.alpha[ks])
-        sent = payload[ks]
-        others = [i for i in range(m) if i != schedule.alpha[ks]]
-        for row, i in enumerate(others):
-            est = data[i]
-            err += int(np.count_nonzero(demodulate(est) != demodulate(sent[row])))
-            evm_num += float(np.sum(np.abs(est - sent[row]) ** 2))
+    bodies = rx.reshape(k, cfg.symbol_len)[:, cfg.n_cp:]
+    bodies[...] = unitary_dft(bodies) / gain
+    bodies *= np.conj(symbol_rotation(np.arange(k), m, tx.rotated))[:, None]
+    _, codes, _ = transmit_constants(cfg)
+    data = _code_estimates(bodies, codes, data_codes(schedule.alpha, m))
+    del tx, rx, bodies   # free the frame before the decisions
+    err = int(np.count_nonzero(demodulate(data) != bits))
+    data -= payload
     n_data = k * (m - 1) * l
     ber = err / (2 * n_data)
-    evm = np.sqrt(evm_num / n_data)   # reference power is 1
+    evm = np.sqrt(np.vdot(data, data).real / n_data)   # reference power is 1
     return ber, evm
 
 

@@ -9,7 +9,7 @@ from scipy.ndimage import maximum_filter
 
 from .channel import Target, target_to_delay_doppler
 from .receiver import RdMatrix
-from .util import SPEED_OF_LIGHT, mps_to_kmh
+from .util import mps_to_kmh
 from .waveform import WaveformConfig
 
 
@@ -30,6 +30,12 @@ class Detection:
                 "doppler_bin": self.doppler_bin, "map_tag": self.map_tag}
 
 
+def check_rel_threshold(rel_threshold: float) -> None:
+    """The bound find_peaks puts on its relative power threshold."""
+    if not 0 < rel_threshold < 1:
+        raise ValueError("rel_threshold must be in (0, 1)")
+
+
 def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
                max_peaks: int | None = None, guard: int = 2
                ) -> list[Detection]:
@@ -40,8 +46,7 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     rel_threshold. Ties break toward lower range bin, then lower signed
     Doppler bin.
     """
-    if not 0 < rel_threshold < 1:
-        raise ValueError("rel_threshold must be in (0, 1)")
+    check_rel_threshold(rel_threshold)
     power = np.abs(rd.values) ** 2
     if power.size == 0:
         raise ValueError("empty matrix")
@@ -64,22 +69,6 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
             map_tag=rd.tag))
     dets.sort(key=lambda p: (-p.normalized_power, p.range_bin, p.doppler_bin))
     return dets[:max_peaks] if max_peaks is not None else dets
-
-
-def cell_to_physical(cell: tuple[int, int], cfg: WaveformConfig,
-                     n_grid: int, far_offset: bool = False,
-                     n_doppler: int | None = None) -> tuple[float, float]:
-    """Map an RD cell to (range in m, velocity in km/h).
-
-    The Doppler column wraps to a signed bin within n_doppler (defaults
-    to the full grid); the bin width is always 1/(n_grid * T_chirp).
-    """
-    d, c = cell
-    n_dop = n_doppler if n_doppler is not None else n_grid
-    signed = c - n_dop if c >= n_dop - n_dop // 2 else c
-    range_m = (d + (cfg.l_occ if far_offset else 0)) * SPEED_OF_LIGHT * cfg.t_s / 2
-    freq = signed / (n_grid * cfg.t_chirp)
-    return range_m, mps_to_kmh(freq * cfg.wavelength_m / 2)
 
 
 def truth_cell(t: Target, cfg: WaveformConfig, n_grid: int

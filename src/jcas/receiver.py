@@ -4,8 +4,8 @@ range/Doppler processing, and the dual-window super-distance solve.
 Mixer convention (used everywhere): beat = reference * conj(received).
 A delay of d samples then lands on fast-time bin +d, and a physical
 Doppler +f_D appears with flipped sign in slow time; the matched filter
-steers with e^{+j 2 pi g_k nu / G} so +f_D still peaks at the bin whose
-signed frequency is +f_D.
+steers with e^{+j 2 pi g_k nu / G} (an inverse DFT over the occasion
+grid) so +f_D still peaks at the bin whose signed frequency is +f_D.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
-from .waveform import ChirpSpec, Frame, WaveformConfig, assemble_frame, \
-    make_base_set, make_chirp, make_code_matrix, make_sensing_waveforms, \
-    unitary_dft
+from .waveform import Frame, WaveformConfig, assemble_frame, \
+    symbol_rotation, transmit_constants, unitary_dft
 
 
 class WindowKind(str, Enum):
@@ -28,12 +28,18 @@ class WindowKind(str, Enum):
     SHIFTED = "shifted"     # starts N_CP earlier, covering the CP
 
 
+def signed_bin(col, n: int):
+    """Signed frequency of FFT-order column col (int or array) on an
+    n-point axis: the upper n//2 columns wrap to negative bins."""
+    return col - n * (col >= n - n // 2)
+
+
 @dataclass
 class RdMatrix:
     """Range-Doppler map with axis metadata.
 
     ``values`` is (L x n_doppler) complex. Doppler columns are in FFT
-    order; the signed bin of column c is c - n_doppler*(c >= n_doppler/2).
+    order; column c sits at signed bin ``signed_bin(c, n_doppler)``.
     ``grid_size`` is the full slow-time grid length G, which fixes the
     Doppler bin width 1/(G*T_chirp) even for band-restricted maps.
     """
@@ -49,8 +55,7 @@ class RdMatrix:
         return self.values.shape[1]
 
     def signed_bin(self, col: int) -> int:
-        n = self.n_doppler
-        return col - n if col >= n - n // 2 else col
+        return signed_bin(col, self.n_doppler)
 
     def range_m_of(self, d: int) -> float:
         from .util import SPEED_OF_LIGHT
@@ -114,17 +119,21 @@ def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
 def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
                              n_grid: int, cfg: WaveformConfig,
                              tag: str = "single") -> RdMatrix:
-    """Nonuniform slow-time matched filter across the occasion grid.
+    """Slow-time matched filter across the occasion grid.
 
     RD[d, nu] = (1/K) sum_k profiles[k, d] * e^{+j 2 pi g_k nu / G}.
+    The occasions g_k are integers, so this is exactly a G-point inverse
+    DFT of the profiles scattered onto a zero-filled grid, times G/K.
     """
     g = np.asarray(grid_indices)
     if len(np.unique(g)) != len(g):
         raise ValueError("duplicate grid indices")
     if profiles.shape[0] != len(g):
         raise ValueError("one profile per scheduled occasion required")
-    steer = np.exp(2j * np.pi * np.outer(g, np.arange(n_grid)) / n_grid)
-    rd = profiles.T @ steer / len(g)
+    filled = np.zeros((profiles.shape[1], n_grid), dtype=complex)
+    filled[:, g] = profiles.T
+    rd = scipy.fft.ifft(filled, axis=1, overwrite_x=True)
+    rd *= n_grid / len(g)
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg, tag=tag)
 
 
@@ -136,15 +145,11 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
     by the code-shift identity turns code alpha into code
     (alpha + N_CP/L) mod M.
     """
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
-    codes = make_code_matrix(cfg.m_codes)
-    waves = make_sensing_waveforms(make_base_set(cfg, chirp), codes)
+    _, _, b = transmit_constants(cfg)
     shift = 0 if kind is WindowKind.STANDARD else cfg.cp_occasions
-    rotate = schedule.scheme is Scheme.FSI_TAIL
-    refs = np.empty((schedule.k, cfg.n_fft), dtype=complex)
-    for k, a in enumerate(schedule.alpha):
-        rho = np.exp(2j * np.pi * k / cfg.m_codes) if rotate else 1.0
-        refs[k] = rho * waves.b[(a + shift) % cfg.m_codes]
+    refs = b[(np.asarray(schedule.alpha) + shift) % cfg.m_codes]
+    refs *= symbol_rotation(np.arange(schedule.k), cfg.m_codes,
+                            schedule.scheme is Scheme.FSI_TAIL)[:, None]
     return refs
 
 
@@ -165,7 +170,7 @@ def process_sensing(rx: Frame, cfg: WaveformConfig, schedule: Schedule,
     else:
         if kind is not WindowKind.STANDARD:
             raise ValueError("slotted schemes have a single window kind")
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp, _, _ = transmit_constants(cfg)
         l = cfg.l_occ
         if len(samples) < n_grid * l:
             raise ValueError("frame too short")
@@ -185,8 +190,7 @@ def extract_band(rd: RdMatrix, band: int) -> RdMatrix:
     """
     if band > rd.n_doppler:
         raise ValueError("band wider than the map")
-    cols = [(((c + band // 2) % band) - band // 2) % rd.n_doppler
-            for c in range(band)]
+    cols = signed_bin(np.arange(band), band) % rd.n_doppler
     return RdMatrix(values=rd.values[:, cols], grid_size=rd.grid_size,
                     cfg=rd.cfg, tag=rd.tag, far_offset=rd.far_offset)
 
@@ -268,7 +272,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
     nfrm = np.arange(len(tx3))
     p = np.zeros((l, band, 2, 2), dtype=complex)
     for col in range(band):
-        bs = col - band if col >= band - band // 2 else col
+        bs = signed_bin(col, band)
         f_b = bs / (n_grid * cfg.t_chirp)
         probe = tx3 * np.exp(2j * np.pi * f_b * nfrm * cfg.t_s)
         steer = np.exp(2j * np.pi * g3 * (bs % n_grid) / n_grid)
@@ -313,8 +317,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     f_b = signed_bin / (n_grid * cfg.t_chirp)
     tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
-    rx = Frame(samples=echo_component(tx.samples, delta, f_b, 1.0, cfg.t_s),
-               scheme=tx.scheme, k=tx.k, cfg=cfg, rotated=tx.rotated)
+    rx = echo_component(tx.samples, delta, f_b, 1.0, cfg.t_s)
     out = []
     for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
         rd = process_sensing(rx, cfg, schedule, kind, n_guard)
@@ -337,7 +340,7 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
         d_bin = int(rng.integers(pat.n_guard, cfg.l_occ))
         col = int(rng.integers(0, pat.band))
         hyp = int(rng.integers(0, 2))
-        signed = col - pat.band if col >= pat.band - pat.band // 2 else col
+        signed = signed_bin(col, pat.band)
         direct = pattern_cell_direct(cfg, schedule, d_bin, signed, hyp,
                                      pat.n_guard)
         fast = pat.p[d_bin, col, :, hyp]

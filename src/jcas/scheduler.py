@@ -19,10 +19,6 @@ class Scheme(str, Enum):
     def is_fsi(self) -> bool:
         return self in (Scheme.FSI_RANDOM, Scheme.FSI_TAIL)
 
-    @property
-    def is_slotted(self) -> bool:
-        return not self.is_fsi
-
 
 @dataclass(frozen=True)
 class Schedule:

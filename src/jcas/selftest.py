@@ -12,9 +12,9 @@ from .channel import ChannelConfig, Target, synthesize_rx
 from .receiver import WindowKind, process_sensing
 from .scheduler import Scheme, grid_size, make_schedule, occasion_grid_indices
 from .util import substream
-from .waveform import ChirpSpec, WaveformConfig, assemble_frame, \
-    make_base_set, make_chirp, make_code_matrix, make_sensing_waveforms, \
-    spread_and_assemble, unitary_dft, unitary_idft
+from .waveform import WaveformConfig, assemble_frame, make_base_set, \
+    make_code_matrix, spread_and_assemble, transmit_constants, unitary_dft, \
+    unitary_idft
 
 SMALL = WaveformConfig(n_fft=256, m_codes=4, n_cp=64, scs_hz=480e3,
                        carrier_hz=60e9)
@@ -43,12 +43,9 @@ def check_code_unitarity(corrupt: bool = False):
 def check_code_shift_identity():
     for m in (2, 4, 8):
         cfg = WaveformConfig(n_fft=64 * m, m_codes=m, n_cp=64, scs_hz=1e6)
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
-        waves = make_sensing_waveforms(make_base_set(cfg, chirp),
-                                       make_code_matrix(m))
+        _, _, b = transmit_constants(cfg)
         for i in range(m):
-            err = np.max(np.abs(np.roll(waves.b[i], cfg.l_occ)
-                                - waves.b[(i + 1) % m]))
+            err = np.max(np.abs(np.roll(b[i], cfg.l_occ) - b[(i + 1) % m]))
             if err > 1e-12:
                 raise AssertionError(f"shift identity broken (M={m}): {err:.2e}")
 
@@ -60,7 +57,7 @@ def check_spectral_support():
         chirp = np.exp(2j * np.pi * rng.random(cfg.l_occ))
         base = make_base_set(cfg, chirp)
         for row_m in range(m):
-            spec = np.abs(unitary_dft(base.rows[row_m])) ** 2
+            spec = np.abs(unitary_dft(base[row_m])) ** 2
             on = spec[row_m::m].sum()
             off = spec.sum() - on
             if off > 1e-10 * spec.sum():
@@ -69,8 +66,7 @@ def check_spectral_support():
 
 def check_base_envelope():
     cfg = SMALL
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
-    rows = make_base_set(cfg, chirp).rows
+    rows = make_base_set(cfg, transmit_constants(cfg)[0])
     if np.max(np.abs(np.abs(rows) - 1)) > 1e-12:
         raise AssertionError("base set not constant envelope")
 
@@ -79,8 +75,7 @@ def check_despread_roundtrip():
     from .comms import despread
     rng = np.random.default_rng(3)
     cfg = SMALL
-    codes = make_code_matrix(cfg.m_codes)
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+    chirp, codes, _ = transmit_constants(cfg)
     spec = unitary_dft(chirp)
     data = rng.normal(size=(cfg.m_codes - 1, cfg.l_occ)) \
         + 1j * rng.normal(size=(cfg.m_codes - 1, cfg.l_occ))
@@ -126,17 +121,17 @@ def check_matched_filter_equivalence():
     from .receiver import slow_time_matched_filter
     rng = np.random.default_rng(4)
     cfg = SMALL
-    k, l = 12, cfg.l_occ
+    k, n_grid, l = 12, 40, cfg.l_occ
     profiles = rng.normal(size=(k, l)) + 1j * rng.normal(size=(k, l))
-    g = np.arange(k)
-    rd = slow_time_matched_filter(profiles, g, k, cfg)
-    oracle = np.zeros((l, k), dtype=complex)
-    for nu in range(k):
+    g = rng.choice(n_grid, k, replace=False)   # nonuniform, unsorted
+    rd = slow_time_matched_filter(profiles, g, n_grid, cfg)
+    oracle = np.zeros((l, n_grid), dtype=complex)   # dense steering sum
+    for nu in range(n_grid):
         for kk in range(k):
-            oracle[:, nu] += profiles[kk] * np.exp(2j * np.pi * kk * nu / k)
+            oracle[:, nu] += profiles[kk] * np.exp(2j * np.pi * g[kk] * nu / n_grid)
     oracle /= k
     if np.max(np.abs(rd.values - oracle)) > 1e-12:
-        raise AssertionError("matched filter deviates from full DFT")
+        raise AssertionError("matched filter deviates from the steering sum")
 
 
 def check_grid_exactness():
@@ -147,9 +142,7 @@ def check_grid_exactness():
     d, nu = 10, 5
     f_d = nu / (n_grid * cfg.t_chirp)
     from .channel import echo_component
-    from .waveform import Frame
-    rx = Frame(samples=echo_component(tx.samples, d, f_d, 1.0, cfg.t_s),
-               scheme=tx.scheme, k=tx.k, cfg=cfg)
+    rx = echo_component(tx.samples, d, f_d, 1.0, cfg.t_s)
     rd = process_sensing(rx, cfg, sched)
     cell = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
     if cell != (d, nu):

@@ -13,6 +13,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,25 +132,17 @@ def make_chirp(spec: ChirpSpec, t_s: float) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-@dataclass(frozen=True)
-class BaseSet:
-    """M frequency-shifted copies of the M-fold tiled chirp.
+def make_base_set(cfg: WaveformConfig, chirp: np.ndarray) -> np.ndarray:
+    """M frequency-shifted copies of the M-fold tiled chirp, (M, N).
 
-    Row m occupies exactly the subcarriers congruent to m (mod M); the
-    modulation ramps exp(j2pi*m*n/N) are regenerated, never stored.
+    Row m has unit modulus and occupies exactly the subcarriers congruent
+    to m (mod M).
     """
-
-    rows: np.ndarray  # (M, N) complex, unit modulus everywhere
-
-
-def make_base_set(cfg: WaveformConfig, chirp: np.ndarray) -> BaseSet:
     if len(chirp) != cfg.l_occ:
         raise ValueError(f"chirp length {len(chirp)} != occasion length {cfg.l_occ}")
+    m = np.arange(cfg.m_codes)[:, None]
     n = np.arange(cfg.n_fft)
-    tiled = np.tile(chirp, cfg.m_codes)
-    rows = np.stack([tiled * np.exp(2j * np.pi * m * n / cfg.n_fft)
-                     for m in range(cfg.m_codes)])
-    return BaseSet(rows=rows)
+    return np.tile(chirp, cfg.m_codes) * np.exp(2j * np.pi * m * n / cfg.n_fft)
 
 
 @dataclass(frozen=True)
@@ -178,17 +171,35 @@ def make_code_matrix(m: int) -> CodeMatrix:
     return CodeMatrix(u=u)
 
 
-@dataclass(frozen=True)
-class SensingWaveforms:
-    """Time-domain sensing waveforms b_m = sum_i u[m,i] * base_row_i."""
-
-    b: np.ndarray  # (M, N) complex
-
-
-def make_sensing_waveforms(base: BaseSet, codes: CodeMatrix) -> SensingWaveforms:
-    if base.rows.shape[0] != codes.m:
+def make_sensing_waveforms(base: np.ndarray, codes: CodeMatrix) -> np.ndarray:
+    """Time-domain sensing waveforms b_m = sum_i u[m,i] * base_i, (M, N)."""
+    if base.shape[0] != codes.m:
         raise ValueError("base set and code matrix disagree on M")
-    return SensingWaveforms(b=codes.u @ base.rows)
+    return codes.u @ base
+
+
+@functools.cache
+def transmit_constants(cfg: WaveformConfig) -> tuple[np.ndarray, CodeMatrix, np.ndarray]:
+    """The chirp, code set and sensing waveforms b of a config, built once
+    per (frozen, hashable) config and shared, hence read-only."""
+    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+    codes = make_code_matrix(cfg.m_codes)
+    b = make_sensing_waveforms(make_base_set(cfg, chirp), codes)
+    for a in (chirp, codes.u, b):
+        a.flags.writeable = False
+    return chirp, codes, b
+
+
+def data_codes(alpha, m: int) -> np.ndarray:
+    """Codes carrying data per symbol, (K, M-1): all but alpha[k], ascending."""
+    rest = np.arange(m - 1)
+    return rest + (rest >= np.asarray(alpha)[:, None])
+
+
+def symbol_rotation(k, m: int, rotate: bool) -> np.ndarray:
+    """Per-symbol phase rho_k = e^{j2pi k/M} of the tail scheme; 1 when off."""
+    k = np.asarray(k)
+    return np.exp(2j * np.pi * k / m) if rotate else np.ones(k.shape)
 
 
 @dataclass(frozen=True)
@@ -205,6 +216,30 @@ class FreqGrid:
     def groups(self, m_codes: int) -> np.ndarray:
         """View as (N/M groups) x (M in-group positions)."""
         return self.s.reshape(-1, m_codes)
+
+
+def _spread(out: np.ndarray, codes: CodeMatrix, alpha: np.ndarray,
+            chirp_spectrum: np.ndarray, data: np.ndarray) -> None:
+    """Write the spectra of K symbols into out, (K, N).
+
+    Symbol k carries sqrt(M) * chirp_spectrum on code alpha[k] and data[k]
+    (M-1, L) on the other codes in ascending order.
+    """
+    k, m = len(alpha), codes.m
+    coef = np.empty((k, len(chirp_spectrum), m), dtype=complex)
+    rows = np.arange(k)
+    coef[rows, :, alpha] = np.sqrt(m) * chirp_spectrum
+    coef[rows[:, None], :, data_codes(alpha, m)] = data
+    # splitting the contiguous last axis, so the reshape is a view of out
+    np.matmul(coef, codes.u, out=out.reshape(k, -1, m))
+
+
+def _to_time(frame: np.ndarray, cfg: WaveformConfig, rho: np.ndarray) -> None:
+    """Turn the spectra held in the bodies of frame (K, N_CP + N) into
+    symbols in place: IDFT, per-symbol phase rho, CP prepend."""
+    body = frame[:, cfg.n_cp:]
+    np.multiply(unitary_idft(body), rho[:, None], out=body)
+    frame[:, :cfg.n_cp] = body[:, cfg.n_fft - cfg.n_cp:]
 
 
 def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
@@ -226,21 +261,18 @@ def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
     data = np.asarray(data, dtype=complex)
     if data.shape != (m - 1, cfg.l_occ):
         raise ValueError(f"data must be shaped ({m - 1}, {cfg.l_occ})")
-
-    grid = np.sqrt(m) * chirp_spectrum[:, None] * codes.u[sensing_code][None, :]
-    others = [i for i in range(m) if i != sensing_code]
-    for row, i in enumerate(others):
-        grid += data[row][:, None] * codes.u[i][None, :]
-    return FreqGrid(s=grid.reshape(-1), sensing_code=sensing_code)
+    s = np.empty((1, cfg.n_fft), dtype=complex)
+    _spread(s, codes, np.array([sensing_code]), chirp_spectrum, data[None])
+    return FreqGrid(s=s[0], sensing_code=sensing_code)
 
 
 def assemble_symbol(grid: FreqGrid, cfg: WaveformConfig, symbol_index: int,
                     rotate: bool) -> np.ndarray:
     """IDFT, per-symbol rotation, and CP prepend. Returns N + N_CP samples."""
-    body = unitary_idft(grid.s)
-    rho = np.exp(2j * np.pi * symbol_index / cfg.m_codes) if rotate else 1.0
-    body = rho * body
-    return np.concatenate([body[-cfg.n_cp:], body]) if cfg.n_cp else body
+    frame = np.empty((1, cfg.symbol_len), dtype=complex)
+    frame[0, cfg.n_cp:] = grid.s
+    _to_time(frame, cfg, symbol_rotation([symbol_index], cfg.m_codes, rotate))
+    return frame[0]
 
 
 @dataclass
@@ -283,29 +315,25 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     """
     if schedule.m_codes != cfg.m_codes:
         raise ValueError("schedule and config disagree on M")
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+    chirp, codes, _ = transmit_constants(cfg)
     scheme = schedule.scheme
 
     if scheme.is_fsi:
-        codes = make_code_matrix(cfg.m_codes)
-        spectrum = sensing_scale * unitary_dft(chirp)
         k_syms = schedule.k
+        shape = (k_syms, cfg.m_codes - 1, cfg.l_occ)
         if payload is None:
-            if rng is None:
-                payload = np.zeros((k_syms, cfg.m_codes - 1, cfg.l_occ), dtype=complex)
-            else:
-                payload = random_qpsk(rng, (k_syms, cfg.m_codes - 1, cfg.l_occ))
+            payload = np.zeros(shape, dtype=complex) if rng is None \
+                else random_qpsk(rng, shape)
         payload = np.asarray(payload, dtype=complex)
-        if payload.shape != (k_syms, cfg.m_codes - 1, cfg.l_occ):
+        if payload.shape != shape:
             raise ValueError("payload shape mismatch for implanted-OFDM frame")
         rotate = scheme is Scheme.FSI_TAIL
-        out = np.empty(k_syms * cfg.symbol_len, dtype=complex)
-        for k in range(k_syms):
-            grid = spread_and_assemble(cfg, schedule.alpha[k], spectrum,
-                                       payload[k], codes)
-            out[k * cfg.symbol_len:(k + 1) * cfg.symbol_len] = \
-                assemble_symbol(grid, cfg, k, rotate)
-        return Frame(samples=out, scheme=scheme, k=k_syms, cfg=cfg, rotated=rotate)
+        frame = np.empty((k_syms, cfg.symbol_len), dtype=complex)
+        _spread(frame[:, cfg.n_cp:], codes, np.asarray(schedule.alpha),
+                sensing_scale * unitary_dft(chirp), payload)
+        _to_time(frame, cfg, symbol_rotation(np.arange(k_syms), cfg.m_codes, rotate))
+        return Frame(samples=frame.reshape(-1), scheme=scheme, k=k_syms,
+                     cfg=cfg, rotated=rotate)
 
     # slotted schemes: M*K slots of length L
     n_slots = cfg.m_codes * schedule.k
@@ -321,12 +349,7 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     if payload.shape != (n_data, cfg.l_occ):
         raise ValueError("payload shape mismatch for slotted frame")
 
-    out = np.empty(n_slots * cfg.l_occ, dtype=complex)
-    di = 0
-    for g in range(n_slots):
-        if scheduled[g]:
-            out[g * cfg.l_occ:(g + 1) * cfg.l_occ] = chirp
-        else:
-            out[g * cfg.l_occ:(g + 1) * cfg.l_occ] = unitary_idft(payload[di])
-            di += 1
-    return Frame(samples=out, scheme=scheme, k=schedule.k, cfg=cfg)
+    frame = np.empty((n_slots, cfg.l_occ), dtype=complex)
+    frame[scheduled] = chirp
+    frame[~scheduled] = unitary_idft(payload)
+    return Frame(samples=frame.reshape(-1), scheme=scheme, k=schedule.k, cfg=cfg)

@@ -45,7 +45,7 @@ def test_criterion1_spectral_support_theorem():
             chirp = np.exp(2j * np.pi * rng.random(cfg.l_occ))
             base = make_base_set(cfg, chirp)
             for row in range(m):
-                spec = np.abs(unitary_dft(base.rows[row])) ** 2
+                spec = np.abs(unitary_dft(base[row])) ** 2
                 support = spec[row::m].sum()
                 off = spec.sum() - support
                 worst = max(worst, off / spec.sum())
@@ -69,7 +69,7 @@ def test_criterion2_code_algebra():
                                        make_code_matrix(m))
         for i in range(m):
             shift_err = max(shift_err, np.max(np.abs(
-                np.roll(waves.b[i], cfg.l_occ) - waves.b[(i + 1) % m])))
+                np.roll(waves[i], cfg.l_occ) - waves[(i + 1) % m])))
 
     from jcas import spread_and_assemble
     cfg = DEFAULTS

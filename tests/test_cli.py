@@ -121,6 +121,19 @@ class TestCalibrationCache:
         path2 = cli.run_calibrate(scn2)
         assert path2 != path
 
+    def test_truncated_cache_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path))
+        scn = Scenario(scheme="fsi_tail", k=8, n_fft=256, m_codes=4, n_cp=64,
+                       scs_hz=480e3)
+        path = cli.run_calibrate(scn)
+        with np.load(path) as z:
+            p = z["p"]
+        path.write_bytes(path.read_bytes()[:1000])
+        assert cli.run_calibrate(scn) == path
+        with np.load(path) as z:
+            np.testing.assert_array_equal(z["p"], p)
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
 
 class TestCliMain:
     def test_simulate_verb(self, tmp_path, small_scenario):
@@ -135,6 +148,17 @@ class TestCliMain:
         scn_file = tmp_path / "bad.json"
         scn_file.write_text(json.dumps({"scheme": "nope"}))
         assert cli.main(["simulate", str(scn_file)]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"n_guard": 0}, {"rel_threshold": 1.5}, {"k": 2.5}, {"seed": "x"},
+        {"targets": [{"range_m": -5, "velocity_kmh": 0}]}])
+    def test_invalid_value_exit_2(self, tmp_path, capsys, bad):
+        scn_file = tmp_path / "bad.json"
+        scn_file.write_text(json.dumps({"scheme": "rtd", **bad}))
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate",
+                         str(scn_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

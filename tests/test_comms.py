@@ -110,9 +110,10 @@ class TestRunLink:
 
     def test_resource_accounting(self, cfg):
         # exactly (M-1)*L data symbols per OFDM symbol
-        from jcas.comms import CommsLink
-        link = CommsLink(cfg=cfg)
-        assert link.bits_per_symbol == 2 * 3 * 512
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 1)
+        assert run_link(cfg, sched, np.zeros(2 * 3 * 512, dtype=int))[0] == 0
+        with pytest.raises(ValueError):
+            run_link(cfg, sched, np.zeros(2 * 3 * 512 + 2, dtype=int))
 
     def test_wrong_bit_count(self, cfg_small):
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 2)

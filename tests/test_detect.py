@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from jcas import Target, cell_to_physical, evaluate, find_peaks
+from jcas import Target, evaluate, find_peaks
 from jcas.detect import truth_cell
 from jcas.receiver import RdMatrix
+from jcas.util import mps_to_kmh
 
 
 def rd_with(cfg, cells, n_dop=320, grid=320, tag="single", far=False):
@@ -60,32 +61,41 @@ class TestFindPeaks:
             find_peaks(rd)
 
 
+def physical(cfg, cell, n_dop=320, far=False):
+    """(range in m, velocity in km/h) of a cell, read off RdMatrix's axes."""
+    d, c = cell
+    rd = RdMatrix(values=np.zeros((1, n_dop), dtype=complex), grid_size=320,
+                  cfg=cfg, far_offset=far)
+    return rd.range_m_of(d), mps_to_kmh(rd.velocity_mps_of(c))
+
+
 class TestCellToPhysical:
     def test_origin(self, cfg):
-        assert cell_to_physical((0, 0), cfg, 320) == (0.0, 0.0)
+        assert physical(cfg, (0, 0)) == (0.0, 0.0)
 
     def test_range_bin_164(self, cfg):
-        r, _ = cell_to_physical((164, 0), cfg, 320)
+        r, _ = physical(cfg, (164, 0))
         assert abs(r - 164 * 1.220703125) < 1e-9
         assert abs(r - 200.2) < 0.05
 
     def test_band_edge_velocity(self, cfg):
         # +-G/2 maps to +-1080 km/h at the defaults
-        _, v = cell_to_physical((0, 160), cfg, 320)
+        _, v = physical(cfg, (0, 160))
         assert abs(abs(v) - 1080.0) < 1e-6
 
     def test_negative_bin_wraps(self, cfg):
-        _, v = cell_to_physical((0, 319), cfg, 320)
-        _, v1 = cell_to_physical((0, 1), cfg, 320)
+        _, v = physical(cfg, (0, 319))
+        _, v1 = physical(cfg, (0, 1))
         assert abs(v + v1) < 1e-9
 
     def test_far_offset(self, cfg):
-        r, _ = cell_to_physical((100, 0), cfg, 320, far_offset=True)
+        r, _ = physical(cfg, (100, 0), far=True)
         assert abs(r - (100 + 512) * 1.220703125) < 1e-9
 
     def test_banded_doppler(self, cfg):
-        _, v = cell_to_physical((0, 63), cfg, 320, n_doppler=64)
-        _, v_full = cell_to_physical((0, 319), cfg, 320)
+        # a band-restricted map keeps the full grid's bin width
+        _, v = physical(cfg, (0, 63), n_dop=64)
+        _, v_full = physical(cfg, (0, 319))
         assert abs(v - v_full) < 1e-9
 
 

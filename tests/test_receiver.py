@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcas import (ChannelConfig, ChirpSpec, Scheme, Target, WaveformConfig,
                   WindowKind, assemble_frame, build_pattern, delay_and_sum,
@@ -54,9 +56,9 @@ class TestMix:
         _, _, waves = waves_for(cfg)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
         sym = sensing_symbol(cfg, 1, data)
-        data_part = sym - waves.b[1]
-        beat = mix(sym, waves.b[1])
-        oracle = waves.b[1] * np.conj(waves.b[1]) + waves.b[1] * np.conj(data_part)
+        data_part = sym - waves[1]
+        beat = mix(sym, waves[1])
+        oracle = waves[1] * np.conj(waves[1]) + waves[1] * np.conj(data_part)
         np.testing.assert_allclose(beat, oracle, atol=1e-12)
 
     def test_length_mismatch(self):
@@ -70,7 +72,7 @@ class TestDelayAndSum:
         cfg = cfg_small
         _, _, waves = waves_for(cfg)
         for m in range(cfg.m_codes):
-            y = delay_and_sum(waves.b[m] * np.conj(waves.b[m]), cfg.m_codes)
+            y = delay_and_sum(waves[m] * np.conj(waves[m]), cfg.m_codes)
             np.testing.assert_allclose(y, cfg.m_codes * np.ones(cfg.l_occ),
                                        atol=1e-11)
 
@@ -79,8 +81,8 @@ class TestDelayAndSum:
         _, _, waves = waves_for(cfg)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
         sym = sensing_symbol(cfg, 2, data)
-        data_part = sym - waves.b[2]
-        y = delay_and_sum(waves.b[2] * np.conj(data_part), cfg.m_codes)
+        data_part = sym - waves[2]
+        y = delay_and_sum(waves[2] * np.conj(data_part), cfg.m_codes)
         scale = np.max(np.abs(data_part)) * cfg.m_codes
         assert np.max(np.abs(y)) < 1e-10 * scale
 
@@ -189,6 +191,21 @@ class TestSlowTimeMatchedFilter:
                 oracle[:, nu] += profiles[kk] * np.exp(2j * np.pi * kk * nu / k)
         np.testing.assert_allclose(rd.values, oracle / k, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_grid=st.integers(1, 96), data=st.data())
+    def test_equals_dense_steering_matmul(self, n_grid, data):
+        # any K distinct integer occasions out of G, any profile length
+        k = data.draw(st.integers(1, n_grid), label="k")
+        l = data.draw(st.integers(1, 16), label="l")
+        g = np.array(data.draw(st.permutations(range(n_grid)))[:k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        profiles = rng.normal(size=(k, l)) + 1j * rng.normal(size=(k, l))
+        cfg = WaveformConfig(n_fft=256, m_codes=4, n_cp=64, scs_hz=480e3)
+        rd = slow_time_matched_filter(profiles, g, n_grid, cfg)
+        steer = np.exp(2j * np.pi * np.outer(g, np.arange(n_grid)) / n_grid)
+        np.testing.assert_allclose(rd.values, profiles.T @ steer / k,
+                                   rtol=0, atol=1e-12)
+
 
 class TestCaptureWindows:
     def test_standard_window_is_body(self, cfg_small):
@@ -233,6 +250,22 @@ class TestProcessSensing:
                      scheme=tx.scheme, k=tx.k, cfg=cfg, rotated=tx.rotated)
         ref = np.max(np.abs(process_sensing(echo, cfg, sched).values))
         assert resid <= 1e-8 * ref
+
+    def test_references_match_per_symbol_loop(self, cfg_small):
+        # reference: rho_k * b_{(alpha_k + shift) mod M}, one symbol at a time
+        from jcas.receiver import _fsi_references
+        cfg, m = cfg_small, cfg_small.m_codes
+        _, _, waves = waves_for(cfg)
+        for scheme in (Scheme.FSI_RANDOM, Scheme.FSI_TAIL):
+            sched = make_schedule(scheme, m, 6, rng=substream(12, "s"))
+            for kind, shift in ((WindowKind.STANDARD, 0),
+                                (WindowKind.SHIFTED, cfg.cp_occasions)):
+                refs = _fsi_references(cfg, sched, kind)
+                for k, a in enumerate(sched.alpha):
+                    rho = np.exp(2j * np.pi * k / m) \
+                        if scheme is Scheme.FSI_TAIL else 1.0
+                    np.testing.assert_array_equal(refs[k],
+                                                  rho * waves[(a + shift) % m])
 
     def test_shifted_window_cancellation_matches_standard(self, cfg_small):
         # the cancellation works for both windows: SI folds to a constant

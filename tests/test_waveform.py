@@ -4,7 +4,8 @@ import pytest
 from jcas import (ChirpSpec, Scheme, WaveformConfig, assemble_frame,
                   assemble_symbol, make_base_set, make_chirp,
                   make_code_matrix, make_schedule, make_sensing_waveforms,
-                  spread_and_assemble, substream, unitary_dft, unitary_idft)
+                  spread_and_assemble, substream, transmit_constants,
+                  unitary_dft, unitary_idft)
 
 
 class TestUnitaryDft:
@@ -55,14 +56,14 @@ class TestBaseSet:
 
     def test_m2_row0_hand_dft(self, cfg4):
         base = make_base_set(cfg4, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(base.rows[0], [1, 1, 1, 1], atol=1e-15)
-        np.testing.assert_allclose(unitary_dft(base.rows[0]), [2, 0, 0, 0],
+        np.testing.assert_allclose(base[0], [1, 1, 1, 1], atol=1e-15)
+        np.testing.assert_allclose(unitary_dft(base[0]), [2, 0, 0, 0],
                                    atol=1e-14)
 
     def test_m2_row1_hand_dft(self, cfg4):
         base = make_base_set(cfg4, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(base.rows[1], [1, 1j, -1, -1j], atol=1e-14)
-        np.testing.assert_allclose(unitary_dft(base.rows[1]), [0, 2, 0, 0],
+        np.testing.assert_allclose(base[1], [1, 1j, -1, -1j], atol=1e-14)
+        np.testing.assert_allclose(unitary_dft(base[1]), [0, 2, 0, 0],
                                    atol=1e-14)
 
     def test_spectral_support_bruteforce(self, rng):
@@ -72,7 +73,7 @@ class TestBaseSet:
         base = make_base_set(cfg, chirp)
         dft_mat = np.exp(-2j * np.pi * np.outer(np.arange(8), np.arange(8)) / 8) / np.sqrt(8)
         for m in range(4):
-            spec = dft_mat @ base.rows[m]
+            spec = dft_mat @ base[m]
             off = [abs(spec[i]) for i in range(8) if i % 4 != m]
             assert max(off) < 1e-12
             on = np.sqrt(4) * unitary_dft(chirp)
@@ -80,7 +81,7 @@ class TestBaseSet:
 
     def test_constant_envelope(self, cfg):
         chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
-        rows = make_base_set(cfg, chirp).rows
+        rows = make_base_set(cfg, chirp)
         assert np.max(np.abs(np.abs(rows) - 1)) <= 1e-12
 
     def test_length_mismatch(self, cfg4):
@@ -119,8 +120,8 @@ class TestSensingWaveforms:
         # 1/2 + cot(pi/N)/N, computed independently as the oracle
         cfg = WaveformConfig(n_fft=1024, m_codes=2, n_cp=512, scs_hz=120e3)
         waves = self._waves(cfg)
-        e0 = np.sum(np.abs(waves.b[0][:cfg.l_occ]) ** 2)
-        total = np.sum(np.abs(waves.b[0]) ** 2)
+        e0 = np.sum(np.abs(waves[0][:cfg.l_occ]) ** 2)
+        total = np.sum(np.abs(waves[0]) ** 2)
         n = cfg.n_fft
         discrete_oracle = 0.5 + (1 / np.tan(np.pi / n)) / n
         assert abs(e0 / total - discrete_oracle) < 1e-12
@@ -129,21 +130,21 @@ class TestSensingWaveforms:
     def test_total_energy(self, cfg):
         waves = self._waves(cfg)
         for m in range(cfg.m_codes):
-            assert abs(np.sum(np.abs(waves.b[m]) ** 2) - cfg.n_fft) < 1e-8
+            assert abs(np.sum(np.abs(waves[m]) ** 2) - cfg.n_fft) < 1e-8
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_cyclic_code_shift_identity(self, m):
         cfg = WaveformConfig(n_fft=128 * m, m_codes=m, n_cp=128, scs_hz=1e6)
         waves = self._waves(cfg)
         for i in range(m):
-            np.testing.assert_allclose(np.roll(waves.b[i], cfg.l_occ),
-                                       waves.b[(i + 1) % m], atol=1e-12)
+            np.testing.assert_allclose(np.roll(waves[i], cfg.l_occ),
+                                       waves[(i + 1) % m], atol=1e-12)
 
     def test_energy_localized_at_own_occasion(self, cfg):
         waves = self._waves(cfg)
         l = cfg.l_occ
         for m in range(cfg.m_codes):
-            per_occ = [np.sum(np.abs(waves.b[m][q * l:(q + 1) * l]) ** 2)
+            per_occ = [np.sum(np.abs(waves[m][q * l:(q + 1) * l]) ** 2)
                        for q in range(cfg.m_codes)]
             assert int(np.argmax(per_occ)) == m
 
@@ -164,7 +165,7 @@ class TestSpreadAndAssemble:
             grid = spread_and_assemble(cfg, m, unitary_dft(chirp),
                                        np.zeros((cfg.m_codes - 1, cfg.l_occ)),
                                        codes)
-            np.testing.assert_allclose(unitary_idft(grid.s), waves.b[m],
+            np.testing.assert_allclose(unitary_idft(grid.s), waves[m],
                                        atol=1e-12)
 
     def test_despread_recovers_data_and_sensing(self, cfg_small, rng):
@@ -241,13 +242,42 @@ class TestAssembleFrame:
     def test_rtd_frame_layout(self, cfg_small):
         rng = substream(5, "sched")
         sched = make_schedule(Scheme.RTD, cfg_small.m_codes, 8, rng=rng)
-        frame = assemble_frame(cfg_small, sched, rng=substream(5, "payload"))
+        l = cfg_small.l_occ
+        payload = substream(5, "payload").normal(size=(3 * 8, l)) + 0j
+        frame = assemble_frame(cfg_small, sched, payload=payload)
         assert len(frame) == cfg_small.m_codes * 8 * cfg_small.l_occ
         chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
-        l = cfg_small.l_occ
         for g in sched.slots:
             np.testing.assert_allclose(frame.samples[g * l:(g + 1) * l],
                                        chirp, atol=1e-14)
+        # data slots carry the payload rows in slot order
+        data_slots = sorted(set(range(cfg_small.m_codes * 8)) - set(sched.slots))
+        for row, g in enumerate(data_slots):
+            np.testing.assert_allclose(frame.samples[g * l:(g + 1) * l],
+                                       unitary_idft(payload[row]), atol=1e-14)
+
+    @pytest.mark.parametrize("scheme", [Scheme.FSI_RANDOM, Scheme.FSI_TAIL])
+    def test_fsi_frame_matches_per_symbol_loop(self, cfg_small, scheme):
+        # reference: spread, IDFT, rotate and prepend the CP symbol by symbol
+        cfg, m = cfg_small, cfg_small.m_codes
+        sched = make_schedule(scheme, m, 6, rng=substream(11, "s"))
+        rng = substream(11, "p")
+        payload = rng.normal(size=(6, m - 1, cfg.l_occ)) \
+            + 1j * rng.normal(size=(6, m - 1, cfg.l_occ))
+        frame = assemble_frame(cfg, sched, payload=payload, sensing_scale=0.5)
+        u = make_code_matrix(m).u
+        spec = 0.5 * unitary_dft(make_chirp(ChirpSpec.default(cfg), cfg.t_s))
+        s = cfg.symbol_len
+        for k, a in enumerate(sched.alpha):
+            grid = np.sqrt(m) * spec[:, None] * u[a]
+            for row, i in enumerate(c for c in range(m) if c != a):
+                grid = grid + payload[k, row][:, None] * u[i]
+            body = unitary_idft(grid.reshape(-1))
+            if scheme is Scheme.FSI_TAIL:
+                body = body * np.exp(2j * np.pi * k / m)
+            np.testing.assert_allclose(frame.samples[k * s:(k + 1) * s],
+                                       np.concatenate([body[-cfg.n_cp:], body]),
+                                       rtol=0, atol=1e-12)
 
     def test_fixed_seed_reproducible(self, cfg_small):
         frames = []
@@ -263,6 +293,21 @@ class TestAssembleFrame:
         with pytest.raises(ValueError):
             assemble_frame(cfg_small, sched,
                            payload=np.zeros((3, 3, cfg_small.l_occ)))
+
+
+class TestTransmitConstants:
+    def test_built_once_read_only_and_equal_to_builders(self, cfg_small):
+        chirp, codes, b = transmit_constants(cfg_small)
+        again = WaveformConfig(n_fft=256, m_codes=4, n_cp=64, scs_hz=480e3)
+        assert transmit_constants(again)[2] is b
+        for a in (chirp, codes.u, b):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        fresh = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
+        np.testing.assert_array_equal(chirp, fresh)
+        np.testing.assert_array_equal(codes.u, make_code_matrix(4).u)
+        np.testing.assert_array_equal(
+            b, make_sensing_waveforms(make_base_set(cfg_small, fresh), codes))
 
 
 class TestConfigValidation:
