@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .util import SPEED_OF_LIGHT
-from .waveform import Frame, WaveformConfig
+from .waveform import WaveformConfig
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,8 @@ class Target:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.range_m < 0:
-            raise ValueError("range must be non-negative")
+        if not 0 <= self.range_m < np.inf:
+            raise ValueError("range must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,24 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
     n = len(tx)
     if fractional:
         freqs = np.fft.fftfreq(n)
-        delayed = np.fft.ifft(np.fft.fft(tx) * np.exp(-2j * np.pi * freqs * delay_samples))
+        out = np.fft.ifft(np.fft.fft(tx) * np.exp(-2j * np.pi * freqs * delay_samples))
     else:
         d = int(round(delay_samples))
-        delayed = np.zeros(n, dtype=complex)
+        out = np.zeros(n, dtype=complex)
         if d < n:
-            delayed[d:] = tx[:n - d]
-    ramp = np.exp(2j * np.pi * doppler_hz * np.arange(n) * t_s)
-    return amplitude * delayed * ramp
+            out[d:] = tx[:n - d]
+    ramp = 2j * np.pi * doppler_hz * np.arange(n)
+    ramp *= t_s
+    out *= amplitude
+    out *= np.exp(ramp, out=ramp)
+    return out
 
 
-def synthesize_rx(tx: Frame, targets: list[Target], cc: ChannelConfig,
+def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
                   cfg: WaveformConfig,
-                  rng: np.random.Generator | None = None) -> Frame:
-    """Full receive stream: scaled SI + echoes + circular Gaussian noise.
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Receive samples of the transmit samples tx: scaled SI + echoes +
+    circular Gaussian noise.
 
     The SI and noise levels are referenced to the strongest target
     amplitude (1.0 when no targets): SI amplitude is
@@ -75,23 +79,20 @@ def synthesize_rx(tx: Frame, targets: list[Target], cc: ChannelConfig,
     per-sample echo power of a reference-amplitude target sit
     echo_snr_db above the noise.
     """
-    x = tx.samples
-    if len(x) == 0:
+    if len(tx) == 0:
         raise ValueError("empty frame")
     ref_amp = max((t.amplitude for t in targets), default=1.0)
-    rx = np.zeros_like(x)
+    rx = np.zeros_like(tx)
     if cc.si_enabled:
-        rx += 10 ** (cc.si_over_echo_db / 20) * ref_amp * x
+        rx += 10 ** (cc.si_over_echo_db / 20) * ref_amp * tx
     for t in targets:
         delay, doppler = target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
-        rx += echo_component(x, delay, doppler, t.amplitude, cfg.t_s,
+        rx += echo_component(tx, delay, doppler, t.amplitude, cfg.t_s,
                              fractional=cc.fractional_delay)
     if cc.noise_enabled:
         if rng is None:
             raise ValueError("noise requires a random source")
-        sigma2 = ref_amp ** 2 * np.mean(np.abs(x) ** 2) * 10 ** (-cc.echo_snr_db / 10)
-        w = rng.normal(0, np.sqrt(sigma2 / 2), size=len(x)) \
-            + 1j * rng.normal(0, np.sqrt(sigma2 / 2), size=len(x))
-        rx += w
-    return Frame(samples=rx, scheme=tx.scheme, k=tx.k, cfg=tx.cfg,
-                 rotated=tx.rotated)
+        sigma2 = ref_amp ** 2 * np.mean(np.abs(tx) ** 2) * 10 ** (-cc.echo_snr_db / 10)
+        rx.real += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
+        rx.imag += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
+    return rx

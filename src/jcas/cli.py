@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import numbers
 import os
 import struct
@@ -23,7 +24,7 @@ import sys
 import tempfile
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,11 @@ FORMAT_VERSION = 1
 
 class ScenarioError(ValueError):
     pass
+
+
+# the Scenario field annotations, as strings, and the values they admit
+FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+               "str": str, "list": list}
 
 
 @dataclass
@@ -73,17 +79,26 @@ class Scenario:
     tag: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if v is None and optional:
+                continue
+            ok = isinstance(v, FIELD_TYPES[kind])
+            if kind in ("int", "float"):   # bool is an int; JSON admits NaN
+                ok = ok and not isinstance(v, bool) and -math.inf < v < math.inf
+            if not ok:
+                raise ScenarioError(f"{f.name} must be {f.type}, not {v!r}")
         try:
             self.scheme_enum = Scheme(self.scheme)
         except ValueError:
             raise ScenarioError(f"unknown scheme {self.scheme!r}")
         if self.k is None:
             self.k = 64 if self.scheme_enum.is_fsi else 80
-        for name in ("k", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ScenarioError(f"{name} must be an integer")
         if self.k < 1:
             raise ScenarioError("k must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         for t in self.targets:
             if not isinstance(t, dict) or "range_m" not in t \
                     or "velocity_kmh" not in t:
@@ -92,12 +107,15 @@ class Scenario:
             cfg = self.waveform_config()
             self.target_list()
             receiver.si_filter(np.zeros(cfg.l_occ), self.n_guard)   # its bounds
-            detect.check_rel_threshold(self.rel_threshold)
+            receiver.check_cleanup_radius(self.cleanup_radius)
+            detect.check_peak_args(self.rel_threshold, self.max_peaks, self.guard)
         except (TypeError, ValueError) as e:
             raise ScenarioError(str(e))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        if not isinstance(d, dict):
+            raise ScenarioError("a scenario must be a JSON object")
         allowed = set(cls.__dataclass_fields__)
         unknown = set(d) - allowed
         if unknown:
@@ -129,8 +147,12 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as f:
-        return Scenario.from_dict(json.load(f))
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except (OSError, ValueError) as e:   # ValueError: malformed JSON or text
+        raise ScenarioError(f"cannot read {path}: {e}")
+    return Scenario.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +277,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             for name in ("std", "shift"):
                 peaks = detect.find_peaks(maps[name], scn.rel_threshold,
                                           scn.max_peaks, scn.guard)
-                solve_in.append(receiver.peak_cleanup(maps[name], peaks,
-                                                      scn.cleanup_radius))
+                solve_in.append(receiver.peak_cleanup(
+                    maps[name], [d.cell for d in peaks], scn.cleanup_radius))
             near, far = receiver.solve_windows(solve_in[0], solve_in[1], pat)
         else:
             near, far = receiver.solve_windows(maps["std"], maps["shift"], pat)
@@ -412,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb in ("simulate", "calibrate"):
             scn = load_scenario(args.scenario)
             if args.seed is not None:
-                scn.seed = args.seed
+                scn = replace(scn, seed=args.seed)
         if args.verb == "simulate":
             report = run_simulate(scn, args.out_dir)
             if report["flagged_pattern_bins"]:

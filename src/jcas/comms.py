@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .scheduler import Schedule
-from .waveform import CodeMatrix, FreqGrid, WaveformConfig, assemble_frame, \
-    data_codes, symbol_rotation, transmit_constants, unitary_dft
+from .waveform import WaveformConfig, assemble_frame, data_codes, \
+    symbol_rotation, transmit_constants, unitary_dft
 
 QPSK_SCALE = 1 / np.sqrt(2)
 
@@ -35,26 +35,26 @@ def demodulate(symbols: np.ndarray) -> np.ndarray:
     return bits.ravel()
 
 
-def despread(grid: np.ndarray | FreqGrid, codes: CodeMatrix,
+def despread(spectrum: np.ndarray, codes: np.ndarray,
              sensing_code: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Per-group code-domain despreading of one received symbol spectrum.
+    """Per-group code-domain despreading of one received (N,) symbol
+    spectrum with the (M, M) code matrix.
 
     Returns ({code i != m: estimates d_i of length N/M}, sensing-spectrum
     estimate), where the sensing estimate equals sqrt(M) times the chirp
     spectrum for a clean symbol.
     """
-    s = grid.s if isinstance(grid, FreqGrid) else np.asarray(grid)
-    est = _code_estimates(s, codes, np.arange(codes.m))
-    data = {i: est[i] for i in range(codes.m) if i != sensing_code}
+    est = _code_estimates(spectrum, codes, np.arange(len(codes)))
+    data = {i: e for i, e in enumerate(est) if i != sensing_code}
     return data, est[sensing_code]
 
 
-def _code_estimates(spectra: np.ndarray, codes: CodeMatrix,
+def _code_estimates(spectra: np.ndarray, codes: np.ndarray,
                     which: np.ndarray) -> np.ndarray:
     """Inner products of each M-subcarrier group with the codes ``which``:
     spectra (..., N) and which (..., C) give (..., C, N/M)."""
-    groups = spectra.reshape(*spectra.shape[:-1], -1, codes.m)
-    return np.conj(codes.u[which]) @ np.swapaxes(groups, -1, -2)
+    groups = spectra.reshape(*spectra.shape[:-1], -1, len(codes))
+    return np.conj(codes[which]) @ np.swapaxes(groups, -1, -2)
 
 
 def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
@@ -78,8 +78,7 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
         raise ValueError("payload does not match the schedule length")
 
     payload = modulate(bits).reshape(k, m - 1, l)
-    tx = assemble_frame(cfg, schedule, payload=payload)
-    rx = tx.samples   # the frame is ours: receive in place
+    rx = assemble_frame(cfg, schedule, payload=payload)   # ours: receive in place
     rx *= gain
     if snr_db is not None:
         if rng is None:
@@ -90,10 +89,10 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
 
     bodies = rx.reshape(k, cfg.symbol_len)[:, cfg.n_cp:]
     bodies[...] = unitary_dft(bodies) / gain
-    bodies *= np.conj(symbol_rotation(np.arange(k), m, tx.rotated))[:, None]
+    bodies *= np.conj(symbol_rotation(np.arange(k), m, schedule.scheme))[:, None]
     _, codes, _ = transmit_constants(cfg)
     data = _code_estimates(bodies, codes, data_codes(schedule.alpha, m))
-    del tx, rx, bodies   # free the frame before the decisions
+    del rx, bodies   # free the frame before the decisions
     err = int(np.count_nonzero(demodulate(data) != bits))
     data -= payload
     n_data = k * (m - 1) * l

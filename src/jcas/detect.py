@@ -30,10 +30,14 @@ class Detection:
                 "doppler_bin": self.doppler_bin, "map_tag": self.map_tag}
 
 
-def check_rel_threshold(rel_threshold: float) -> None:
-    """The bound find_peaks puts on its relative power threshold."""
+def check_peak_args(rel_threshold: float, max_peaks: int | None, guard: int) -> None:
+    """The bounds find_peaks puts on its arguments."""
     if not 0 < rel_threshold < 1:
         raise ValueError("rel_threshold must be in (0, 1)")
+    if max_peaks is not None and max_peaks < 1:
+        raise ValueError("max_peaks must be >= 1")
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
 
 
 def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
@@ -46,7 +50,7 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     rel_threshold. Ties break toward lower range bin, then lower signed
     Doppler bin.
     """
-    check_rel_threshold(rel_threshold)
+    check_peak_args(rel_threshold, max_peaks, guard)
     power = np.abs(rd.values) ** 2
     if power.size == 0:
         raise ValueError("empty matrix")
@@ -104,8 +108,7 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
     Unmatched truths are misses; unmatched detections are false alarms.
     When the RD map is supplied, peak-to-interference compares the weakest
     matched peak against the strongest cell outside every truth
-    neighborhood (tol_bins radius); otherwise the strongest unmatched
-    detection stands in for the interference.
+    neighborhood (tol_bins radius); without it the figure stays None.
     """
     tol_d, tol_v = tol_bins
     cells = [truth_cell(t, cfg, n_grid) for t in truth]
@@ -152,8 +155,4 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
         if peak_powers and interference > 0:
             report.peak_to_interference_db = float(
                 10 * np.log10(min(peak_powers) / interference))
-    elif report.matched and report.false_alarms:
-        worst = max(fa.normalized_power for fa in report.false_alarms)
-        best = min(m["detection"]["normalized_power"] for m in report.matched)
-        report.peak_to_interference_db = float(10 * np.log10(best / worst))
     return report

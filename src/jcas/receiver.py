@@ -15,12 +15,13 @@ from enum import Enum
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
-from .waveform import Frame, WaveformConfig, assemble_frame, \
-    symbol_rotation, transmit_constants, unitary_dft
+from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
+    transmit_constants, unitary_dft
 
 
 class WindowKind(str, Enum):
@@ -69,19 +70,16 @@ class RdMatrix:
 
 def capture_windows(rx: np.ndarray, cfg: WaveformConfig, k: int,
                     kind: WindowKind) -> np.ndarray:
-    """Per-symbol length-N receive windows, shape (K, N)."""
+    """Per-symbol length-N receive windows, (K, N): a read-only view of rx."""
     s = cfg.symbol_len
     start = cfg.n_cp if kind is WindowKind.STANDARD else 0
     if len(rx) < (k - 1) * s + start + cfg.n_fft:
         raise ValueError("frame too short for the requested windows")
-    offsets = np.arange(k) * s + start
-    return rx[offsets[:, None] + np.arange(cfg.n_fft)[None, :]]
+    return sliding_window_view(rx, cfg.n_fft)[start::s][:k]
 
 
 def mix(window: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Dechirp: reference times conjugated received window."""
-    window = np.asarray(window)
-    reference = np.asarray(reference)
     if window.shape[-1] != reference.shape[-1]:
         raise ValueError("window/reference length mismatch")
     return reference * np.conj(window)
@@ -95,13 +93,8 @@ def delay_and_sum(beat: np.ndarray, m: int) -> np.ndarray:
     return beat.reshape(*beat.shape[:-1], m, n // m).sum(axis=-2)
 
 
-def fast_time_fft(y: np.ndarray) -> np.ndarray:
-    """Unitary fast-time DFT; an echo at integer delay d peaks at bin d."""
-    return unitary_dft(y)
-
-
 def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
-    """Fast-time DFT with the lowest bins notched out.
+    """Unitary fast-time DFT, lowest bins notched; an echo at delay d peaks at bin d.
 
     The delay-and-sum output of the total SI is a constant vector, so an
     ideal DC notch (the discrete stand-in for the receiver's analog
@@ -111,7 +104,7 @@ def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
         raise ValueError("n_guard must be >= 1")
     if n_guard >= y.shape[-1]:
         raise ValueError("n_guard must be smaller than the profile length")
-    prof = fast_time_fft(y)
+    prof = unitary_dft(y)
     prof[..., :n_guard] = 0
     return prof
 
@@ -149,20 +142,19 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
     shift = 0 if kind is WindowKind.STANDARD else cfg.cp_occasions
     refs = b[(np.asarray(schedule.alpha) + shift) % cfg.m_codes]
     refs *= symbol_rotation(np.arange(schedule.k), cfg.m_codes,
-                            schedule.scheme is Scheme.FSI_TAIL)[:, None]
+                            schedule.scheme)[:, None]
     return refs
 
 
-def process_sensing(rx: Frame, cfg: WaveformConfig, schedule: Schedule,
+def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
                     kind: WindowKind = WindowKind.STANDARD,
                     n_guard: int = 1) -> RdMatrix:
-    """Full sensing chain from receive stream to range-Doppler map."""
-    samples = rx.samples if isinstance(rx, Frame) else np.asarray(rx)
+    """Full sensing chain from receive samples to range-Doppler map."""
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
 
     if schedule.scheme.is_fsi:
-        windows = capture_windows(samples, cfg, schedule.k, kind)
+        windows = capture_windows(rx, cfg, schedule.k, kind)
         refs = _fsi_references(cfg, schedule, kind)
         beat = mix(windows, refs)
         folded = delay_and_sum(beat, cfg.m_codes)
@@ -172,9 +164,9 @@ def process_sensing(rx: Frame, cfg: WaveformConfig, schedule: Schedule,
             raise ValueError("slotted schemes have a single window kind")
         chirp, _, _ = transmit_constants(cfg)
         l = cfg.l_occ
-        if len(samples) < n_grid * l:
+        if len(rx) < n_grid * l:
             raise ValueError("frame too short")
-        slots = samples[g[:, None] * l + np.arange(l)[None, :]]
+        slots = rx[:n_grid * l].reshape(n_grid, l)[g]
         beat = mix(slots, chirp)
         profiles = si_filter(beat, n_guard)
 
@@ -260,10 +252,9 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
     k_full = schedule.k
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule, cfg)
-    period = m + cfg.cp_occasions
 
     cal_sched = Schedule(Scheme.FSI_TAIL, m, 3, alpha=(m - 1,) * 3)
-    tx3 = assemble_frame(cfg, cal_sched).samples
+    tx3 = assemble_frame(cfg, cal_sched)
     refs = {WindowKind.STANDARD: _fsi_references(cfg, cal_sched, WindowKind.STANDARD),
             WindowKind.SHIFTED: _fsi_references(cfg, cal_sched, WindowKind.SHIFTED)}
     g3 = occasion_grid_indices(cal_sched, cfg)
@@ -317,7 +308,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     f_b = signed_bin / (n_grid * cfg.t_chirp)
     tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
-    rx = echo_component(tx.samples, delta, f_b, 1.0, cfg.t_s)
+    rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
     out = []
     for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
         rd = process_sensing(rx, cfg, schedule, kind, n_guard)
@@ -381,19 +372,22 @@ def stack_solved(near: RdMatrix, far: RdMatrix) -> RdMatrix:
                     grid_size=near.grid_size, cfg=near.cfg, tag="combined")
 
 
-def peak_cleanup(rd: RdMatrix, peaks, radius: int = 2) -> RdMatrix:
+def check_cleanup_radius(radius: int) -> None:
+    """The bound peak_cleanup puts on its neighborhood radius."""
+    if radius < 1:
+        raise ValueError("cleanup_radius must be >= 1")
+
+
+def peak_cleanup(rd: RdMatrix, cells, radius: int = 2) -> RdMatrix:
     """Zero the neighborhood of each detected peak, keeping the peak cell.
 
     Mops up the straddle shoulders that the per-cell 2x2 solve cannot
-    combine for off-grid targets. ``peaks`` is a list of (d, col) cells
-    or of Detection objects.
+    combine for off-grid targets. ``cells`` lists the (d, col) peak cells.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    check_cleanup_radius(radius)
     vals = rd.values.copy()
     n_dop = rd.n_doppler
-    for pk in peaks:
-        d0, c0 = pk.cell if hasattr(pk, "cell") else pk
+    for d0, c0 in cells:
         keep = vals[d0, c0]
         lo, hi = max(0, d0 - radius), min(vals.shape[0], d0 + radius + 1)
         cols = [(c0 + t) % n_dop for t in range(-radius, radius + 1)]

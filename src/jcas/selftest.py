@@ -32,7 +32,7 @@ def check_dft_unitarity():
 
 def check_code_unitarity(corrupt: bool = False):
     for m in (2, 4, 8, 16):
-        u = make_code_matrix(m).u.copy()
+        u = make_code_matrix(m)
         if corrupt:
             u[0, 0] += 1e-3
         err = np.max(np.abs(u @ u.conj().T - np.eye(m)))
@@ -142,7 +142,7 @@ def check_grid_exactness():
     d, nu = 10, 5
     f_d = nu / (n_grid * cfg.t_chirp)
     from .channel import echo_component
-    rx = echo_component(tx.samples, d, f_d, 1.0, cfg.t_s)
+    rx = echo_component(tx, d, f_d, 1.0, cfg.t_s)
     rd = process_sensing(rx, cfg, sched)
     cell = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
     if cell != (d, nu):

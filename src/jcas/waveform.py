@@ -49,10 +49,10 @@ class WaveformConfig:
     def __post_init__(self):
         if self.m_codes < 2:
             raise ValueError("m_codes must be >= 2")
-        if self.n_fft % self.m_codes != 0:
-            raise ValueError("n_fft must be divisible by m_codes")
-        if self.n_cp % (self.n_fft // self.m_codes) != 0:
-            raise ValueError("n_cp must be a multiple of the occasion length")
+        if self.n_fft < self.m_codes or self.n_fft % self.m_codes != 0:
+            raise ValueError("n_fft must be a positive multiple of m_codes")
+        if not 0 <= self.n_cp <= self.n_fft or self.n_cp % self.l_occ != 0:
+            raise ValueError("n_cp must be a multiple of the occasion length in [0, n_fft]")
         if self.scs_hz <= 0 or self.carrier_hz <= 0:
             raise ValueError("scs_hz and carrier_hz must be positive")
 
@@ -145,49 +145,39 @@ def make_base_set(cfg: WaveformConfig, chirp: np.ndarray) -> np.ndarray:
     return np.tile(chirp, cfg.m_codes) * np.exp(2j * np.pi * m * n / cfg.n_fft)
 
 
-@dataclass(frozen=True)
-class CodeMatrix:
+def make_code_matrix(m: int) -> np.ndarray:
     """Unitary spreading code set: DFT kernel with a half-bin phase ramp.
 
-    u[m, k] = exp(-j2pi*m*k/M) * exp(-j*pi*k/M) / sqrt(M)
+    u[m, k] = exp(-j2pi*m*k/M) * exp(-j*pi*k/M) / sqrt(M), (M, M) with
+    orthonormal rows.
 
     The half-bin ramp is what time-localizes sensing waveform m at
     occasion m and yields the cyclic code-shift identity
     roll(b_m, L) == b_{(m+1) mod M}.
     """
-
-    u: np.ndarray  # (M, M) complex, rows orthonormal
-
-    @property
-    def m(self) -> int:
-        return self.u.shape[0]
-
-
-def make_code_matrix(m: int) -> CodeMatrix:
     if m < 1:
         raise ValueError("need at least one code")
     mm, kk = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    u = np.exp(-2j * np.pi * mm * kk / m) * np.exp(-1j * np.pi * kk / m) / np.sqrt(m)
-    return CodeMatrix(u=u)
+    return np.exp(-2j * np.pi * mm * kk / m) * np.exp(-1j * np.pi * kk / m) / np.sqrt(m)
 
 
-def make_sensing_waveforms(base: np.ndarray, codes: CodeMatrix) -> np.ndarray:
+def make_sensing_waveforms(base: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Time-domain sensing waveforms b_m = sum_i u[m,i] * base_i, (M, N)."""
-    if base.shape[0] != codes.m:
+    if base.shape[0] != codes.shape[0]:
         raise ValueError("base set and code matrix disagree on M")
-    return codes.u @ base
+    return codes @ base
 
 
 @functools.cache
-def transmit_constants(cfg: WaveformConfig) -> tuple[np.ndarray, CodeMatrix, np.ndarray]:
-    """The chirp, code set and sensing waveforms b of a config, built once
-    per (frozen, hashable) config and shared, hence read-only."""
+def transmit_constants(cfg: WaveformConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chirp, code matrix u and sensing waveforms b of a config, built
+    once per (frozen, hashable) config and shared, hence read-only."""
     chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
-    codes = make_code_matrix(cfg.m_codes)
-    b = make_sensing_waveforms(make_base_set(cfg, chirp), codes)
-    for a in (chirp, codes.u, b):
+    u = make_code_matrix(cfg.m_codes)
+    b = make_sensing_waveforms(make_base_set(cfg, chirp), u)
+    for a in (chirp, u, b):
         a.flags.writeable = False
-    return chirp, codes, b
+    return chirp, u, b
 
 
 def data_codes(alpha, m: int) -> np.ndarray:
@@ -196,42 +186,26 @@ def data_codes(alpha, m: int) -> np.ndarray:
     return rest + (rest >= np.asarray(alpha)[:, None])
 
 
-def symbol_rotation(k, m: int, rotate: bool) -> np.ndarray:
-    """Per-symbol phase rho_k = e^{j2pi k/M} of the tail scheme; 1 when off."""
+def symbol_rotation(k, m: int, scheme: Scheme) -> np.ndarray:
+    """Per-symbol phase rho_k = e^{j2pi k/M} of the tail scheme; 1 in all others."""
     k = np.asarray(k)
-    return np.exp(2j * np.pi * k / m) if rotate else np.ones(k.shape)
+    return np.exp(2j * np.pi * k / m) if scheme is Scheme.FSI_TAIL else np.ones(k.shape)
 
 
-@dataclass(frozen=True)
-class FreqGrid:
-    """One OFDM symbol in the frequency domain.
-
-    Subcarrier g*M + k (group g, in-group position k) holds
-    sqrt(M)*P[g]*u[m,k] + sum_{i != m} d_i[g]*u[i,k].
-    """
-
-    s: np.ndarray  # (N,) complex
-    sensing_code: int
-
-    def groups(self, m_codes: int) -> np.ndarray:
-        """View as (N/M groups) x (M in-group positions)."""
-        return self.s.reshape(-1, m_codes)
-
-
-def _spread(out: np.ndarray, codes: CodeMatrix, alpha: np.ndarray,
+def _spread(out: np.ndarray, codes: np.ndarray, alpha: np.ndarray,
             chirp_spectrum: np.ndarray, data: np.ndarray) -> None:
     """Write the spectra of K symbols into out, (K, N).
 
     Symbol k carries sqrt(M) * chirp_spectrum on code alpha[k] and data[k]
     (M-1, L) on the other codes in ascending order.
     """
-    k, m = len(alpha), codes.m
+    k, m = len(alpha), len(codes)
     coef = np.empty((k, len(chirp_spectrum), m), dtype=complex)
     rows = np.arange(k)
     coef[rows, :, alpha] = np.sqrt(m) * chirp_spectrum
     coef[rows[:, None], :, data_codes(alpha, m)] = data
     # splitting the contiguous last axis, so the reshape is a view of out
-    np.matmul(coef, codes.u, out=out.reshape(k, -1, m))
+    np.matmul(coef, codes, out=out.reshape(k, -1, m))
 
 
 def _to_time(frame: np.ndarray, cfg: WaveformConfig, rho: np.ndarray) -> None:
@@ -244,8 +218,11 @@ def _to_time(frame: np.ndarray, cfg: WaveformConfig, rho: np.ndarray) -> None:
 
 def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
                         chirp_spectrum: np.ndarray, data: np.ndarray,
-                        codes: CodeMatrix) -> FreqGrid:
+                        codes: np.ndarray) -> np.ndarray:
     """Place the chirp on one code and data on the remaining M-1 codes.
+
+    Returns the (N,) symbol spectrum: subcarrier g*M + k (group g, in-group
+    position k) holds sqrt(M)*P[g]*u[m,k] + sum_{i != m} d_i[g]*u[i,k].
 
     Parameters
     ----------
@@ -263,30 +240,17 @@ def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
         raise ValueError(f"data must be shaped ({m - 1}, {cfg.l_occ})")
     s = np.empty((1, cfg.n_fft), dtype=complex)
     _spread(s, codes, np.array([sensing_code]), chirp_spectrum, data[None])
-    return FreqGrid(s=s[0], sensing_code=sensing_code)
+    return s[0]
 
 
-def assemble_symbol(grid: FreqGrid, cfg: WaveformConfig, symbol_index: int,
-                    rotate: bool) -> np.ndarray:
-    """IDFT, per-symbol rotation, and CP prepend. Returns N + N_CP samples."""
+def assemble_symbol(spectrum: np.ndarray, cfg: WaveformConfig,
+                    symbol_index: int, scheme: Scheme) -> np.ndarray:
+    """IDFT, the scheme's per-symbol rotation, and CP prepend of one (N,)
+    symbol spectrum. Returns N + N_CP samples."""
     frame = np.empty((1, cfg.symbol_len), dtype=complex)
-    frame[0, cfg.n_cp:] = grid.s
-    _to_time(frame, cfg, symbol_rotation([symbol_index], cfg.m_codes, rotate))
+    frame[0, cfg.n_cp:] = spectrum
+    _to_time(frame, cfg, symbol_rotation([symbol_index], cfg.m_codes, scheme))
     return frame[0]
-
-
-@dataclass
-class Frame:
-    """Complex baseband sample stream plus layout metadata."""
-
-    samples: np.ndarray
-    scheme: Scheme
-    k: int
-    cfg: WaveformConfig
-    rotated: bool = False
-
-    def __len__(self):
-        return len(self.samples)
 
 
 def random_qpsk(rng: np.random.Generator, size) -> np.ndarray:
@@ -299,8 +263,8 @@ def random_qpsk(rng: np.random.Generator, size) -> np.ndarray:
 def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
                    payload: np.ndarray | None = None,
                    rng: np.random.Generator | None = None,
-                   sensing_scale: float = 1.0) -> Frame:
-    """Build the full transmit frame for any scheme.
+                   sensing_scale: float = 1.0) -> np.ndarray:
+    """Build the full transmit frame for any scheme: its complex128 samples.
 
     Chirp-implanted symbols carry the sensing chirp on code alpha_k and
     QPSK data on the other codes. Slotted schemes place a plain chirp in
@@ -327,13 +291,11 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
         payload = np.asarray(payload, dtype=complex)
         if payload.shape != shape:
             raise ValueError("payload shape mismatch for implanted-OFDM frame")
-        rotate = scheme is Scheme.FSI_TAIL
         frame = np.empty((k_syms, cfg.symbol_len), dtype=complex)
         _spread(frame[:, cfg.n_cp:], codes, np.asarray(schedule.alpha),
                 sensing_scale * unitary_dft(chirp), payload)
-        _to_time(frame, cfg, symbol_rotation(np.arange(k_syms), cfg.m_codes, rotate))
-        return Frame(samples=frame.reshape(-1), scheme=scheme, k=k_syms,
-                     cfg=cfg, rotated=rotate)
+        _to_time(frame, cfg, symbol_rotation(np.arange(k_syms), cfg.m_codes, scheme))
+        return frame.reshape(-1)
 
     # slotted schemes: M*K slots of length L
     n_slots = cfg.m_codes * schedule.k
@@ -352,4 +314,4 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     frame = np.empty((n_slots, cfg.l_occ), dtype=complex)
     frame[scheduled] = chirp
     frame[~scheduled] = unitary_idft(payload)
-    return Frame(samples=frame.reshape(-1), scheme=scheme, k=schedule.k, cfg=cfg)
+    return frame.reshape(-1)

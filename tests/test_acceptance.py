@@ -21,7 +21,7 @@ from jcas.cli import (FIG6_TARGETS, FIG7_OFFGRID_TARGETS, FIG7_TARGETS,
 from jcas.comms import despread, qpsk_ber_awgn
 from jcas.scheduler import unambiguous_band
 from jcas.util import kmh_to_mps
-from jcas.waveform import ChirpSpec, Frame
+from jcas.waveform import ChirpSpec
 
 SEED = 2026
 DEFAULTS = WaveformConfig()
@@ -58,7 +58,7 @@ def test_criterion1_spectral_support_theorem():
 # -------------------------------------------------------------- criterion 2
 
 def test_criterion2_code_algebra():
-    u = make_code_matrix(4).u
+    u = make_code_matrix(4)
     unit_err = np.max(np.abs(u @ u.conj().T - np.eye(4)))
 
     shift_err = 0.0
@@ -77,8 +77,8 @@ def test_criterion2_code_algebra():
     codes = make_code_matrix(cfg.m_codes)
     chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
     data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
-    grid = spread_and_assemble(cfg, 1, unitary_dft(chirp), data, codes)
-    est, _ = despread(grid, codes, 1)
+    spectrum = spread_and_assemble(cfg, 1, unitary_dft(chirp), data, codes)
+    est, _ = despread(spectrum, codes, 1)
     rt_err = max(np.max(np.abs(est[i] - data[row]))
                  for row, i in enumerate([0, 2, 3]))
 
@@ -100,8 +100,7 @@ def test_criterion3_exact_si_cancellation():
     rx = synthesize_rx(tx, [], cc, cfg)
     residual = np.max(np.abs(process_sensing(rx, cfg, sched).values))
 
-    ref_rx = Frame(samples=echo_component(tx.samples, 10, 0.0, 1.0, cfg.t_s),
-                   scheme=tx.scheme, k=tx.k, cfg=cfg)
+    ref_rx = echo_component(tx, 10, 0.0, 1.0, cfg.t_s)
     ref_peak = np.max(np.abs(process_sensing(ref_rx, cfg, sched).values))
     elapsed = time.perf_counter() - t0
     ok = residual <= 1e-8 * ref_peak and elapsed < 10.0
@@ -243,8 +242,8 @@ def fig7_setup():
         std_b, shf_b = extract_band(rd_s, band), extract_band(rd_h, band)
         if cleanup:
             from jcas import peak_cleanup
-            solve_std = peak_cleanup(std_b, find_peaks(std_b))
-            solve_shf = peak_cleanup(shf_b, find_peaks(shf_b))
+            solve_std = peak_cleanup(std_b, [d.cell for d in find_peaks(std_b)])
+            solve_shf = peak_cleanup(shf_b, [d.cell for d in find_peaks(shf_b)])
         else:
             solve_std, solve_shf = std_b, shf_b
         near, far = solve_windows(solve_std, solve_shf, pat)
@@ -349,7 +348,7 @@ def test_criterion7_comms_integrity():
     rng = np.random.default_rng(3)
     codes = make_code_matrix(cfg.m_codes)
     d = rng.normal(size=cfg.l_occ) + 1j * rng.normal(size=cfg.l_occ)
-    s = (d[:, None] * codes.u[2][None, :]).reshape(-1)
+    s = (d[:, None] * codes[2][None, :]).reshape(-1)
     est, _ = despread(s, codes, sensing_code=0)
     leak_db = 10 * np.log10(np.sum(np.abs(est[1]) ** 2)
                             / np.sum(np.abs(d) ** 2) + 1e-300)

@@ -1,8 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcas import cli
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
@@ -15,6 +21,34 @@ def small_scenario():
                     scs_hz=480e3,
                     targets=[{"range_m": 12.0, "velocity_kmh": 40.0}],
                     seed=7)
+
+
+# a wrong type or an out-of-range number for any field
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+                 st.integers(-3, 3), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# valid values, kept small: validation allocates one occasion (n_fft/m_codes)
+_TARGET = st.fixed_dictionaries(
+    {"range_m": st.floats(0, 1e3), "velocity_kmh": st.floats(-500, 500)},
+    optional={"amplitude": st.floats(0.1, 2)})
+VALID_FIELDS = {
+    "scheme": st.sampled_from(["sensing_only", "periodic_td", "rtd",
+                               "fsi_random", "fsi_tail"]),
+    "k": st.one_of(st.none(), st.integers(1, 16)),
+    "n_fft": st.sampled_from([8, 64, 256]), "m_codes": st.sampled_from([2, 4, 8]),
+    "n_cp": st.sampled_from([0, 32, 64]),
+    "scs_hz": st.floats(1e3, 1e6), "carrier_hz": st.floats(1e9, 1e11),
+    "targets": st.lists(st.one_of(_TARGET, JUNK), max_size=2),
+    "si_over_echo_db": st.floats(-50, 150), "echo_snr_db": st.floats(-30, 30),
+    "si_enabled": st.booleans(), "noise_enabled": st.booleans(),
+    "fractional_delay": st.booleans(), "rel_threshold": st.floats(0.01, 0.99),
+    "guard": st.integers(0, 4), "max_peaks": st.one_of(st.none(), st.integers(1, 9)),
+    "n_guard": st.integers(1, 4), "peak_cleanup": st.booleans(),
+    "cleanup_radius": st.integers(1, 4), "comms_enabled": st.booleans(),
+    "comms_snr_db": st.one_of(st.none(), st.floats(-10, 30)),
+    "rtd_one_per_group": st.booleans(), "seed": st.integers(0, 2**32),
+    "tag": st.one_of(st.none(), st.text(st.characters(categories=["L"]), max_size=4)),
+}
 
 
 class TestScenario:
@@ -45,6 +79,15 @@ class TestScenario:
     def test_roundtrip(self, small_scenario):
         again = Scenario.from_dict(small_scenario.to_dict())
         assert again.to_dict() == small_scenario.to_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        name: st.one_of(valid, JUNK) for name, valid in VALID_FIELDS.items()}))
+    def test_from_dict_returns_or_raises_scenario_error(self, d):
+        try:
+            Scenario.from_dict(d)
+        except ScenarioError:
+            pass
 
 
 class TestRdmxFormat:
@@ -151,14 +194,44 @@ class TestCliMain:
 
     @pytest.mark.parametrize("bad", [
         {"n_guard": 0}, {"rel_threshold": 1.5}, {"k": 2.5}, {"seed": "x"},
-        {"targets": [{"range_m": -5, "velocity_kmh": 0}]}])
+        {"targets": [{"range_m": -5, "velocity_kmh": 0}]},
+        {"n_fft": 0}, {"targets": 5}, {"si_over_echo_db": "x"},
+        {"peak_cleanup": True, "cleanup_radius": 0},
+        {"scheme": "fsi_random", "n_cp": -512}, {"max_peaks": -1},
+        {"guard": -1}, {"seed": -1},
+        {"targets": [{"range_m": float("nan"), "velocity_kmh": 0}]},
+        pytest.param('{"scheme": "rtd", "k": 1', id="truncated_json"),
+        pytest.param("[]", id="not_an_object"),
+        pytest.param(None, id="missing_file")])
     def test_invalid_value_exit_2(self, tmp_path, capsys, bad):
         scn_file = tmp_path / "bad.json"
-        scn_file.write_text(json.dumps({"scheme": "rtd", **bad}))
-        assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate",
-                         str(scn_file)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("scenario error: ") and err.count("\n") == 1
+        if isinstance(bad, dict):
+            scn_file.write_text(json.dumps({"scheme": "rtd", **bad}))
+        elif bad is not None:
+            scn_file.write_text(bad)
+        for verb in ("simulate", "calibrate"):
+            assert cli.main(["--out-dir", str(tmp_path / "out"), verb,
+                             str(scn_file)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    def test_seed_flag_is_validated(self, tmp_path, small_scenario):
+        scn_file = tmp_path / "scn.json"
+        scn_file.write_text(json.dumps(small_scenario.to_dict()))
+        assert cli.main(["--seed", "-1", "simulate", str(scn_file)]) == 2
+
+    def test_entry_point_exit_2(self, tmp_path):
+        # what a user sees: the module run as a program, not cli.main
+        scn_file = tmp_path / "truncated.json"
+        scn_file.write_text('{"scheme": "rtd", "k": 1')
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "jcas.cli", "simulate",
+                               str(scn_file)], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scenario error:")
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

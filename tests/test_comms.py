@@ -41,7 +41,7 @@ class TestDespread:
         cfg = cfg_small
         codes = make_code_matrix(cfg.m_codes)
         d = rng.normal(size=cfg.l_occ) + 1j * rng.normal(size=cfg.l_occ)
-        s = (d[:, None] * codes.u[1][None, :]).reshape(-1)
+        s = (d[:, None] * codes[1][None, :]).reshape(-1)
         est, _ = despread(s, codes, sensing_code=0)
         leak = np.sum(np.abs(est[2]) ** 2) / np.sum(np.abs(d) ** 2)
         assert 10 * np.log10(leak + 1e-300) <= -100
@@ -100,8 +100,8 @@ class TestRunLink:
         s_len = cfg_small.symbol_len
         for ks in range(k):
             for tx in (tx_with, tx_wo):
-                spec = unitary_dft(tx.samples[ks * s_len + cfg_small.n_cp:
-                                              (ks + 1) * s_len])
+                spec = unitary_dft(tx[ks * s_len + cfg_small.n_cp:
+                                      (ks + 1) * s_len])
                 est, _ = despread(spec, codes, sched.alpha[ks])
                 others = [i for i in range(4) if i != sched.alpha[ks]]
                 for row, i in enumerate(others):

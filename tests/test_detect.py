@@ -54,6 +54,12 @@ class TestFindPeaks:
         rd = rd_with(cfg, {(10, 0): 1.0, (100, 50): 0.9, (200, 80): 0.8})
         assert len(find_peaks(rd, max_peaks=2)) == 2
 
+    @pytest.mark.parametrize("bad", [{"rel_threshold": 0}, {"max_peaks": 0},
+                                     {"max_peaks": -1}, {"guard": -1}])
+    def test_out_of_range_arguments_rejected(self, cfg, bad):
+        with pytest.raises(ValueError):
+            find_peaks(rd_with(cfg, {(10, 0): 1.0}), **bad)
+
     def test_empty_matrix_rejected(self, cfg):
         rd = RdMatrix(values=np.zeros((0, 0), dtype=complex), grid_size=320,
                       cfg=cfg)
@@ -136,3 +142,4 @@ class TestEvaluate:
         rep = evaluate(dets, truth, cfg, 320)
         assert rep.matched[0]["detection"]["cell"] == [164, 0]
         assert len(rep.false_alarms) == 1
+        assert rep.peak_to_interference_db is None   # needs the map

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from jcas import (ChannelConfig, ChirpSpec, Scheme, Target, WaveformConfig,
                   WindowKind, assemble_frame, build_pattern, delay_and_sum,
-                  extract_band, fast_time_fft, find_peaks, make_base_set,
+                  extract_band, find_peaks, make_base_set,
                   make_chirp, make_code_matrix, make_schedule,
                   make_sensing_waveforms, mix, peak_cleanup, process_sensing,
                   quantize, si_filter, slow_time_matched_filter, solve_windows,
@@ -14,7 +14,6 @@ from jcas import (ChannelConfig, ChirpSpec, Scheme, Target, WaveformConfig,
 from jcas.channel import echo_component
 from jcas.receiver import capture_windows
 from jcas.scheduler import grid_size, occasion_grid_indices
-from jcas.waveform import Frame
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
 NO_NOISE = ChannelConfig(noise_enabled=False)
@@ -32,8 +31,7 @@ def sensing_symbol(cfg, m, data=None, rng=None):
     chirp, codes, _ = waves_for(cfg)
     if data is None:
         data = np.zeros((cfg.m_codes - 1, cfg.l_occ), dtype=complex)
-    grid = spread_and_assemble(cfg, m, unitary_dft(chirp), data, codes)
-    return unitary_idft(grid.s)
+    return unitary_idft(spread_and_assemble(cfg, m, unitary_dft(chirp), data, codes))
 
 
 class TestMix:
@@ -120,21 +118,21 @@ class TestFastTimeFft:
         rx = synthesize_rx(tx, [Target(200.0, 0.0)], ECHO_ONLY, cfg)  # 164 samples
         l = cfg.l_occ
         chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
-        window = rx.samples[5 * l:6 * l]
-        prof = np.abs(fast_time_fft(mix(window, chirp)))
+        window = rx[5 * l:6 * l]
+        prof = np.abs(unitary_dft(mix(window, chirp)))
         assert int(np.argmax(prof)) == 164
         others = np.delete(prof, 164)
         assert prof[164] / others.max() >= 1e3
 
     def test_si_at_bin_zero(self, cfg_small):
         chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
-        prof = np.abs(fast_time_fft(mix(chirp, chirp)))
+        prof = np.abs(unitary_dft(mix(chirp, chirp)))
         assert int(np.argmax(prof)) == 0
 
     def test_linearity(self, rng):
         y = rng.normal(size=64) + 1j * rng.normal(size=64)
-        np.testing.assert_allclose(fast_time_fft(2.5 * y),
-                                   2.5 * fast_time_fft(y), rtol=1e-12)
+        np.testing.assert_allclose(unitary_dft(2.5 * y),
+                                   2.5 * unitary_dft(y), rtol=1e-12)
 
 
 class TestSlowTimeMatchedFilter:
@@ -212,10 +210,10 @@ class TestCaptureWindows:
         sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, 3,
                               rng=substream(1, "s"))
         tx = assemble_frame(cfg_small, sched, rng=substream(1, "p"))
-        wins = capture_windows(tx.samples, cfg_small, 3, WindowKind.STANDARD)
+        wins = capture_windows(tx, cfg_small, 3, WindowKind.STANDARD)
         s = cfg_small.symbol_len
         for k in range(3):
-            body = tx.samples[k * s + cfg_small.n_cp:(k + 1) * s]
+            body = tx[k * s + cfg_small.n_cp:(k + 1) * s]
             np.testing.assert_array_equal(wins[k], body)
 
     def test_shifted_window_is_cyclic_body_shift(self, cfg_small):
@@ -224,10 +222,10 @@ class TestCaptureWindows:
         sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, 2,
                               rng=substream(2, "s"))
         tx = assemble_frame(cfg_small, sched, rng=substream(2, "p"))
-        wins = capture_windows(tx.samples, cfg_small, 2, WindowKind.SHIFTED)
+        wins = capture_windows(tx, cfg_small, 2, WindowKind.SHIFTED)
         s = cfg_small.symbol_len
         for k in range(2):
-            body = tx.samples[k * s + cfg_small.n_cp:(k + 1) * s]
+            body = tx[k * s + cfg_small.n_cp:(k + 1) * s]
             np.testing.assert_allclose(wins[k], np.roll(body, cfg_small.n_cp),
                                        atol=1e-14)
 
@@ -246,8 +244,7 @@ class TestProcessSensing:
         rd = process_sensing(rx, cfg, sched)
         resid = np.max(np.abs(rd.values))
         # reference: what a unit echo at bin 10 would produce
-        echo = Frame(samples=echo_component(tx.samples, 10, 0.0, 1.0, cfg.t_s),
-                     scheme=tx.scheme, k=tx.k, cfg=cfg, rotated=tx.rotated)
+        echo = echo_component(tx, 10, 0.0, 1.0, cfg.t_s)
         ref = np.max(np.abs(process_sensing(echo, cfg, sched).values))
         assert resid <= 1e-8 * ref
 
@@ -276,7 +273,7 @@ class TestProcessSensing:
         rx = synthesize_rx(tx, [], NO_NOISE, cfg)
         from jcas.receiver import _fsi_references
         for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
-            wins = capture_windows(rx.samples, cfg, 8, kind)
+            wins = capture_windows(rx, cfg, 8, kind)
             refs = _fsi_references(cfg, sched, kind)
             folded = delay_and_sum(mix(wins, refs), cfg.m_codes)
             dev = np.abs(folded - folded.mean(axis=1, keepdims=True))
@@ -303,7 +300,7 @@ class TestProcessSensing:
         l = cfg.l_occ
         acc = 0.0
         for i, gk in enumerate(g):
-            window = rx.samples[gk * l:(gk + 1) * l]
+            window = rx[gk * l:(gk + 1) * l]
             beat = chirp * np.conj(window)
             bin_val = np.sum(beat * np.exp(-2j * np.pi * 328 * np.arange(l) / l))
             bin_val /= np.sqrt(l)
@@ -450,6 +447,10 @@ class TestPeakCleanup:
         out = peak_cleanup(rd, [(4, 0)], radius=1)
         assert out.values[4, 15] == 0
 
+    def test_radius_below_one_rejected(self, cfg_small):
+        with pytest.raises(ValueError):
+            peak_cleanup(self._rd(cfg_small), [(4, 0)], radius=0)
+
 
 class TestQuantize:
     def test_high_resolution_near_identity(self, rng):
@@ -494,9 +495,9 @@ class TestQuantize:
             mag = np.abs(rd.values)
             return mag[d0].max(), np.delete(mag, d0, axis=0).max()
 
-        clean_peak, _ = rd_peak(rx.samples, quant_after=False)
-        pk_after, _ = rd_peak(rx.samples, quant_after=True)
-        q_rx = quantize(rx.samples, 12, np.max(np.abs(rx.samples)))
+        clean_peak, _ = rd_peak(rx, quant_after=False)
+        pk_after, _ = rd_peak(rx, quant_after=True)
+        q_rx = quantize(rx, 12, np.max(np.abs(rx)))
         pk_before, floor_before = rd_peak(q_rx, quant_after=False)
         assert abs(pk_after - clean_peak) < 0.05 * clean_peak
         # raw-stream quantization leaves the echo at or below the noise floor
@@ -547,7 +548,7 @@ class TestConventions:
         tx = assemble_frame(cfg, sched, rng=substream(61, "p"))
         rx = synthesize_rx(tx, [], NO_NOISE, cfg)
         from jcas.receiver import _fsi_references
-        wins = capture_windows(rx.samples, cfg, 6, WindowKind.SHIFTED)
+        wins = capture_windows(rx, cfg, 6, WindowKind.SHIFTED)
         refs = _fsi_references(cfg, sched, WindowKind.SHIFTED)
         folded = delay_and_sum(mix(wins, refs), cfg.m_codes)
         dev = np.abs(folded - folded.mean(axis=1, keepdims=True))
@@ -564,8 +565,7 @@ class TestConventions:
         delta = 40 + cfg.l_occ     # beyond the single-window span
         nu0 = -2
         f_b = nu0 / (n_grid * cfg.t_chirp)
-        rx = Frame(samples=echo_component(tx.samples, delta, f_b, 1.0, cfg.t_s),
-                   scheme=tx.scheme, k=tx.k, cfg=cfg, rotated=tx.rotated)
+        rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
         rd_s = process_sensing(rx, cfg, sched, WindowKind.STANDARD)
         rd_h = process_sensing(rx, cfg, sched, WindowKind.SHIFTED)
         near, far = solve_windows(rd_s, rd_h, pat)

@@ -91,16 +91,16 @@ class TestBaseSet:
 
 class TestCodeMatrix:
     def test_m1(self):
-        np.testing.assert_allclose(make_code_matrix(1).u, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(make_code_matrix(1), [[1.0]], atol=1e-15)
 
     def test_m2_hand_values(self):
-        u = make_code_matrix(2).u
+        u = make_code_matrix(2)
         expected = np.array([[1, -1j], [1, 1j]]) / np.sqrt(2)
         np.testing.assert_allclose(u, expected, atol=1e-14)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
     def test_unitarity(self, m):
-        u = make_code_matrix(m).u
+        u = make_code_matrix(m)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(m), atol=1e-12)
         np.testing.assert_allclose(np.abs(u), 1 / np.sqrt(m), atol=1e-13)
 
@@ -162,10 +162,10 @@ class TestSpreadAndAssemble:
         codes = make_code_matrix(cfg.m_codes)
         waves = make_sensing_waveforms(make_base_set(cfg, chirp), codes)
         for m in range(cfg.m_codes):
-            grid = spread_and_assemble(cfg, m, unitary_dft(chirp),
-                                       np.zeros((cfg.m_codes - 1, cfg.l_occ)),
-                                       codes)
-            np.testing.assert_allclose(unitary_idft(grid.s), waves[m],
+            spectrum = spread_and_assemble(cfg, m, unitary_dft(chirp),
+                                           np.zeros((cfg.m_codes - 1, cfg.l_occ)),
+                                           codes)
+            np.testing.assert_allclose(unitary_idft(spectrum), waves[m],
                                        atol=1e-12)
 
     def test_despread_recovers_data_and_sensing(self, cfg_small, rng):
@@ -174,13 +174,12 @@ class TestSpreadAndAssemble:
         codes = make_code_matrix(cfg.m_codes)
         spec = unitary_dft(chirp)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
-        grid = spread_and_assemble(cfg, 2, spec, data, codes)
-        groups = grid.groups(cfg.m_codes)
+        groups = spread_and_assemble(cfg, 2, spec, data, codes).reshape(-1, cfg.m_codes)
         others = [0, 1, 3]
         for row, i in enumerate(others):
-            est = groups @ np.conj(codes.u[i])
+            est = groups @ np.conj(codes[i])
             np.testing.assert_allclose(est, data[row], atol=1e-12)
-        sens = groups @ np.conj(codes.u[2])
+        sens = groups @ np.conj(codes[2])
         np.testing.assert_allclose(sens, np.sqrt(cfg.m_codes) * spec, atol=1e-12)
 
     def test_unitarity_of_assembly(self, cfg_small, rng):
@@ -188,8 +187,8 @@ class TestSpreadAndAssemble:
         codes = make_code_matrix(cfg.m_codes)
         spec = rng.normal(size=cfg.l_occ) + 1j * rng.normal(size=cfg.l_occ)
         data = rng.normal(size=(3, cfg.l_occ)) + 0j
-        grid = spread_and_assemble(cfg, 0, spec, data, codes)
-        assert abs(np.linalg.norm(unitary_idft(grid.s)) - np.linalg.norm(grid.s)) < 1e-10
+        spectrum = spread_and_assemble(cfg, 0, spec, data, codes)
+        assert abs(np.linalg.norm(unitary_idft(spectrum)) - np.linalg.norm(spectrum)) < 1e-10
 
     def test_wrong_shapes(self, cfg_small):
         cfg = cfg_small
@@ -200,27 +199,27 @@ class TestSpreadAndAssemble:
 
 
 class TestAssembleSymbol:
-    def _grid(self, cfg):
+    def _spectrum(self, cfg):
         codes = make_code_matrix(cfg.m_codes)
         chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
         return spread_and_assemble(cfg, 0, unitary_dft(chirp),
                                    np.zeros((cfg.m_codes - 1, cfg.l_occ)), codes)
 
     def test_no_rotation(self, cfg_small):
-        grid = self._grid(cfg_small)
-        a = assemble_symbol(grid, cfg_small, symbol_index=5, rotate=False)
-        b = assemble_symbol(grid, cfg_small, symbol_index=0, rotate=False)
+        spectrum = self._spectrum(cfg_small)
+        a = assemble_symbol(spectrum, cfg_small, 5, Scheme.FSI_RANDOM)
+        b = assemble_symbol(spectrum, cfg_small, 0, Scheme.FSI_RANDOM)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_rotation_factors_m4(self, cfg_small):
-        grid = self._grid(cfg_small)
-        base = assemble_symbol(grid, cfg_small, 0, rotate=True)
+        spectrum = self._spectrum(cfg_small)
+        base = assemble_symbol(spectrum, cfg_small, 0, Scheme.FSI_TAIL)
         for k, rho in enumerate([1, 1j, -1, -1j]):
-            out = assemble_symbol(grid, cfg_small, k, rotate=True)
+            out = assemble_symbol(spectrum, cfg_small, k, Scheme.FSI_TAIL)
             np.testing.assert_allclose(out, rho * base, atol=1e-12)
 
     def test_cp_is_tail_copy(self, cfg_small):
-        out = assemble_symbol(self._grid(cfg_small), cfg_small, 0, rotate=False)
+        out = assemble_symbol(self._spectrum(cfg_small), cfg_small, 0, Scheme.FSI_RANDOM)
         n_cp = cfg_small.n_cp
         np.testing.assert_allclose(out[:n_cp], out[-n_cp:], atol=1e-15)
 
@@ -235,7 +234,7 @@ class TestAssembleFrame:
         sched = make_schedule(Scheme.SENSING_ONLY, cfg_small.m_codes, 3)
         frame = assemble_frame(cfg_small, sched)
         chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
-        np.testing.assert_allclose(frame.samples,
+        np.testing.assert_allclose(frame,
                                    np.tile(chirp, cfg_small.m_codes * 3),
                                    atol=1e-14)
 
@@ -248,12 +247,12 @@ class TestAssembleFrame:
         assert len(frame) == cfg_small.m_codes * 8 * cfg_small.l_occ
         chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
         for g in sched.slots:
-            np.testing.assert_allclose(frame.samples[g * l:(g + 1) * l],
+            np.testing.assert_allclose(frame[g * l:(g + 1) * l],
                                        chirp, atol=1e-14)
         # data slots carry the payload rows in slot order
         data_slots = sorted(set(range(cfg_small.m_codes * 8)) - set(sched.slots))
         for row, g in enumerate(data_slots):
-            np.testing.assert_allclose(frame.samples[g * l:(g + 1) * l],
+            np.testing.assert_allclose(frame[g * l:(g + 1) * l],
                                        unitary_idft(payload[row]), atol=1e-14)
 
     @pytest.mark.parametrize("scheme", [Scheme.FSI_RANDOM, Scheme.FSI_TAIL])
@@ -265,7 +264,7 @@ class TestAssembleFrame:
         payload = rng.normal(size=(6, m - 1, cfg.l_occ)) \
             + 1j * rng.normal(size=(6, m - 1, cfg.l_occ))
         frame = assemble_frame(cfg, sched, payload=payload, sensing_scale=0.5)
-        u = make_code_matrix(m).u
+        u = make_code_matrix(m)
         spec = 0.5 * unitary_dft(make_chirp(ChirpSpec.default(cfg), cfg.t_s))
         s = cfg.symbol_len
         for k, a in enumerate(sched.alpha):
@@ -275,7 +274,7 @@ class TestAssembleFrame:
             body = unitary_idft(grid.reshape(-1))
             if scheme is Scheme.FSI_TAIL:
                 body = body * np.exp(2j * np.pi * k / m)
-            np.testing.assert_allclose(frame.samples[k * s:(k + 1) * s],
+            np.testing.assert_allclose(frame[k * s:(k + 1) * s],
                                        np.concatenate([body[-cfg.n_cp:], body]),
                                        rtol=0, atol=1e-12)
 
@@ -286,7 +285,7 @@ class TestAssembleFrame:
                                   rng=substream(9, "sched"))
             frames.append(assemble_frame(cfg_small, sched,
                                          rng=substream(9, "payload")))
-        assert frames[0].samples.tobytes() == frames[1].samples.tobytes()
+        assert frames[0].tobytes() == frames[1].tobytes()
 
     def test_payload_size_mismatch(self, cfg_small, rng):
         sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, 4, rng=rng)
@@ -300,12 +299,12 @@ class TestTransmitConstants:
         chirp, codes, b = transmit_constants(cfg_small)
         again = WaveformConfig(n_fft=256, m_codes=4, n_cp=64, scs_hz=480e3)
         assert transmit_constants(again)[2] is b
-        for a in (chirp, codes.u, b):
+        for a in (chirp, codes, b):
             with pytest.raises(ValueError):
                 a[0] = 0
         fresh = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
         np.testing.assert_array_equal(chirp, fresh)
-        np.testing.assert_array_equal(codes.u, make_code_matrix(4).u)
+        np.testing.assert_array_equal(codes, make_code_matrix(4))
         np.testing.assert_array_equal(
             b, make_sensing_waveforms(make_base_set(cfg_small, fresh), codes))
 
@@ -318,6 +317,12 @@ class TestConfigValidation:
     def test_cp_not_multiple_of_occasion(self):
         with pytest.raises(ValueError):
             WaveformConfig(n_fft=2048, m_codes=4, n_cp=500, scs_hz=60e3)
+
+    @pytest.mark.parametrize("n_fft,n_cp", [(0, 512), (2, 0), (2048, -512),
+                                            (2048, 2560)])
+    def test_sizes_out_of_range(self, n_fft, n_cp):
+        with pytest.raises(ValueError):
+            WaveformConfig(n_fft=n_fft, m_codes=4, n_cp=n_cp, scs_hz=60e3)
 
     def test_derived_quantities(self, cfg):
         assert cfg.l_occ == 512
