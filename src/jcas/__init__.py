@@ -13,13 +13,12 @@ from .detect import Detection, EvalReport, evaluate, find_peaks
 from .receiver import PatternTensor, RdMatrix, WindowKind, build_pattern, \
     delay_and_sum, extract_band, mix, peak_cleanup, process_sensing, \
     quantize, si_filter, signed_bin, slow_time_matched_filter, \
-    solve_windows, stack_solved, validate_pattern
+    solve_windows, validate_pattern
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     occasion_grid_indices, unambiguous_band
 from .util import SPEED_OF_LIGHT, substream
-from .waveform import ChirpSpec, WaveformConfig, assemble_frame, \
-    assemble_symbol, make_base_set, make_chirp, make_code_matrix, \
-    make_sensing_waveforms, spread_and_assemble, transmit_constants, \
-    unitary_dft, unitary_idft
+from .waveform import WaveformConfig, assemble_frame, assemble_symbol, \
+    make_base_set, make_chirp, make_code_matrix, make_sensing_waveforms, \
+    spread_and_assemble, transmit_constants, unitary_dft, unitary_idft
 
 __version__ = "0.1.0"

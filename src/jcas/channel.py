@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT
+from .util import SPEED_OF_LIGHT, check_db
 from .waveform import WaveformConfig
 
 
@@ -21,6 +21,10 @@ class Target:
     def __post_init__(self):
         if not 0 <= self.range_m < np.inf:
             raise ValueError("range must be finite and non-negative")
+        if not abs(self.velocity_mps) < SPEED_OF_LIGHT:
+            raise ValueError("speed must be below the speed of light")
+        if not abs(self.amplitude) < np.sqrt(np.finfo(float).max):
+            raise ValueError("amplitude must be finite, and so its square")
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,10 @@ class ChannelConfig:
     si_enabled: bool = True
     noise_enabled: bool = True
     fractional_delay: bool = False
+
+    def __post_init__(self):
+        check_db(self.si_over_echo_db, "si_over_echo_db")
+        check_db(self.echo_snr_db, "echo_snr_db")
 
 
 def target_to_delay_doppler(t: Target, carrier_hz: float, t_s: float

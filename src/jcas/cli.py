@@ -33,7 +33,7 @@ from . import comms, detect, receiver
 from .channel import ChannelConfig, Target, synthesize_rx
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     unambiguous_band
-from .util import kmh_to_mps, substream
+from .util import check_db, kmh_to_mps, substream
 from .waveform import WaveformConfig, assemble_frame
 
 MAGIC = b"RDMX"
@@ -99,6 +99,9 @@ class Scenario:
             raise ScenarioError("k must be >= 1")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
+        if self.tag is not None and any(
+                c and c in self.tag for c in ("/", os.sep, os.altsep, "\0")):
+            raise ScenarioError(f"tag must be a plain file name, not {self.tag!r}")
         for t in self.targets:
             if not isinstance(t, dict) or "range_m" not in t \
                     or "velocity_kmh" not in t:
@@ -106,6 +109,9 @@ class Scenario:
         try:
             cfg = self.waveform_config()
             self.target_list()
+            self.channel_config()
+            if self.comms_snr_db is not None:
+                check_db(self.comms_snr_db, "comms_snr_db")
             receiver.si_filter(np.zeros(cfg.l_occ), self.n_guard)   # its bounds
             receiver.check_cleanup_radius(self.cleanup_radius)
             detect.check_peak_args(self.rel_threshold, self.max_peaks, self.guard)
@@ -123,9 +129,7 @@ class Scenario:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("scheme_enum", None)
-        return d
+        return asdict(self)
 
     def waveform_config(self) -> WaveformConfig:
         return WaveformConfig(n_fft=self.n_fft, m_codes=self.m_codes,
@@ -159,14 +163,14 @@ def load_scenario(path: str | Path) -> Scenario:
 # artifact IO
 # ---------------------------------------------------------------------------
 
-def write_rd_binary(path: Path, rd: receiver.RdMatrix) -> None:
-    """RDMX format: magic, u16 version, u32 rows, u32 cols, row-major
-    little-endian complex float64."""
-    rows, cols = rd.values.shape
+def write_rd_binary(path: Path, values: np.ndarray) -> None:
+    """RDMX format of a (rows, cols) map: magic, u16 version, u32 rows,
+    u32 cols, row-major little-endian complex float64."""
+    rows, cols = values.shape
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<HII", FORMAT_VERSION, rows, cols))
-        f.write(np.ascontiguousarray(rd.values, dtype="<c16").tobytes())
+        f.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
 
 
 def read_rd_binary(path: Path) -> np.ndarray:
@@ -180,9 +184,9 @@ def read_rd_binary(path: Path) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
-def write_rd_csv(path: Path, rd: receiver.RdMatrix) -> None:
-    """Normalized magnitude, one row of the RD matrix per line."""
-    mag = np.abs(rd.values)
+def write_rd_csv(path: Path, values: np.ndarray) -> None:
+    """Normalized magnitude, one row of the (rows, cols) map per line."""
+    mag = np.abs(values)
     peak = mag.max()
     if peak > 0:
         mag = mag / peak
@@ -195,7 +199,7 @@ def pattern_cache_key(scn: Scenario) -> str:
     rel = {k: getattr(scn, k) for k in
            ("n_fft", "m_codes", "n_cp", "scs_hz", "carrier_hz", "k",
             "n_guard", "scheme")}
-    rel["format"] = 2   # the .npz layout written by load_or_build_pattern
+    rel["format"] = 3   # the .npz layout written by load_or_build_pattern
     return hashlib.sha256(json.dumps(rel, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -259,48 +263,35 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
 
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule, cfg)
-    maps: dict[str, receiver.RdMatrix] = {}
     flagged_bins = 0
 
     rd = receiver.process_sensing(rx, cfg, schedule,
                                   receiver.WindowKind.STANDARD, scn.n_guard)
+    if band:
+        rd = receiver.extract_band(rd, band)
     if scheme is Scheme.FSI_TAIL:
-        rd_shift = receiver.process_sensing(rx, cfg, schedule,
-                                            receiver.WindowKind.SHIFTED,
-                                            scn.n_guard)
+        rd_shift = receiver.extract_band(receiver.process_sensing(
+            rx, cfg, schedule, receiver.WindowKind.SHIFTED, scn.n_guard), band)
         pat = load_or_build_pattern(scn, schedule)
         flagged_bins = int((~pat.resolvable[scn.n_guard:]).sum())
-        maps["std"] = receiver.extract_band(rd, band)
-        maps["shift"] = receiver.extract_band(rd_shift, band)
+        maps = {"std": rd.values, "shift": rd_shift.values}
         if scn.peak_cleanup:
-            solve_in = []
-            for name in ("std", "shift"):
-                peaks = detect.find_peaks(maps[name], scn.rel_threshold,
-                                          scn.max_peaks, scn.guard)
-                solve_in.append(receiver.peak_cleanup(
-                    maps[name], [d.cell for d in peaks], scn.cleanup_radius))
-            near, far = receiver.solve_windows(solve_in[0], solve_in[1], pat)
-        else:
-            near, far = receiver.solve_windows(maps["std"], maps["shift"], pat)
-        maps["near"], maps["far"] = near, far
-        # present the solved pair on one extended range axis;
-        # detect on the stacked map so both share a single normalization
-        maps["combined"] = receiver.stack_solved(near, far)
-        detect_maps = ["combined"]
+            rd, rd_shift = [receiver.peak_cleanup(
+                m, [d.cell for d in detect.find_peaks(
+                    m, scn.rel_threshold, scn.max_peaks, scn.guard)],
+                scn.cleanup_radius) for m in (rd, rd_shift)]
+        # near and far rows share one extended range axis, so detection
+        # on it gives both a single normalization
+        rd = receiver.solve_windows(rd, rd_shift, pat)
+        maps.update(near=rd.values[:cfg.l_occ], far=rd.values[cfg.l_occ:],
+                    combined=rd.values)
+        name = "combined"
     else:
-        maps["single"] = receiver.extract_band(rd, band) if band else rd
-        maps["single"].tag = "single"
-        detect_maps = ["single"]
+        name = "single"
+        maps = {name: rd.values}
 
-    detections = {}
-    evals = {}
-    truths = scn.target_list()
-    for name in detect_maps:
-        dets = detect.find_peaks(maps[name], scn.rel_threshold,
-                                 scn.max_peaks, scn.guard)
-        detections[name] = dets
-        evals[name] = detect.evaluate(dets, truths, cfg, n_grid,
-                                      rd=maps[name])
+    dets = detect.find_peaks(rd, scn.rel_threshold, scn.max_peaks, scn.guard)
+    evaluation = detect.evaluate(dets, scn.target_list(), cfg, n_grid, rd=rd)
 
     ber = evm = None
     if scn.comms_enabled and scheme.is_fsi:
@@ -310,8 +301,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                                   snr_db=scn.comms_snr_db,
                                   rng=substream(scn.seed, f"{tag}/comms-noise"))
 
-    for name, m in maps.items():
-        stem = f"rd_{name}" if len(maps) > 1 else f"rd_{tag}"
+    for map_name, m in maps.items():
+        stem = f"rd_{map_name}" if len(maps) > 1 else f"rd_{tag}"
         write_rd_binary(out / f"{stem}.bin", m)
         write_rd_csv(out / f"{stem}.csv", m)
 
@@ -320,8 +311,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
         "schedule": schedule.to_dict(),
         "grid_size": n_grid,
         "unambiguous_band": band,
-        "detections": {k: [d.to_dict() for d in v] for k, v in detections.items()},
-        "evaluation": {k: v.to_dict() for k, v in evals.items()},
+        "detections": {name: [d.to_dict() for d in dets]},
+        "evaluation": {name: evaluation.to_dict()},
         "ber": ber,
         "evm": evm,
         "flagged_pattern_bins": flagged_bins,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scheduler import Schedule
+from .util import check_db
 from .waveform import WaveformConfig, assemble_frame, data_codes, \
     symbol_rotation, transmit_constants, unitary_dft
 
@@ -81,6 +82,7 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
     rx = assemble_frame(cfg, schedule, payload=payload)   # ours: receive in place
     rx *= gain
     if snr_db is not None:
+        check_db(snr_db, "snr_db")
         if rng is None:
             raise ValueError("noise requires a random source")
         sigma2 = abs(gain) ** 2 * 10 ** (-snr_db / 10)

@@ -19,15 +19,14 @@ class Detection:
     velocity_kmh: float
     normalized_power: float       # |peak|^2 / |global max|^2
     cell: tuple[int, int]         # (range bin, doppler column)
-    range_bin: int                # global range bin (far offset applied)
+    range_bin: int                # row of the map: the global range bin
     doppler_bin: int              # signed doppler bin
-    map_tag: str = "single"
 
     def to_dict(self) -> dict:
         return {"range_m": self.range_m, "velocity_kmh": self.velocity_kmh,
                 "normalized_power": self.normalized_power,
                 "cell": list(self.cell), "range_bin": self.range_bin,
-                "doppler_bin": self.doppler_bin, "map_tag": self.map_tag}
+                "doppler_bin": self.doppler_bin}
 
 
 def check_peak_args(rel_threshold: float, max_peaks: int | None, guard: int) -> None:
@@ -68,9 +67,8 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
             velocity_kmh=mps_to_kmh(rd.velocity_mps_of(int(c))),
             normalized_power=float(power[d, c] / peak_max),
             cell=(int(d), int(c)),
-            range_bin=int(d) + (rd.cfg.l_occ if rd.far_offset else 0),
-            doppler_bin=rd.signed_bin(int(c)),
-            map_tag=rd.tag))
+            range_bin=int(d),
+            doppler_bin=rd.signed_bin(int(c))))
     dets.sort(key=lambda p: (-p.normalized_power, p.range_bin, p.doppler_bin))
     return dets[:max_peaks] if max_peaks is not None else dets
 
@@ -140,13 +138,11 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
     if rd is not None and report.matched:
         power = np.abs(rd.values) ** 2
         n_dop = rd.n_doppler
-        offset = rd.cfg.l_occ if rd.far_offset else 0
         mask = np.ones_like(power, dtype=bool)
         peak_powers = []
         for i, (td, tv) in enumerate(cells):
-            d0 = td - offset
             cols = [(tv + t) % n_dop for t in range(-tol_v, tol_v + 1)]
-            lo, hi = max(0, d0 - tol_d), min(power.shape[0], d0 + tol_d + 1)
+            lo, hi = max(0, td - tol_d), min(power.shape[0], td + tol_d + 1)
             if lo < hi:
                 mask[lo:hi, cols] = False
                 if i not in report.misses:

@@ -39,8 +39,8 @@ def signed_bin(col, n: int):
 class RdMatrix:
     """Range-Doppler map with axis metadata.
 
-    ``values`` is (L x n_doppler) complex. Doppler columns are in FFT
-    order; column c sits at signed bin ``signed_bin(c, n_doppler)``.
+    ``values`` is (L or 2L range bins x n_doppler) complex. Doppler columns
+    are in FFT order; column c sits at signed bin ``signed_bin(c, n_doppler)``.
     ``grid_size`` is the full slow-time grid length G, which fixes the
     Doppler bin width 1/(G*T_chirp) even for band-restricted maps.
     """
@@ -48,8 +48,6 @@ class RdMatrix:
     values: np.ndarray
     grid_size: int
     cfg: WaveformConfig
-    tag: str = "single"
-    far_offset: bool = False
 
     @property
     def n_doppler(self) -> int:
@@ -60,8 +58,7 @@ class RdMatrix:
 
     def range_m_of(self, d: int) -> float:
         from .util import SPEED_OF_LIGHT
-        offset = self.cfg.l_occ if self.far_offset else 0
-        return (d + offset) * SPEED_OF_LIGHT * self.cfg.t_s / 2
+        return d * SPEED_OF_LIGHT * self.cfg.t_s / 2
 
     def velocity_mps_of(self, col: int) -> float:
         freq = self.signed_bin(col) / (self.grid_size * self.cfg.t_chirp)
@@ -110,8 +107,7 @@ def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
 
 
 def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
-                             n_grid: int, cfg: WaveformConfig,
-                             tag: str = "single") -> RdMatrix:
+                             n_grid: int, cfg: WaveformConfig) -> RdMatrix:
     """Slow-time matched filter across the occasion grid.
 
     RD[d, nu] = (1/K) sum_k profiles[k, d] * e^{+j 2 pi g_k nu / G}.
@@ -127,7 +123,7 @@ def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
     filled[:, g] = profiles.T
     rd = scipy.fft.ifft(filled, axis=1, overwrite_x=True)
     rd *= n_grid / len(g)
-    return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg, tag=tag)
+    return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
 
 def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
@@ -170,8 +166,7 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         beat = mix(slots, chirp)
         profiles = si_filter(beat, n_guard)
 
-    return slow_time_matched_filter(profiles, g, n_grid, cfg,
-                                    tag=kind.value if schedule.scheme.is_fsi else "single")
+    return slow_time_matched_filter(profiles, g, n_grid, cfg)
 
 
 def extract_band(rd: RdMatrix, band: int) -> RdMatrix:
@@ -184,7 +179,7 @@ def extract_band(rd: RdMatrix, band: int) -> RdMatrix:
         raise ValueError("band wider than the map")
     cols = signed_bin(np.arange(band), band) % rd.n_doppler
     return RdMatrix(values=rd.values[:, cols], grid_size=rd.grid_size,
-                    cfg=rd.cfg, tag=rd.tag, far_offset=rd.far_offset)
+                    cfg=rd.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +203,7 @@ class PatternTensor:
     cond: np.ndarray       # (L, band)
     resolvable: np.ndarray  # (L, band) bool
     band: int
-    grid_size: int
     n_guard: int
-    k: int
     validation_error: float | None = None
 
 
@@ -291,7 +284,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
     inv /= np.linalg.norm(inv, axis=2, keepdims=True)
     p_sol.reshape(-1, 2, 2)[ok] = inv
     return PatternTensor(p=p, p_sol=p_sol, cond=cond, resolvable=resolvable,
-                         band=band, grid_size=n_grid, n_guard=n_guard, k=k_full)
+                         band=band, n_guard=n_guard)
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
@@ -344,32 +337,22 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
 
 
 def solve_windows(rd_std: RdMatrix, rd_shift: RdMatrix, pat: PatternTensor
-                  ) -> tuple[RdMatrix, RdMatrix]:
+                  ) -> RdMatrix:
     """Disambiguate near/far returns by inverting the 2x2 per cell.
 
-    Operates on the unambiguous band; unresolvable cells come out zero.
-    The far map's range axis is offset by +L bins.
+    Takes both window maps restricted to the pattern's band and returns one
+    map on the extended 2L-bin range axis: near rows [0, L), then far rows
+    [L, 2L). Unresolvable cells come out zero.
     """
     if rd_std.values.shape != rd_shift.values.shape:
         raise ValueError("window maps must have identical shapes")
-    std_b = extract_band(rd_std, pat.band)
-    shf_b = extract_band(rd_shift, pat.band)
-    obs = np.stack([std_b.values, shf_b.values], axis=-1)
+    if rd_std.n_doppler != pat.band:
+        raise ValueError("window maps must be restricted to the pattern band")
+    obs = np.stack([rd_std.values, rd_shift.values], axis=-1)
     out = np.einsum('dcij,dcj->dci', pat.p_sol, obs)
     out[~pat.resolvable] = 0
-    near = RdMatrix(values=out[..., 0], grid_size=rd_std.grid_size,
-                    cfg=rd_std.cfg, tag="near")
-    far = RdMatrix(values=out[..., 1], grid_size=rd_std.grid_size,
-                   cfg=rd_std.cfg, tag="far", far_offset=True)
-    return near, far
-
-
-def stack_solved(near: RdMatrix, far: RdMatrix) -> RdMatrix:
-    """Concatenate the solved maps into one 2L-bin extended range axis."""
-    if near.values.shape != far.values.shape:
-        raise ValueError("near/far maps must have identical shapes")
-    return RdMatrix(values=np.vstack([near.values, far.values]),
-                    grid_size=near.grid_size, cfg=near.cfg, tag="combined")
+    return RdMatrix(values=np.concatenate((out[..., 0], out[..., 1])),
+                    grid_size=rd_std.grid_size, cfg=rd_std.cfg)
 
 
 def check_cleanup_radius(radius: int) -> None:
@@ -393,8 +376,7 @@ def peak_cleanup(rd: RdMatrix, cells, radius: int = 2) -> RdMatrix:
         cols = [(c0 + t) % n_dop for t in range(-radius, radius + 1)]
         vals[lo:hi, cols] = 0
         vals[d0, c0] = keep
-    return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg,
-                    tag=rd.tag, far_offset=rd.far_offset)
+    return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
 
 
 def quantize(v: np.ndarray, bits: int, full_scale: float) -> np.ndarray:

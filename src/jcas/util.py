@@ -19,6 +19,12 @@ def substream(seed: int, *names: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + keys))
 
 
+def check_db(db: float, name: str) -> None:
+    """Reject a dB level whose power ratio 10^(|db|/10) would pass 1e300."""
+    if not abs(db) <= 3000:
+        raise ValueError(f"{name} must be within +-3000 dB")
+
+
 def kmh_to_mps(v_kmh: float) -> float:
     return v_kmh / 3.6
 

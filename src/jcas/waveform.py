@@ -53,8 +53,10 @@ class WaveformConfig:
             raise ValueError("n_fft must be a positive multiple of m_codes")
         if not 0 <= self.n_cp <= self.n_fft or self.n_cp % self.l_occ != 0:
             raise ValueError("n_cp must be a multiple of the occasion length in [0, n_fft]")
-        if self.scs_hz <= 0 or self.carrier_hz <= 0:
-            raise ValueError("scs_hz and carrier_hz must be positive")
+        if self.scs_hz <= 0:
+            raise ValueError("scs_hz must be positive")
+        if not 0 < self.carrier_hz <= 1e15:   # up to optical carriers
+            raise ValueError("carrier_hz must be in (0, 1e15] Hz")
 
     @property
     def l_occ(self) -> int:
@@ -92,22 +94,6 @@ class WaveformConfig:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass(frozen=True)
-class ChirpSpec:
-    """Linear chirp parameters: start frequency, rate, and length in samples."""
-
-    f0_hz: float
-    kc_hz_per_s: float
-    length: int
-
-    @classmethod
-    def default(cls, cfg: WaveformConfig) -> "ChirpSpec":
-        """Full-band sweep from -B/2 to +B/2 over one occasion."""
-        return cls(f0_hz=-cfg.b_hz / 2,
-                   kc_hz_per_s=cfg.b_hz / cfg.t_chirp,
-                   length=cfg.l_occ)
-
-
 def unitary_dft(v: np.ndarray) -> np.ndarray:
     """Unitary DFT along the last axis (Parseval-preserving)."""
     v = np.asarray(v)
@@ -124,11 +110,12 @@ def unitary_idft(v: np.ndarray) -> np.ndarray:
     return np.fft.ifft(v, axis=-1) * np.sqrt(v.shape[-1])
 
 
-def make_chirp(spec: ChirpSpec, t_s: float) -> np.ndarray:
-    """Complex baseband chirp exp(j2pi(f0*n*Ts + kc*(n*Ts)^2/2))."""
-    n = np.arange(spec.length)
-    phase = 2 * np.pi * (spec.f0_hz * n * t_s
-                         + 0.5 * spec.kc_hz_per_s * (n * t_s) ** 2)
+def make_chirp(cfg: WaveformConfig) -> np.ndarray:
+    """Complex baseband chirp exp(j2pi(f0*n*Ts + kc*(n*Ts)^2/2)) over one
+    occasion: a full-band sweep, f0 = -B/2 and kc = B/T_chirp."""
+    f0, kc, t_s = -cfg.b_hz / 2, cfg.b_hz / cfg.t_chirp, cfg.t_s
+    n = np.arange(cfg.l_occ)
+    phase = 2 * np.pi * (f0 * n * t_s + 0.5 * kc * (n * t_s) ** 2)
     return np.exp(1j * phase)
 
 
@@ -172,7 +159,7 @@ def make_sensing_waveforms(base: np.ndarray, codes: np.ndarray) -> np.ndarray:
 def transmit_constants(cfg: WaveformConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chirp, code matrix u and sensing waveforms b of a config, built
     once per (frozen, hashable) config and shared, hence read-only."""
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+    chirp = make_chirp(cfg)
     u = make_code_matrix(cfg.m_codes)
     b = make_sensing_waveforms(make_base_set(cfg, chirp), u)
     for a in (chirp, u, b):

@@ -13,15 +13,13 @@ from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   assemble_frame, build_pattern, extract_band, find_peaks,
                   make_base_set, make_chirp, make_code_matrix, make_schedule,
                   make_sensing_waveforms, process_sensing, run_link,
-                  solve_windows, stack_solved, substream, synthesize_rx,
-                  unitary_dft)
+                  solve_windows, substream, synthesize_rx, unitary_dft)
 from jcas.channel import echo_component
 from jcas.cli import (FIG6_TARGETS, FIG7_OFFGRID_TARGETS, FIG7_TARGETS,
                       Scenario, run_preset, run_simulate)
 from jcas.comms import despread, qpsk_ber_awgn
 from jcas.scheduler import unambiguous_band
 from jcas.util import kmh_to_mps
-from jcas.waveform import ChirpSpec
 
 SEED = 2026
 DEFAULTS = WaveformConfig()
@@ -64,7 +62,7 @@ def test_criterion2_code_algebra():
     shift_err = 0.0
     for m in (2, 4, 8):
         cfg = WaveformConfig(n_fft=256 * m, m_codes=m, n_cp=256, scs_hz=60e3)
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         waves = make_sensing_waveforms(make_base_set(cfg, chirp),
                                        make_code_matrix(m))
         for i in range(m):
@@ -75,7 +73,7 @@ def test_criterion2_code_algebra():
     cfg = DEFAULTS
     rng = np.random.default_rng(2)
     codes = make_code_matrix(cfg.m_codes)
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+    chirp = make_chirp(cfg)
     data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
     spectrum = spread_and_assemble(cfg, 1, unitary_dft(chirp), data, codes)
     est, _ = despread(spectrum, codes, 1)
@@ -246,9 +244,7 @@ def fig7_setup():
             solve_shf = peak_cleanup(shf_b, [d.cell for d in find_peaks(shf_b)])
         else:
             solve_std, solve_shf = std_b, shf_b
-        near, far = solve_windows(solve_std, solve_shf, pat)
-        combined = stack_solved(near, far)
-        return std_b, shf_b, combined
+        return std_b, shf_b, solve_windows(solve_std, solve_shf, pat)
 
     return {"cfg": cfg, "run": run, "t0": t0}
 

@@ -30,6 +30,19 @@ class TestDelayDoppler:
         with pytest.raises(ValueError):
             Target(-1.0, 0.0)
 
+    @pytest.mark.parametrize("velocity,amplitude", [
+        (3e8, 1.0), (-1e300, 1.0), (0.0, 1e300), (0.0, float("inf"))])
+    def test_unphysical_target_rejected(self, velocity, amplitude):
+        with pytest.raises(ValueError):
+            Target(10.0, velocity, amplitude)
+
+    @pytest.mark.parametrize("level", [{"si_over_echo_db": 1e4},
+                                       {"echo_snr_db": -1e4},
+                                       {"echo_snr_db": float("nan")}])
+    def test_unbounded_db_level_rejected(self, level):
+        with pytest.raises(ValueError):
+            ChannelConfig(**level)
+
 
 def _frame(cfg, k=4, seed=0):
     sched = make_schedule(Scheme.FSI_RANDOM, cfg.m_codes, k,

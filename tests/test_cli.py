@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from jcas import cli
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
-from jcas.receiver import RdMatrix
 
 
 @pytest.fixture
@@ -91,29 +90,25 @@ class TestScenario:
 
 
 class TestRdmxFormat:
-    def test_header_layout(self, tmp_path, cfg_small):
-        rd = RdMatrix(values=np.arange(6, dtype=complex).reshape(2, 3),
-                      grid_size=8, cfg=cfg_small)
+    def test_header_layout(self, tmp_path):
         path = tmp_path / "x.bin"
-        cli.write_rd_binary(path, rd)
+        cli.write_rd_binary(path, np.arange(6, dtype=complex).reshape(2, 3))
         raw = path.read_bytes()
         assert raw[:4] == b"RDMX"
         version, rows, cols = struct.unpack("<HII", raw[4:14])
         assert (version, rows, cols) == (1, 2, 3)
         assert len(raw) == 14 + 2 * 3 * 16
 
-    def test_roundtrip(self, tmp_path, cfg_small, rng):
+    def test_roundtrip(self, tmp_path, rng):
         vals = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        rd = RdMatrix(values=vals, grid_size=8, cfg=cfg_small)
         path = tmp_path / "y.bin"
-        cli.write_rd_binary(path, rd)
+        cli.write_rd_binary(path, vals)
         np.testing.assert_array_equal(cli.read_rd_binary(path), vals)
 
-    def test_csv_agrees_with_binary(self, tmp_path, cfg_small, rng):
+    def test_csv_agrees_with_binary(self, tmp_path, rng):
         vals = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-        rd = RdMatrix(values=vals, grid_size=8, cfg=cfg_small)
-        cli.write_rd_binary(tmp_path / "z.bin", rd)
-        cli.write_rd_csv(tmp_path / "z.csv", rd)
+        cli.write_rd_binary(tmp_path / "z.bin", vals)
+        cli.write_rd_csv(tmp_path / "z.csv", vals)
         from_bin = np.abs(cli.read_rd_binary(tmp_path / "z.bin"))
         from_bin /= from_bin.max()
         from_csv = np.array([[float(v) for v in line.split(",")]
@@ -130,6 +125,32 @@ class TestRunSimulate:
         assert saved["scenario"]["seed"] == 7
         assert saved["schedule"]["slots"] is not None
         assert report["detections"]["single"]
+
+    def test_tail_artifacts_and_report(self, tmp_path, monkeypatch):
+        # fsi_tail writes both windows, the solved 2L-bin map and its halves,
+        # and detects on the solved map only
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(scheme="fsi_tail", k=8, n_fft=256, m_codes=4, n_cp=64,
+                       scs_hz=480e3, seed=5,
+                       targets=[{"range_m": 24.0, "velocity_kmh": 0.0},
+                                {"range_m": 115.0, "velocity_kmh": 432.0}])
+        out = tmp_path / "out"
+        report = run_simulate(scn, out)
+        for name in ("std", "shift", "near", "far", "combined"):
+            assert (out / f"rd_{name}.bin").is_file()
+            assert (out / f"rd_{name}.csv").is_file()
+        l = scn.waveform_config().l_occ
+        combined = cli.read_rd_binary(out / "rd_combined.bin")
+        assert combined.shape == (2 * l, 8)
+        np.testing.assert_array_equal(cli.read_rd_binary(out / "rd_near.bin"),
+                                      combined[:l])
+        np.testing.assert_array_equal(cli.read_rd_binary(out / "rd_far.bin"),
+                                      combined[l:])
+        saved = json.loads((out / "report_fsi_tail.json").read_text())
+        for rep in (report, saved):
+            assert list(rep["detections"]) == ["combined"]
+            assert list(rep["evaluation"]) == ["combined"]
+        assert saved["evaluation"]["combined"]["misses"] == []
 
     def test_report_reproducible_from_scenario(self, tmp_path, small_scenario):
         run_simulate(small_scenario, tmp_path / "a")
@@ -200,6 +221,12 @@ class TestCliMain:
         {"scheme": "fsi_random", "n_cp": -512}, {"max_peaks": -1},
         {"guard": -1}, {"seed": -1},
         {"targets": [{"range_m": float("nan"), "velocity_kmh": 0}]},
+        {"tag": "a/b"}, {"tag": "a\u0000b"},
+        {"targets": [{"range_m": 10, "velocity_kmh": 1e300}]},
+        {"targets": [{"range_m": 10, "velocity_kmh": 0, "amplitude": 1e300}]},
+        {"carrier_hz": 1e308, "targets": [{"range_m": 10, "velocity_kmh": 40}]},
+        {"si_over_echo_db": 1e4}, {"echo_snr_db": -1e4},
+        {"scheme": "fsi_random", "comms_enabled": True, "comms_snr_db": -1e4},
         pytest.param('{"scheme": "rtd", "k": 1', id="truncated_json"),
         pytest.param("[]", id="not_an_object"),
         pytest.param(None, id="missing_file")])

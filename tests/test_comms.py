@@ -115,6 +115,13 @@ class TestRunLink:
         with pytest.raises(ValueError):
             run_link(cfg, sched, np.zeros(2 * 3 * 512 + 2, dtype=int))
 
+    def test_unbounded_snr_rejected(self, cfg_small):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 1)
+        bits = np.zeros(2 * 3 * cfg_small.l_occ, dtype=int)
+        with pytest.raises(ValueError):
+            run_link(cfg_small, sched, bits, snr_db=-1e4,
+                     rng=np.random.default_rng(0))
+
     def test_wrong_bit_count(self, cfg_small):
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 2)
         with pytest.raises(ValueError):

@@ -7,12 +7,11 @@ from jcas.receiver import RdMatrix
 from jcas.util import mps_to_kmh
 
 
-def rd_with(cfg, cells, n_dop=320, grid=320, tag="single", far=False):
+def rd_with(cfg, cells, n_dop=320, grid=320):
     vals = np.zeros((cfg.l_occ, n_dop), dtype=complex)
     for (d, c), v in cells.items():
         vals[d, c % n_dop] = v
-    return RdMatrix(values=vals, grid_size=grid, cfg=cfg, tag=tag,
-                    far_offset=far)
+    return RdMatrix(values=vals, grid_size=grid, cfg=cfg)
 
 
 class TestFindPeaks:
@@ -67,11 +66,11 @@ class TestFindPeaks:
             find_peaks(rd)
 
 
-def physical(cfg, cell, n_dop=320, far=False):
+def physical(cfg, cell, n_dop=320, n_rows=1):
     """(range in m, velocity in km/h) of a cell, read off RdMatrix's axes."""
     d, c = cell
-    rd = RdMatrix(values=np.zeros((1, n_dop), dtype=complex), grid_size=320,
-                  cfg=cfg, far_offset=far)
+    rd = RdMatrix(values=np.zeros((n_rows, n_dop), dtype=complex),
+                  grid_size=320, cfg=cfg)
     return rd.range_m_of(d), mps_to_kmh(rd.velocity_mps_of(c))
 
 
@@ -95,7 +94,8 @@ class TestCellToPhysical:
         assert abs(v + v1) < 1e-9
 
     def test_far_offset(self, cfg):
-        r, _ = physical(cfg, (100, 0), far=True)
+        # far rows of the solved 2L-bin map are global range bins L + d
+        r, _ = physical(cfg, (512 + 100, 0), n_rows=2 * 512)
         assert abs(r - (100 + 512) * 1.220703125) < 1e-9
 
     def test_banded_doppler(self, cfg):

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcas import (ChannelConfig, ChirpSpec, Scheme, Target, WaveformConfig,
-                  WindowKind, assemble_frame, build_pattern, delay_and_sum,
-                  extract_band, find_peaks, make_base_set,
-                  make_chirp, make_code_matrix, make_schedule,
-                  make_sensing_waveforms, mix, peak_cleanup, process_sensing,
-                  quantize, si_filter, slow_time_matched_filter, solve_windows,
-                  stack_solved, substream, synthesize_rx, unitary_dft,
-                  validate_pattern)
+from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
+                  assemble_frame, build_pattern, delay_and_sum, extract_band,
+                  find_peaks, make_base_set, make_chirp, make_code_matrix,
+                  make_schedule, make_sensing_waveforms, mix, peak_cleanup,
+                  process_sensing, quantize, si_filter,
+                  slow_time_matched_filter, solve_windows, substream,
+                  synthesize_rx, unitary_dft, validate_pattern)
 from jcas.channel import echo_component
 from jcas.receiver import capture_windows
 from jcas.scheduler import grid_size, occasion_grid_indices
@@ -20,7 +19,7 @@ NO_NOISE = ChannelConfig(noise_enabled=False)
 
 
 def waves_for(cfg):
-    chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+    chirp = make_chirp(cfg)
     codes = make_code_matrix(cfg.m_codes)
     return chirp, codes, make_sensing_waveforms(make_base_set(cfg, chirp), codes)
 
@@ -117,7 +116,7 @@ class TestFastTimeFft:
         tx = assemble_frame(cfg, sched)
         rx = synthesize_rx(tx, [Target(200.0, 0.0)], ECHO_ONLY, cfg)  # 164 samples
         l = cfg.l_occ
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         window = rx[5 * l:6 * l]
         prof = np.abs(unitary_dft(mix(window, chirp)))
         assert int(np.argmax(prof)) == 164
@@ -125,7 +124,7 @@ class TestFastTimeFft:
         assert prof[164] / others.max() >= 1e3
 
     def test_si_at_bin_zero(self, cfg_small):
-        chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
+        chirp = make_chirp(cfg_small)
         prof = np.abs(unitary_dft(mix(chirp, chirp)))
         assert int(np.argmax(prof)) == 0
 
@@ -296,7 +295,7 @@ class TestProcessSensing:
         cell = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
         assert cell == (328, nu0)
         # oracle value at the peak cell
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         l = cfg.l_occ
         acc = 0.0
         for i, gk in enumerate(g):
@@ -360,12 +359,16 @@ class TestPattern:
 
 
 class TestSolveWindows:
-    def _maps(self, cfg, sched, targets):
+    def _maps(self, cfg, sched, targets, pat):
         tx = assemble_frame(cfg, sched, rng=substream(30, "p"))
         rx = synthesize_rx(tx, targets, ECHO_ONLY, cfg)
-        rd_s = process_sensing(rx, cfg, sched, WindowKind.STANDARD)
-        rd_h = process_sensing(rx, cfg, sched, WindowKind.SHIFTED)
-        return rd_s, rd_h
+        return [extract_band(process_sensing(rx, cfg, sched, kind), pat.band)
+                for kind in (WindowKind.STANDARD, WindowKind.SHIFTED)]
+
+    def _grid_map(self, cfg, sched, profiles, pat):
+        return extract_band(slow_time_matched_filter(
+            profiles, occasion_grid_indices(sched, cfg),
+            grid_size(sched, cfg), cfg), pat.band)
 
     def test_single_near_target_concentrates(self, cfg_small):
         sched, pat = tail_setup(cfg_small)
@@ -373,13 +376,13 @@ class TestSolveWindows:
         d0, nu0 = 20, 2
         r_m = d0 * 3e8 * cfg_small.t_s / 2
         v = nu0 / (n_grid * cfg_small.t_chirp) * cfg_small.wavelength_m / 2
-        rd_s, rd_h = self._maps(cfg_small, sched, [Target(r_m, v)])
-        near, far = solve_windows(rd_s, rd_h, pat)
+        rd_s, rd_h = self._maps(cfg_small, sched, [Target(r_m, v)], pat)
+        solved = solve_windows(rd_s, rd_h, pat).values
+        assert solved.shape == (2 * cfg_small.l_occ, pat.band)
+        near, far = solved[:cfg_small.l_occ], solved[cfg_small.l_occ:]
         cell = (d0, nu0 % pat.band)
-        assert abs(far.values[cell]) <= 0.05 * abs(near.values[cell])
-        peak = np.unravel_index(np.argmax(np.abs(near.values)),
-                                near.values.shape)
-        assert peak == cell
+        assert abs(far[cell]) <= 0.05 * abs(near[cell])
+        assert np.unravel_index(np.argmax(np.abs(solved)), solved.shape) == cell
 
     def test_single_far_target_lands_in_far_map(self, cfg_small):
         sched, pat = tail_setup(cfg_small)
@@ -388,33 +391,40 @@ class TestSolveWindows:
         delta = d0 + cfg_small.l_occ
         r_m = delta * 3e8 * cfg_small.t_s / 2
         v = nu0 / (n_grid * cfg_small.t_chirp) * cfg_small.wavelength_m / 2
-        rd_s, rd_h = self._maps(cfg_small, sched, [Target(r_m, v)])
-        near, far = solve_windows(rd_s, rd_h, pat)
-        combined = stack_solved(near, far)
-        dets = find_peaks(combined, rel_threshold=0.05)
+        rd_s, rd_h = self._maps(cfg_small, sched, [Target(r_m, v)], pat)
+        dets = find_peaks(solve_windows(rd_s, rd_h, pat), rel_threshold=0.05)
         assert dets[0].range_bin == delta
         assert dets[0].doppler_bin == nu0
 
     def test_zero_inputs(self, cfg_small):
         sched, pat = tail_setup(cfg_small)
-        n_grid = grid_size(sched, cfg_small)
-        zero = slow_time_matched_filter(
-            np.zeros((sched.k, cfg_small.l_occ)),
-            occasion_grid_indices(sched, cfg_small), n_grid, cfg_small)
-        near, far = solve_windows(zero, zero, pat)
-        assert np.all(near.values == 0) and np.all(far.values == 0)
+        zero = self._grid_map(cfg_small, sched,
+                              np.zeros((sched.k, cfg_small.l_occ)), pat)
+        assert np.all(solve_windows(zero, zero, pat).values == 0)
 
     def test_unresolvable_cells_propagate_as_zeros(self, cfg_small):
         import copy
         sched, pat = tail_setup(cfg_small)
         pat = copy.deepcopy(pat)
         pat.resolvable[25, 3] = False
-        n_grid = grid_size(sched, cfg_small)
-        ones = slow_time_matched_filter(
+        ones = self._grid_map(cfg_small, sched, np.ones(
+            (sched.k, cfg_small.l_occ), dtype=complex), pat)
+        solved = solve_windows(ones, ones, pat).values
+        assert solved[25, 3] == 0 and solved[cfg_small.l_occ + 25, 3] == 0
+
+    def test_full_width_maps_rejected(self, cfg_small):
+        # the solve takes maps already restricted to the pattern band
+        sched, pat = tail_setup(cfg_small)
+        full = slow_time_matched_filter(
             np.ones((sched.k, cfg_small.l_occ), dtype=complex),
-            occasion_grid_indices(sched, cfg_small), n_grid, cfg_small)
-        near, far = solve_windows(ones, ones, pat)
-        assert near.values[25, 3] == 0 and far.values[25, 3] == 0
+            occasion_grid_indices(sched, cfg_small),
+            grid_size(sched, cfg_small), cfg_small)
+        assert full.n_doppler > pat.band
+        with pytest.raises(ValueError):
+            solve_windows(full, full, pat)
+        banded = extract_band(full, pat.band)
+        with pytest.raises(ValueError):
+            solve_windows(banded, full, pat)
 
 
 class TestPeakCleanup:
@@ -566,9 +576,8 @@ class TestConventions:
         nu0 = -2
         f_b = nu0 / (n_grid * cfg.t_chirp)
         rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-        rd_s = process_sensing(rx, cfg, sched, WindowKind.STANDARD)
-        rd_h = process_sensing(rx, cfg, sched, WindowKind.SHIFTED)
-        near, far = solve_windows(rd_s, rd_h, pat)
-        dets = find_peaks(stack_solved(near, far))
+        rd_s, rd_h = (extract_band(process_sensing(rx, cfg, sched, kind), pat.band)
+                      for kind in (WindowKind.STANDARD, WindowKind.SHIFTED))
+        dets = find_peaks(solve_windows(rd_s, rd_h, pat))
         assert dets[0].range_bin == delta
         assert dets[0].doppler_bin == nu0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from jcas import (ChirpSpec, Scheme, WaveformConfig, assemble_frame,
-                  assemble_symbol, make_base_set, make_chirp,
-                  make_code_matrix, make_schedule, make_sensing_waveforms,
-                  spread_and_assemble, substream, transmit_constants,
-                  unitary_dft, unitary_idft)
+from jcas import (Scheme, WaveformConfig, assemble_frame, assemble_symbol,
+                  make_base_set, make_chirp, make_code_matrix, make_schedule,
+                  make_sensing_waveforms, spread_and_assemble, substream,
+                  transmit_constants, unitary_dft, unitary_idft)
 
 
 class TestUnitaryDft:
@@ -32,17 +31,13 @@ class TestUnitaryDft:
 
 
 class TestChirp:
-    def test_zero_phase(self):
-        out = make_chirp(ChirpSpec(f0_hz=0, kc_hz_per_s=0, length=4), t_s=1e-9)
-        np.testing.assert_allclose(out, np.ones(4), atol=1e-15)
-
     def test_unit_modulus(self, cfg):
-        c = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        c = make_chirp(cfg)
         np.testing.assert_allclose(np.abs(c), 1.0, atol=1e-13)
 
     def test_default_phase_midpoint(self, cfg):
         # with B*t_s = 1 the phase is pi*(n^2/L - n); at n=256, e^{-j128pi}=1
-        c = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        c = make_chirp(cfg)
         n = np.arange(cfg.l_occ)
         expected = np.exp(1j * np.pi * (n ** 2 / cfg.l_occ - n))
         np.testing.assert_allclose(c, expected, atol=1e-9)
@@ -80,7 +75,7 @@ class TestBaseSet:
             np.testing.assert_allclose(spec[m::4], on, atol=1e-12)
 
     def test_constant_envelope(self, cfg):
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         rows = make_base_set(cfg, chirp)
         assert np.max(np.abs(np.abs(rows) - 1)) <= 1e-12
 
@@ -111,7 +106,7 @@ class TestCodeMatrix:
 
 class TestSensingWaveforms:
     def _waves(self, cfg):
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         return make_sensing_waveforms(make_base_set(cfg, chirp),
                                       make_code_matrix(cfg.m_codes))
 
@@ -149,7 +144,7 @@ class TestSensingWaveforms:
             assert int(np.argmax(per_occ)) == m
 
     def test_shape_mismatch(self, cfg):
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         base = make_base_set(cfg, chirp)
         with pytest.raises(ValueError):
             make_sensing_waveforms(base, make_code_matrix(cfg.m_codes + 1))
@@ -158,7 +153,7 @@ class TestSensingWaveforms:
 class TestSpreadAndAssemble:
     def test_sensing_only_symbol_is_bm(self, cfg_small):
         cfg = cfg_small
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         codes = make_code_matrix(cfg.m_codes)
         waves = make_sensing_waveforms(make_base_set(cfg, chirp), codes)
         for m in range(cfg.m_codes):
@@ -170,7 +165,7 @@ class TestSpreadAndAssemble:
 
     def test_despread_recovers_data_and_sensing(self, cfg_small, rng):
         cfg = cfg_small
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         codes = make_code_matrix(cfg.m_codes)
         spec = unitary_dft(chirp)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
@@ -201,7 +196,7 @@ class TestSpreadAndAssemble:
 class TestAssembleSymbol:
     def _spectrum(self, cfg):
         codes = make_code_matrix(cfg.m_codes)
-        chirp = make_chirp(ChirpSpec.default(cfg), cfg.t_s)
+        chirp = make_chirp(cfg)
         return spread_and_assemble(cfg, 0, unitary_dft(chirp),
                                    np.zeros((cfg.m_codes - 1, cfg.l_occ)), codes)
 
@@ -233,7 +228,7 @@ class TestAssembleFrame:
     def test_sensing_only_is_tiled_chirp(self, cfg_small):
         sched = make_schedule(Scheme.SENSING_ONLY, cfg_small.m_codes, 3)
         frame = assemble_frame(cfg_small, sched)
-        chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
+        chirp = make_chirp(cfg_small)
         np.testing.assert_allclose(frame,
                                    np.tile(chirp, cfg_small.m_codes * 3),
                                    atol=1e-14)
@@ -245,7 +240,7 @@ class TestAssembleFrame:
         payload = substream(5, "payload").normal(size=(3 * 8, l)) + 0j
         frame = assemble_frame(cfg_small, sched, payload=payload)
         assert len(frame) == cfg_small.m_codes * 8 * cfg_small.l_occ
-        chirp = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
+        chirp = make_chirp(cfg_small)
         for g in sched.slots:
             np.testing.assert_allclose(frame[g * l:(g + 1) * l],
                                        chirp, atol=1e-14)
@@ -265,7 +260,7 @@ class TestAssembleFrame:
             + 1j * rng.normal(size=(6, m - 1, cfg.l_occ))
         frame = assemble_frame(cfg, sched, payload=payload, sensing_scale=0.5)
         u = make_code_matrix(m)
-        spec = 0.5 * unitary_dft(make_chirp(ChirpSpec.default(cfg), cfg.t_s))
+        spec = 0.5 * unitary_dft(make_chirp(cfg))
         s = cfg.symbol_len
         for k, a in enumerate(sched.alpha):
             grid = np.sqrt(m) * spec[:, None] * u[a]
@@ -302,7 +297,7 @@ class TestTransmitConstants:
         for a in (chirp, codes, b):
             with pytest.raises(ValueError):
                 a[0] = 0
-        fresh = make_chirp(ChirpSpec.default(cfg_small), cfg_small.t_s)
+        fresh = make_chirp(cfg_small)
         np.testing.assert_array_equal(chirp, fresh)
         np.testing.assert_array_equal(codes, make_code_matrix(4))
         np.testing.assert_array_equal(
@@ -323,6 +318,11 @@ class TestConfigValidation:
     def test_sizes_out_of_range(self, n_fft, n_cp):
         with pytest.raises(ValueError):
             WaveformConfig(n_fft=n_fft, m_codes=4, n_cp=n_cp, scs_hz=60e3)
+
+    @pytest.mark.parametrize("carrier_hz", [0.0, -60e9, 1e308, float("nan")])
+    def test_carrier_out_of_range(self, carrier_hz):
+        with pytest.raises(ValueError):
+            WaveformConfig(carrier_hz=carrier_hz)
 
     def test_derived_quantities(self, cfg):
         assert cfg.l_occ == 512
