@@ -46,6 +46,8 @@ def target_to_delay_doppler(t: Target, carrier_hz: float, t_s: float
     if carrier_hz <= 0:
         raise ValueError("carrier must be positive")
     delay = (2.0 * t.range_m / SPEED_OF_LIGHT) / t_s
+    if not np.isfinite(delay):
+        raise ValueError(f"range {t.range_m} m overflows the delay in samples")
     doppler = 2.0 * t.velocity_mps * carrier_hz / SPEED_OF_LIGHT
     return delay, doppler
 

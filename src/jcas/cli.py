@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import comms, detect, receiver
-from .channel import ChannelConfig, Target, synthesize_rx
+from .channel import ChannelConfig, Target, synthesize_rx, \
+    target_to_delay_doppler
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     unambiguous_band
 from .util import check_db, kmh_to_mps, substream
@@ -108,7 +109,8 @@ class Scenario:
                 raise ScenarioError("each target needs range_m and velocity_kmh")
         try:
             cfg = self.waveform_config()
-            self.target_list()
+            for t in self.target_list():
+                target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
             self.channel_config()
             if self.comms_snr_db is not None:
                 check_db(self.comms_snr_db, "comms_snr_db")
@@ -199,7 +201,7 @@ def pattern_cache_key(scn: Scenario) -> str:
     rel = {k: getattr(scn, k) for k in
            ("n_fft", "m_codes", "n_cp", "scs_hz", "carrier_hz", "k",
             "n_guard", "scheme")}
-    rel["format"] = 3   # the .npz layout written by load_or_build_pattern
+    rel["format"] = 4   # the .npz layout written by load_or_build_pattern
     return hashlib.sha256(json.dumps(rel, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -258,8 +260,12 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              one_per_group=scn.rtd_one_per_group,
                              seed=scn.seed)
     tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
-    rx = synthesize_rx(tx, scn.target_list(), scn.channel_config(), cfg,
-                       rng=substream(scn.seed, f"{tag}/noise"))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        rx = synthesize_rx(tx, scn.target_list(), scn.channel_config(), cfg,
+                           rng=substream(scn.seed, f"{tag}/noise"))
+    if not np.isfinite(rx).all():
+        raise ScenarioError("the receive samples overflow: reduce the SI, "
+                            "noise or target levels")
 
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule, cfg)

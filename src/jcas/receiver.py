@@ -16,7 +16,6 @@ from enum import Enum
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
@@ -207,26 +206,6 @@ class PatternTensor:
     validation_error: float | None = None
 
 
-def _twisted_correlations(ref: np.ndarray, probe: np.ndarray, l_occ: int,
-                          offset: int) -> np.ndarray:
-    """corr[d] = sum_n ref[n] * conj(probe[offset + n - d]) * e^{-j2pi d n / L}
-    for d = 0..L-1, via the chirp (Bluestein) factorization
-    e^{-j2pi dn/L} = e^{-jpi d^2/L} e^{-jpi n^2/L} e^{+jpi (n-d)^2/L}.
-    """
-    n_len = len(ref)
-    n = np.arange(n_len)
-    a = ref * np.exp(-1j * np.pi * n * n / l_occ)
-    m = np.arange(-(l_occ - 1), n_len)
-    idx = offset + m
-    b = np.zeros(len(m), dtype=complex)
-    ok = (idx >= 0) & (idx < len(probe))
-    b[ok] = np.conj(probe[idx[ok]])
-    b *= np.exp(1j * np.pi * m * m / l_occ)
-    conv = fftconvolve(a, b[::-1])
-    d = np.arange(l_occ)
-    return np.exp(-1j * np.pi * d * d / l_occ) * conv[n_len - 1 + d]
-
-
 def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
                   cond_threshold: float = 1e6) -> PatternTensor:
     """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
@@ -235,45 +214,63 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
     receive chain. The tail schedule is strictly periodic, so every
     interior symbol contributes identically once the matched filter
     aligns it; a three-symbol zero-data frame therefore yields the exact
-    K-symbol response as (z_boundary + (K-1) z_interior) / K. The heavy
-    all-range-bins sweep collapses into one chirp-factorized correlation
-    per (window, hypothesis, symbol, Doppler bin).
+    K-symbol response as (z_boundary + (K-1) z_interior) / K.
+
+    All range bins of symbol k come from one twisted correlation
+    sum_n ref[n] conj(probe[off + n - d]) e^{-j2pi dn/L}, off = o_k - hyp L
+    with o_k = kS + window start, via the chirp (Bluestein) factorization
+    e^{-j2pi dn/L} = e^{-jpi d^2/L} e^{-jpi n^2/L} e^{+jpi (n-d)^2/L}.
+    The probe's Doppler term e^{-j2pi f_b (off+n-d) Ts} splits into
+    e^{-j2pi f_b n Ts}, moved to the reference, and a phase that times the
+    echo's own e^{-j2pi f_b delta Ts} is e^{-j2pi f_b o_k Ts} for every d.
+    So one reference transform per (window, symbol) serves all band columns.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
-    m, l, s = cfg.m_codes, cfg.l_occ, cfg.symbol_len
+    m, l, n = cfg.m_codes, cfg.l_occ, cfg.n_fft
     k_full = schedule.k
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule, cfg)
 
     cal_sched = Schedule(Scheme.FSI_TAIL, m, 3, alpha=(m - 1,) * 3)
-    tx3 = assemble_frame(cfg, cal_sched)
-    refs = {WindowKind.STANDARD: _fsi_references(cfg, cal_sched, WindowKind.STANDARD),
-            WindowKind.SHIFTED: _fsi_references(cfg, cal_sched, WindowKind.SHIFTED)}
+    # led by 2L-1 zeros: the far hypothesis looks up to 2L-1 samples
+    # before the frame
+    probe = np.concatenate((np.zeros(2 * l - 1),
+                            np.conj(assemble_frame(cfg, cal_sched))))
     g3 = occasion_grid_indices(cal_sched, cfg)
 
+    bs = signed_bin(np.arange(band), band)
+    f_b = bs / (n_grid * cfg.t_chirp)
+    steer = np.exp(2j * np.pi * np.outer(g3, bs % n_grid) / n_grid)   # (3, band)
+    nn = np.arange(n)
+    ref_twist = np.exp(-2j * np.pi * cfg.t_s * np.outer(f_b, nn)) \
+        * np.exp(-1j * np.pi * nn * nn / l)                            # (band, N)
+    lag = np.arange(-(l - 1), n)
+    lag_chirp = np.exp(1j * np.pi * lag * lag / l)
     d = np.arange(l)
-    nfrm = np.arange(len(tx3))
+    out_chirp = np.exp(-1j * np.pi * d * d / l) / np.sqrt(l)
+    size = scipy.fft.next_fast_len(n + l - 1)
+
     p = np.zeros((l, band, 2, 2), dtype=complex)
-    for col in range(band):
-        bs = signed_bin(col, band)
-        f_b = bs / (n_grid * cfg.t_chirp)
-        probe = tx3 * np.exp(2j * np.pi * f_b * nfrm * cfg.t_s)
-        steer = np.exp(2j * np.pi * g3 * (bs % n_grid) / n_grid)
-        for hyp in (0, 1):
-            delta = d + hyp * l
-            const = np.exp(-2j * np.pi * f_b * delta * cfg.t_s) / np.sqrt(l)
-            for wi, kind in enumerate((WindowKind.STANDARD, WindowKind.SHIFTED)):
-                start = cfg.n_cp if kind is WindowKind.STANDARD else 0
-                z = []
-                for k in range(3):
-                    corr = _twisted_correlations(refs[kind][k], probe, l,
-                                                 offset=k * s + start - hyp * l)
-                    z.append(steer[k] * corr)
-                interior_dev = np.max(np.abs(z[1] - z[2]))
-                if interior_dev > 1e-6 * max(np.max(np.abs(z[1])), 1e-30):
-                    raise RuntimeError("steady-state calibration assumption broken")
-                p[:, col, wi, hyp] = const * (z[0] + (k_full - 1) * z[1]) / k_full
+    for wi, kind in enumerate((WindowKind.STANDARD, WindowKind.SHIFTED)):
+        offs = np.arange(3) * cfg.symbol_len \
+            + (cfg.n_cp if kind is WindowKind.STANDARD else 0)
+        refs = _fsi_references(cfg, cal_sched, kind)
+        phase = steer * np.exp(-2j * np.pi * cfg.t_s * np.outer(offs, f_b))
+        z = np.empty((2, 3, band, l), dtype=complex)   # (hyp, symbol, col, d)
+        for k in range(3):
+            ref_f = scipy.fft.fft(refs[k] * ref_twist, size)
+            for hyp in (0, 1):
+                lo = offs[k] + (1 - hyp) * l
+                b = probe[lo:lo + len(lag)] * lag_chirp
+                conv = scipy.fft.ifft(ref_f * scipy.fft.fft(b[::-1], size),
+                                      overwrite_x=True)
+                z[hyp, k] = phase[k, :, None] * out_chirp * conv[:, n - 1:n - 1 + l]
+        interior_dev = np.max(np.abs(z[:, 1] - z[:, 2]), axis=-1)
+        scale = np.maximum(np.max(np.abs(z[:, 1]), axis=-1), 1e-30)
+        if np.any(interior_dev > 1e-6 * scale):
+            raise RuntimeError("steady-state calibration assumption broken")
+        p[:, :, wi] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).T
 
     cond = np.linalg.cond(p.reshape(-1, 2, 2)).reshape(l, band)
     resolvable = np.isfinite(cond) & (cond <= cond_threshold)

@@ -164,6 +164,13 @@ def check_determinism():
         raise AssertionError("identical seeds produced different results")
 
 
+def check_pattern_calibration():
+    from .receiver import build_pattern, validate_pattern
+    sched = make_schedule(Scheme.FSI_TAIL, SMALL.m_codes, 6)
+    pat = build_pattern(SMALL, sched)
+    validate_pattern(pat, SMALL, sched, n_cells=4, tol=1e-9)
+
+
 def all_checks(inject_fault: str | None = None):
     checks = [
         ("dft-unitarity", check_dft_unitarity),
@@ -178,5 +185,6 @@ def all_checks(inject_fault: str | None = None):
         ("matched-filter-equivalence", check_matched_filter_equivalence),
         ("grid-exactness", check_grid_exactness),
         ("determinism", check_determinism),
+        ("pattern-calibration", check_pattern_calibration),
     ]
     return checks

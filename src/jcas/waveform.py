@@ -35,7 +35,7 @@ class WaveformConfig:
         Cyclic prefix length in samples. Must be a multiple of the
         occasion length so the slow-time occasion grid stays uniform.
     scs_hz : float
-        Subcarrier spacing in Hz.
+        Subcarrier spacing in Hz, within [1 Hz, 1 THz].
     carrier_hz : float
         RF carrier, used only for Doppler/velocity conversion.
     """
@@ -53,8 +53,8 @@ class WaveformConfig:
             raise ValueError("n_fft must be a positive multiple of m_codes")
         if not 0 <= self.n_cp <= self.n_fft or self.n_cp % self.l_occ != 0:
             raise ValueError("n_cp must be a multiple of the occasion length in [0, n_fft]")
-        if self.scs_hz <= 0:
-            raise ValueError("scs_hz must be positive")
+        if not 1 <= self.scs_hz <= 1e12:
+            raise ValueError("scs_hz must be in [1, 1e12] Hz")
         if not 0 < self.carrier_hz <= 1e15:   # up to optical carriers
             raise ValueError("carrier_hz must be in (0, 1e15] Hz")
 

@@ -30,6 +30,10 @@ class TestDelayDoppler:
         with pytest.raises(ValueError):
             Target(-1.0, 0.0)
 
+    def test_overflowing_delay_rejected(self, cfg):
+        with pytest.raises(ValueError):
+            target_to_delay_doppler(Target(1e308, 0.0), cfg.carrier_hz, cfg.t_s)
+
     @pytest.mark.parametrize("velocity,amplitude", [
         (3e8, 1.0), (-1e300, 1.0), (0.0, 1e300), (0.0, float("inf"))])
     def test_unphysical_target_rejected(self, velocity, amplitude):

@@ -227,6 +227,10 @@ class TestCliMain:
         {"carrier_hz": 1e308, "targets": [{"range_m": 10, "velocity_kmh": 40}]},
         {"si_over_echo_db": 1e4}, {"echo_snr_db": -1e4},
         {"scheme": "fsi_random", "comms_enabled": True, "comms_snr_db": -1e4},
+        {"targets": [{"range_m": 1e308, "velocity_kmh": 0}]},
+        {"scs_hz": 1e-300},
+        {"si_over_echo_db": 3000, "echo_snr_db": -3000,
+         "targets": [{"range_m": 10, "velocity_kmh": 0, "amplitude": 1e150}]},
         pytest.param('{"scheme": "rtd", "k": 1', id="truncated_json"),
         pytest.param("[]", id="not_an_object"),
         pytest.param(None, id="missing_file")])
@@ -260,10 +264,21 @@ class TestCliMain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error:")
 
+    def test_import_leaves_scipy_signal_out(self):
+        # a fresh interpreter: this pytest process may have imported it already
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, jcas, jcas.cli; "
+             "print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "11/11 checks passed" in out
+        assert "12/12 checks passed" in out
 
     def test_selftest_fault_injection(self, capsys):
         assert cli.main(["selftest", "--inject-fault", "code-unitarity"]) == 1

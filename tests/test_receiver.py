@@ -7,11 +7,11 @@ from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   assemble_frame, build_pattern, delay_and_sum, extract_band,
                   find_peaks, make_base_set, make_chirp, make_code_matrix,
                   make_schedule, make_sensing_waveforms, mix, peak_cleanup,
-                  process_sensing, quantize, si_filter,
+                  process_sensing, quantize, si_filter, signed_bin,
                   slow_time_matched_filter, solve_windows, substream,
                   synthesize_rx, unitary_dft, validate_pattern)
 from jcas.channel import echo_component
-from jcas.receiver import capture_windows
+from jcas.receiver import capture_windows, pattern_cell_direct
 from jcas.scheduler import grid_size, occasion_grid_indices
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -351,6 +351,24 @@ class TestPattern:
                                rng=np.random.default_rng(5))
         assert err <= 1e-6
         assert pat.validation_error == err
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("cp_occasions", [0, 1, 2])
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_every_cell_matches_direct_pipeline(self, m, cp_occasions, k):
+        l = 16
+        cfg = WaveformConfig(n_fft=m * l, m_codes=m, n_cp=cp_occasions * l,
+                             scs_hz=480e3)
+        sched = make_schedule(Scheme.FSI_TAIL, m, k)
+        pat = build_pattern(cfg, sched)
+        tol = 1e-12 * np.max(np.abs(pat.p))
+        # the direct pipeline notches the guard bins; the pattern keeps them
+        for col in range(pat.band):
+            signed = signed_bin(col, pat.band)
+            for d in range(pat.n_guard, l):
+                for hyp in (0, 1):
+                    direct = pattern_cell_direct(cfg, sched, d, signed, hyp)
+                    assert np.max(np.abs(pat.p[d, col, :, hyp] - direct)) <= tol
 
     def test_wrong_scheme_rejected(self, cfg_small):
         sched = make_schedule(Scheme.PERIODIC_TD, cfg_small.m_codes, 4)

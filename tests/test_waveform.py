@@ -324,6 +324,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WaveformConfig(carrier_hz=carrier_hz)
 
+    @pytest.mark.parametrize("scs_hz", [0.0, 1e-300, 0.5, 1e13, float("nan")])
+    def test_scs_out_of_range(self, scs_hz):
+        with pytest.raises(ValueError):
+            WaveformConfig(scs_hz=scs_hz)
+
     def test_derived_quantities(self, cfg):
         assert cfg.l_occ == 512
         assert abs(cfg.b_hz - 122.88e6) < 1
