@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -36,6 +38,34 @@ from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     unambiguous_band
 from .util import check_db, kmh_to_mps, substream
 from .waveform import WaveformConfig, assemble_frame
+
+
+def _retain_freed_heap() -> None:
+    """Keep the memory a run frees in the process for the next run (glibc).
+
+    A run allocates and frees tens of MB of arrays. With glibc's default,
+    adaptive thresholds the freed top of the heap goes back to the kernel
+    after each run, and the next run faults every page in again, zeroed:
+    some 6,000 page faults and a quarter of a fig6 run's time. Fixed
+    thresholds keep arrays under 32 MB on the heap and up to 256 MB of its
+    free top in the process. Nothing is changed when the allocator is tuned
+    through the environment.
+    """
+    if any(v in os.environ for v in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
+                                     "MALLOC_MMAP_THRESHOLD_")):
+        return
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
+_retain_freed_heap()
 
 MAGIC = b"RDMX"
 FORMAT_VERSION = 1
@@ -165,14 +195,32 @@ def load_scenario(path: str | Path) -> Scenario:
 # artifact IO
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _rewrite(path: Path):
+    """Open ``path`` for binary writing over its old bytes, not truncating first.
+
+    The file is cut to what was written when the block exits, so a finished
+    file holds exactly the new bytes. Truncating to zero and writing again
+    would free the old blocks and, on ext4, force the new ones to disk at
+    close; rewriting in place leaves the same-sized artifacts of repeated
+    runs in the page cache for the usual writeback.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as f:
+        try:
+            yield f
+        finally:
+            f.truncate()
+
+
 def write_rd_binary(path: Path, values: np.ndarray) -> None:
     """RDMX format of a (rows, cols) map: magic, u16 version, u32 rows,
     u32 cols, row-major little-endian complex float64."""
     rows, cols = values.shape
-    with open(path, "wb") as f:
+    with _rewrite(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<HII", FORMAT_VERSION, rows, cols))
-        f.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+        f.write(np.ascontiguousarray(values, dtype="<c16"))
 
 
 def read_rd_binary(path: Path) -> np.ndarray:
@@ -186,15 +234,73 @@ def read_rd_binary(path: Path) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
+CSV_BLOCK_CELLS = 16384   # cells formatted at a time; bounds the writer's memory
+_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
+
+
+def _format_e7(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Write f"{v:.7e}" of each float64 v >= 0 in x into buf[:, :13].
+
+    Returns the indices of the cells left unwritten, whose digits the
+    vectorized rounding cannot vouch for: 10^(7-e) is not an exact double
+    (this takes in every three-digit exponent), the scaled value lies
+    within 1e-6 of a rounding tie, or v is not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    e[~np.isfinite(e)] = 0   # a zero cell then reads 0.0000000e+00
+    e = e.astype(np.int32)
+    # floor(log10 x) is one off only within a few ulps of a power of ten
+    # 10^n. One too high, y lands just below 1e7 and rint makes it 1e7; one
+    # too low, y is 1e8 and the carry below raises e. Both give
+    # 1.0000000e(n), as the f-string does.
+    y = x * _POW10[np.clip(7 - e, 0, 22)]
+    frac = y - np.floor(y)
+    slow = (np.abs(frac - 0.5) < 1e-6) | (e < -15) | (e > 7) | ~np.isfinite(x)
+    m = np.rint(y, out=frac)
+    carry = m >= 1e8   # 9.99999995 and up round to 1.0000000e(e+1)
+    m[carry] = 1e7
+    e[carry] += 1
+    m[slow] = 0   # their digits are not used; keep the cast defined
+    m = m.astype(np.int32)
+    for j in range(8, 1, -1):   # last digit first; no (n, 8) digit array
+        np.add(m % 10, 48, out=buf[:, j], casting="unsafe")
+        m //= 10
+    np.add(m, 48, out=buf[:, 0], casting="unsafe")
+    buf[:, 1] = ord(".")
+    buf[:, 9] = ord("e")
+    buf[:, 10] = np.where(e < 0, ord("-"), ord("+"))
+    np.abs(e, out=e)
+    np.add(e // 10, 48, out=buf[:, 11], casting="unsafe")
+    np.add(e % 10, 48, out=buf[:, 12], casting="unsafe")
+    return np.flatnonzero(slow)
+
+
 def write_rd_csv(path: Path, values: np.ndarray) -> None:
-    """Normalized magnitude, one row of the (rows, cols) map per line."""
-    mag = np.abs(values)
+    """Normalized magnitude, one row of the (rows, cols) map per line.
+
+    Each cell is f"{v:.7e}"; cells are joined by "," and each line ends in
+    "\\n". The map is formatted a block of rows at a time.
+    """
+    mag = np.abs(values, dtype=np.float64)
     peak = mag.max()
     if peak > 0:
-        mag = mag / peak
-    with open(path, "w") as f:
-        for row in mag:
-            f.write(",".join(f"{v:.7e}" for v in row) + "\n")
+        mag /= peak
+    rows, cols = mag.shape
+    step = max(1, CSV_BLOCK_CELLS // cols)
+    with _rewrite(path) as f:
+        for r in range(0, rows, step):
+            block = mag[r:r + step]
+            buf = np.empty(block.shape + (14,), np.uint8)
+            buf[:, :, 13] = ord(",")
+            buf[:, -1, 13] = ord("\n")
+            x, buf = block.ravel(), buf.reshape(-1, 14)
+            done = 0
+            for i in _format_e7(x, buf):
+                f.write(buf[done:i])
+                f.write(f"{x[i]:.7e}".encode() + buf[i, 13].tobytes())
+                done = i + 1
+            f.write(buf[done:])
 
 
 def pattern_cache_key(scn: Scenario) -> str:
@@ -308,7 +414,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                                   rng=substream(scn.seed, f"{tag}/comms-noise"))
 
     for map_name, m in maps.items():
-        stem = f"rd_{map_name}" if len(maps) > 1 else f"rd_{tag}"
+        stem = f"rd_{tag}_{map_name}" if len(maps) > 1 else f"rd_{tag}"
         write_rd_binary(out / f"{stem}.bin", m)
         write_rd_csv(out / f"{stem}.csv", m)
 
@@ -349,8 +455,10 @@ def preset_scenarios(name: str, seed: int = 2026) -> list[Scenario]:
         return [Scenario(scheme="fsi_tail", targets=list(FIG7_TARGETS),
                          seed=seed)]
     if name == "fig7_offgrid":
+        # its own tag, so that its artifacts sit beside fig7's; not the
+        # preset's name, which run_preset gives its summary report
         return [Scenario(scheme="fsi_tail", targets=list(FIG7_OFFGRID_TARGETS),
-                         peak_cleanup=True, seed=seed)]
+                         peak_cleanup=True, seed=seed, tag="fsi_tail_offgrid")]
     raise ScenarioError(f"unknown preset {name!r}")
 
 

@@ -3,7 +3,9 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +117,133 @@ class TestRdmxFormat:
                              for line in (tmp_path / "z.csv").read_text().splitlines()])
         np.testing.assert_allclose(from_csv, from_bin, atol=1e-6)
 
+    def test_binary_of_strided_map(self, tmp_path, rng):
+        vals = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+        for view in (vals[::2, 1::3], vals.T, vals[:3]):
+            cli.write_rd_binary(tmp_path / "v.bin", view)
+            assert (tmp_path / "v.bin").read_bytes()[14:] == \
+                np.ascontiguousarray(view).astype("<c16").tobytes()
+
+    @pytest.mark.parametrize("shapes", [[(6, 8), (2, 3), (4, 5)],
+                                        [(1, 1), (9, 9), (9, 9)]])
+    def test_rewrite_in_place(self, tmp_path, rng, shapes):
+        # a rewritten artifact holds exactly the new bytes, whether the new
+        # map is smaller, larger or the same size, and keeps its inode
+        bin_path, csv_path = tmp_path / "r.bin", tmp_path / "r.csv"
+        inodes = None
+        for shape in shapes:
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            cli.write_rd_binary(bin_path, vals)
+            cli.write_rd_csv(csv_path, vals)
+            np.testing.assert_array_equal(cli.read_rd_binary(bin_path), vals)
+            assert csv_path.read_bytes() == csv_reference(vals)
+            now = (bin_path.stat().st_ino, csv_path.stat().st_ino)
+            assert inodes in (None, now)
+            inodes = now
+
+    def test_failed_rewrite_is_cut_where_it_stopped(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x" * 100)
+        with pytest.raises(RuntimeError):
+            with cli._rewrite(path) as f:
+                f.write(b"abc")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"abc"
+
+
+def csv_reference(values) -> bytes:
+    """The writer's contract, one f-string per cell."""
+    mag = np.abs(values)
+    peak = mag.max()
+    if peak > 0:
+        mag = mag / peak
+    return "".join(",".join(f"{v:.7e}" for v in row) + "\n"
+                   for row in mag).encode()
+
+
+def nudged(v: float, ulps: int) -> float:
+    """v moved by `ulps` steps of one ulp."""
+    for _ in range(abs(ulps)):
+        v = float(np.nextafter(v, np.inf if ulps > 0 else 0.0))
+    return v
+
+
+def near_tie(digits: int, exp: int, ulps: int) -> float:
+    """A float `ulps` steps from the 8-digit rounding tie of digits·10^(exp-7)."""
+    return nudged(float(f"{digits}5e{exp - 8}"), ulps)
+
+
+CELLS = st.one_of(
+    st.floats(0, 1),                       # zeros and subnormals included
+    st.floats(0, 1e-99),                   # three-digit exponents
+    st.floats(0, 1e300),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-100, 0.99999999, 0.999999995,
+                     0.9999999999, 0.1, 0.30000000000000004]),
+    # where floor(log10 v) can be one off
+    st.builds(nudged, st.integers(-17, 0).map(lambda k: float(f"1e{k}")),
+              st.integers(-3, 3)),
+    st.builds(near_tie, st.integers(10**7, 10**8 - 1), st.integers(-20, 0),
+              st.integers(-1, 1)))
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 9),
+           block=st.sampled_from([1, 4, 10, cli.CSV_BLOCK_CELLS]),
+           pin_peak=st.booleans(), as_complex=st.booleans())
+    def test_matches_fstring_reference(self, tmp_path_factory, data, rows, cols,
+                                       block, pin_peak, as_complex):
+        values = np.array(data.draw(st.lists(CELLS, min_size=rows * cols,
+                                             max_size=rows * cols)))
+        values = values.reshape(rows, cols)
+        if pin_peak:   # the peak, and no scaling, when every drawn cell is <= 1
+            values[rows // 2, cols // 2] = 1.0
+        if as_complex:
+            values = values.astype(complex)
+        path = tmp_path_factory.getbasetemp() / "prop.csv"
+        with mock.patch.object(cli, "CSV_BLOCK_CELLS", block):
+            cli.write_rd_csv(path, values)
+        assert path.read_bytes() == csv_reference(values)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 16390), (2345, 7)])
+    def test_blocks_and_special_cells(self, tmp_path, rng, shape):
+        # one block, several, a row wider than a block, and a partial last block
+        values = rng.random(shape) * np.exp(-rng.uniform(0, 40, shape))
+        flat = values.ravel()
+        flat[::97] = 0.0
+        flat[5::101] = rng.choice([1.0, 5e-324, 1e-120, 0.9999999996,
+                                   near_tie(12345678, -3, 0)], flat[5::101].size)
+        cli.write_rd_csv(tmp_path / "b.csv", values)
+        assert (tmp_path / "b.csv").read_bytes() == csv_reference(values)
+
+    def test_all_zero_map(self, tmp_path):
+        cli.write_rd_csv(tmp_path / "z.csv", np.zeros((2, 3), complex))
+        assert (tmp_path / "z.csv").read_bytes() == \
+            b"0.0000000e+00,0.0000000e+00,0.0000000e+00\n" * 2
+
+    def test_simulated_maps_match_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(scheme="fsi_tail", k=8, n_fft=256, m_codes=4, n_cp=64,
+                       scs_hz=480e3, seed=5,
+                       targets=[{"range_m": 24.0, "velocity_kmh": 0.0}])
+        run_simulate(scn, tmp_path)
+        csvs = sorted(tmp_path.glob("rd_*.csv"))
+        assert len(csvs) == 5
+        for csv in csvs:
+            rd = cli.read_rd_binary(csv.with_suffix(".bin"))
+            assert csv.read_bytes() == csv_reference(rd)
+
+    def test_memory_of_a_full_map(self, tmp_path, rng):
+        # a 512x320 complex map is 2.6 MB; its magnitude alone is 1.3 MB
+        values = rng.normal(size=(512, 320)) + 1j * rng.normal(size=(512, 320))
+        tracemalloc.start()
+        try:
+            cli.write_rd_csv(tmp_path / "m.csv", values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
 
 class TestRunSimulate:
     def test_artifacts_and_report(self, tmp_path, small_scenario):
@@ -137,20 +266,32 @@ class TestRunSimulate:
         out = tmp_path / "out"
         report = run_simulate(scn, out)
         for name in ("std", "shift", "near", "far", "combined"):
-            assert (out / f"rd_{name}.bin").is_file()
-            assert (out / f"rd_{name}.csv").is_file()
+            assert (out / f"rd_fsi_tail_{name}.bin").is_file()
+            assert (out / f"rd_fsi_tail_{name}.csv").is_file()
         l = scn.waveform_config().l_occ
-        combined = cli.read_rd_binary(out / "rd_combined.bin")
+        combined = cli.read_rd_binary(out / "rd_fsi_tail_combined.bin")
         assert combined.shape == (2 * l, 8)
-        np.testing.assert_array_equal(cli.read_rd_binary(out / "rd_near.bin"),
-                                      combined[:l])
-        np.testing.assert_array_equal(cli.read_rd_binary(out / "rd_far.bin"),
-                                      combined[l:])
+        np.testing.assert_array_equal(
+            cli.read_rd_binary(out / "rd_fsi_tail_near.bin"), combined[:l])
+        np.testing.assert_array_equal(
+            cli.read_rd_binary(out / "rd_fsi_tail_far.bin"), combined[l:])
         saved = json.loads((out / "report_fsi_tail.json").read_text())
         for rep in (report, saved):
             assert list(rep["detections"]) == ["combined"]
             assert list(rep["evaluation"]) == ["combined"]
         assert saved["evaluation"]["combined"]["misses"] == []
+
+    def test_tail_presets_share_an_out_dir(self, tmp_path):
+        # fig7 and fig7_offgrid write every file under its own name
+        run_preset("fig7", tmp_path, seed=1)
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        run_preset("fig7_offgrid", tmp_path, seed=1)
+        second = {p.name for p in tmp_path.iterdir()} - set(first)
+        for name, data in first.items():
+            assert (tmp_path / name).read_bytes() == data, name
+        assert len(first) == len(second) == 12
+        assert "report_fsi_tail_offgrid.json" in second
+        assert "rd_fsi_tail_offgrid_combined.csv" in second
 
     def test_report_reproducible_from_scenario(self, tmp_path, small_scenario):
         run_simulate(small_scenario, tmp_path / "a")
@@ -274,6 +415,28 @@ class TestCliMain:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
+                        reason="heap thresholds are set on glibc only")
+    def test_repeated_runs_reuse_freed_heap(self, tmp_path):
+        # a fresh interpreter without allocator tunables in its environment
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
+                            "MALLOC_MMAP_THRESHOLD_")}
+        code = ("import resource, sys; from jcas import cli\n"
+                "scn = cli.Scenario(scheme='sensing_only', "
+                "targets=[{'range_m': 200.0, 'velocity_kmh': 0.0}])\n"
+                "for _ in range(3):\n"
+                "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    cli.run_simulate(scn, sys.argv[1])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**env, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        # glibc's adaptive defaults fault ~5,400 pages back in on every run
+        assert int(proc.stdout) < 500
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
