@@ -307,7 +307,7 @@ def pattern_cache_key(scn: Scenario) -> str:
     rel = {k: getattr(scn, k) for k in
            ("n_fft", "m_codes", "n_cp", "scs_hz", "carrier_hz", "k",
             "n_guard", "scheme")}
-    rel["format"] = 4   # the .npz layout written by load_or_build_pattern
+    rel["format"] = 5   # the .npz layout written by load_or_build_pattern
     return hashlib.sha256(json.dumps(rel, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -324,17 +324,27 @@ def pattern_path(scn: Scenario) -> Path:
 
 def load_or_build_pattern(scn: Scenario, schedule: Schedule,
                           validate: bool = False) -> receiver.PatternTensor:
-    """The cached pattern of scn; a missing or unreadable file is rebuilt."""
+    """The cached pattern of scn. A file that is missing, unreadable, lacks a
+    field or does not fit scn's (range bins, band) shape and guard is rebuilt.
+    With ``validate``, a cached pattern not yet validated is validated, and
+    rebuilt if it fails; the validated pattern is stored."""
     cfg = scn.waveform_config()
+    shape = (cfg.l_occ, unambiguous_band(schedule, cfg))
     path = pattern_path(scn)
     try:
         with np.load(path) as z:
-            return receiver.PatternTensor(**{k: z[k][()] for k in z.files})
-    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile):
-        pass
-    pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard)
-    if validate:
+            pat = receiver.PatternTensor(**{k: z[k][()] for k in z.files})
+        if not (pat.p.shape == shape + (2, 2) == pat.p_sol.shape
+                and pat.resolvable.shape == shape and pat.n_guard == scn.n_guard):
+            raise ValueError("the cached pattern does not fit the scenario")
+        if not validate or pat.validation_error is not None:
+            return pat
         receiver.validate_pattern(pat, cfg, schedule)
+    except (OSError, ValueError, TypeError, EOFError, RuntimeError,
+            zipfile.BadZipFile):
+        pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard)
+        if validate:
+            receiver.validate_pattern(pat, cfg, schedule)
     path.parent.mkdir(parents=True, exist_ok=True)
     # write beside the target and rename, so readers never see a partial file
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -385,7 +395,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
         rd_shift = receiver.extract_band(receiver.process_sensing(
             rx, cfg, schedule, receiver.WindowKind.SHIFTED, scn.n_guard), band)
         pat = load_or_build_pattern(scn, schedule)
-        flagged_bins = int((~pat.resolvable[scn.n_guard:]).sum())
+        flagged_bins = pat.flagged_bins
         maps = {"std": rd.values, "shift": rd_shift.values}
         if scn.peak_cleanup:
             rd, rd_shift = [receiver.peak_cleanup(
@@ -506,12 +516,11 @@ def run_calibrate(scn: Scenario) -> Path:
         raise ScenarioError("calibration applies to the fsi_tail scheme")
     schedule = make_schedule(scn.scheme_enum, scn.m_codes, scn.k, seed=scn.seed)
     pat = load_or_build_pattern(scn, schedule, validate=True)
-    n_bad = int((~pat.resolvable[scn.n_guard:]).sum())
     path = pattern_path(scn)
     print(f"pattern cached at {path}")
     print(f"validation error: {pat.validation_error}")
-    if n_bad:
-        print(f"unresolvable bins: {n_bad}")
+    if pat.flagged_bins:
+        print(f"unresolvable bins: {pat.flagged_bins}")
     return path
 
 
@@ -536,31 +545,24 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        if args.verb in ("simulate", "calibrate"):
-            scn = load_scenario(args.scenario)
-            if args.seed is not None:
-                scn = replace(scn, seed=args.seed)
-        if args.verb == "simulate":
-            report = run_simulate(scn, args.out_dir)
-            if report["flagged_pattern_bins"]:
-                return 3
-            return 0
+        if args.verb == "selftest":
+            return 1 if run_selftest(args.inject_fault) else 0
         if args.verb == "preset":
             reports = run_preset(args.name, args.out_dir,
                                  seed=args.seed if args.seed is not None else 2026,
                                  threads=args.threads)
-            if any(r["flagged_pattern_bins"] for r in reports):
-                return 3
-            return 0
-        if args.verb == "calibrate":
-            run_calibrate(scn)
-            return 0
-        if args.verb == "selftest":
-            return 1 if run_selftest(args.inject_fault) else 0
+        else:
+            scn = load_scenario(args.scenario)
+            if args.seed is not None:
+                scn = replace(scn, seed=args.seed)
+            if args.verb == "calibrate":
+                run_calibrate(scn)
+                return 0
+            reports = [run_simulate(scn, args.out_dir)]
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 2
-    return 0
+    return 3 if any(r["flagged_pattern_bins"] for r in reports) else 0
 
 
 if __name__ == "__main__":

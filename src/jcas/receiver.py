@@ -185,6 +185,9 @@ def extract_band(rd: RdMatrix, band: int) -> RdMatrix:
 # dual-window super-distance processing
 # ---------------------------------------------------------------------------
 
+COND_MAX = 1e6   # a 2x2 cell with a larger condition number is unresolvable
+
+
 @dataclass
 class PatternTensor:
     """Calibrated near/far responses of both receive windows.
@@ -192,22 +195,50 @@ class PatternTensor:
     ``p[d, c, w, h]`` is the complex RD value at cell (range bin d,
     band column c) produced by a unit-amplitude on-grid calibration echo
     of hypothesis h (0 = near, delay d; 1 = far, delay d + L) observed in
-    window w (0 = standard, 1 = shifted). ``p_sol`` holds the per-cell
-    2x2 inverses with rows normalized to unit norm. Cells whose 2x2 is
-    ill-conditioned (or notched by the SI guard) are flagged unresolvable.
+    window w (0 = standard, 1 = shifted). Stored beside it, from
+    ``invert_cells``: ``p_sol``, the per-cell 2x2 inverses with rows of unit
+    norm, zero where ``resolvable`` is false (an ill-conditioned 2x2 or a
+    range bin notched by the SI guard). ``band`` is derived from ``p``.
     """
 
     p: np.ndarray          # (L, band, 2, 2)
     p_sol: np.ndarray      # (L, band, 2, 2)
-    cond: np.ndarray       # (L, band)
     resolvable: np.ndarray  # (L, band) bool
-    band: int
     n_guard: int
     validation_error: float | None = None
 
+    @property
+    def band(self) -> int:
+        return self.p.shape[1]
 
-def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
-                  cond_threshold: float = 1e6) -> PatternTensor:
+    @property
+    def flagged_bins(self) -> int:   # unresolvable cells beside the guard rows
+        return int((~self.resolvable[self.n_guard:]).sum())
+
+
+def invert_cells(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form solve of each 2x2 cell P = [[a, b], [c, d]] of p[..., :, :].
+
+    Returns the mask cond(P) <= COND_MAX, false for NaN, zero and singular
+    cells, and the inverses: rows [d, -b] and [-c, a] times conj(det)/|det|,
+    each scaled to unit norm, zero outside the mask. With r = |det| /
+    ||P||_F^2, cond = (1 + sqrt(1 - 4r^2)) / (2r), free of ||P||_F^4 overflow.
+    """
+    a, b, c, d = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
+    det = a * d - b * c
+    p_sol = np.stack((d, -b, -c, a), axis=-1).reshape(p.shape)
+    row_sq = (p_sol.real ** 2 + p_sol.imag ** 2).sum(axis=-1)
+    with np.errstate(all="ignore"):   # the mask drops what this spoils
+        r = np.abs(det) / row_sq.sum(axis=-1)
+        resolvable = (1 + np.sqrt(np.maximum(1 - 4 * r * r, 0))) / (2 * r) <= COND_MAX
+        p_sol *= (np.conj(det) / np.abs(det))[..., None, None]
+        p_sol /= np.sqrt(row_sq)[..., None]
+    p_sol[~resolvable] = 0
+    return resolvable, p_sol
+
+
+def build_pattern(cfg: WaveformConfig, schedule: Schedule,
+                  n_guard: int = 1) -> PatternTensor:
     """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
 
     Runs noiseless unit-amplitude calibration echoes through the exact
@@ -272,16 +303,11 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule, n_guard: int = 1,
             raise RuntimeError("steady-state calibration assumption broken")
         p[:, :, wi] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).T
 
-    cond = np.linalg.cond(p.reshape(-1, 2, 2)).reshape(l, band)
-    resolvable = np.isfinite(cond) & (cond <= cond_threshold)
-    resolvable[:n_guard, :] = False
-    p_sol = np.zeros_like(p)
-    ok = resolvable.reshape(-1)
-    inv = np.linalg.inv(p.reshape(-1, 2, 2)[ok])
-    inv /= np.linalg.norm(inv, axis=2, keepdims=True)
-    p_sol.reshape(-1, 2, 2)[ok] = inv
-    return PatternTensor(p=p, p_sol=p_sol, cond=cond, resolvable=resolvable,
-                         band=band, n_guard=n_guard)
+    resolvable, p_sol = invert_cells(p)
+    resolvable[:n_guard] = False
+    p_sol[:n_guard] = 0
+    return PatternTensor(p=p, p_sol=p_sol, resolvable=resolvable,
+                         n_guard=n_guard)
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
@@ -325,10 +351,10 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
         direct = pattern_cell_direct(cfg, schedule, d_bin, signed, hyp,
                                      pat.n_guard)
         fast = pat.p[d_bin, col, :, hyp]
-        worst = max(worst, float(np.max(np.abs(direct - fast))
+        worst = float(np.maximum(worst, np.max(np.abs(direct - fast))
                                  / max(np.max(np.abs(direct)), 1e-30)))
     pat.validation_error = worst
-    if worst > tol:
+    if not worst <= tol:   # a NaN deviation fails too
         raise RuntimeError(f"pattern validation failed: deviation {worst:.2e}")
     return worst
 

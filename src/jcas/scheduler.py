@@ -105,8 +105,8 @@ def occasion_grid_indices(schedule: Schedule, cfg) -> np.ndarray:
     """
     if schedule.scheme.is_fsi:
         j = cfg.cp_occasions
-        g = np.array([k * (schedule.m_codes + j) + j + a
-                      for k, a in enumerate(schedule.alpha)], dtype=int)
+        g = np.arange(len(schedule.alpha)) * (schedule.m_codes + j) + j \
+            + np.asarray(schedule.alpha)
     else:
         g = np.array(sorted(schedule.slots), dtype=int)
     total = grid_size(schedule, cfg)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -14,6 +15,12 @@ from hypothesis import strategies as st
 
 from jcas import cli
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
+
+
+# a small tail-mode scenario: its pattern builds in milliseconds
+TAIL_SMALL = {"scheme": "fsi_tail", "k": 8, "n_fft": 256, "m_codes": 4,
+              "n_cp": 64, "scs_hz": 480e3, "seed": 5,
+              "targets": [{"range_m": 24.0, "velocity_kmh": 0.0}]}
 
 
 @pytest.fixture
@@ -340,6 +347,67 @@ class TestCalibrationCache:
         assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
+    def test_calibrate_validates_a_pattern_cached_by_simulate(
+            self, tmp_path, monkeypatch, capsys):
+        # simulate caches the pattern unvalidated; calibrate must not just
+        # hand that back
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(TAIL_SMALL))
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate",
+                         str(scn_file)]) == 0
+        capsys.readouterr()
+        assert cli.main(["calibrate", str(scn_file)]) == 0
+        (line,) = [s for s in capsys.readouterr().out.splitlines()
+                   if s.startswith("validation error: ")]
+        err = float(line.split(": ")[1])
+        assert math.isfinite(err) and err <= 1e-6
+        path = cli.pattern_path(Scenario(**TAIL_SMALL))
+        stamp = path.stat().st_mtime_ns
+        assert cli.main(["calibrate", str(scn_file)]) == 0   # stored validated
+        assert path.stat().st_mtime_ns == stamp
+
+    def test_calibrate_rebuilds_a_cached_pattern_that_fails_validation(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(**TAIL_SMALL)
+        run_simulate(scn, tmp_path / "out")
+        path = cli.pattern_path(scn)
+        with np.load(path) as z:
+            good = dict(z)
+        np.savez(path, **dict(good, p=2 * good["p"]))
+        cli.run_calibrate(scn)
+        assert "validation error: None" not in capsys.readouterr().out
+        with np.load(path) as z:
+            np.testing.assert_array_equal(z["p"], good["p"])
+            assert z["validation_error"] <= 1e-6
+
+    @pytest.mark.parametrize("damage", ["half_band_p", "flat_p_sol",
+                                        "no_resolvable", "other_guard"])
+    def test_misfit_cache_is_rebuilt(self, tmp_path, monkeypatch, damage):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(TAIL_SMALL))
+        path = cli.run_calibrate(Scenario(**TAIL_SMALL))
+        with np.load(path) as z:
+            good = dict(z)
+        bad = dict(good)
+        if damage == "half_band_p":
+            bad["p"] = good["p"][:, :good["p"].shape[1] // 2]
+        elif damage == "flat_p_sol":
+            bad["p_sol"] = good["p_sol"].reshape(-1, 2, 2)
+        elif damage == "no_resolvable":
+            del bad["resolvable"]
+        else:
+            bad["n_guard"] = np.array(good["n_guard"] + 1)
+        np.savez(path, **bad)
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate",
+                         str(scn_file)]) == 0
+        with np.load(path) as z:
+            for k in ("p", "p_sol", "resolvable", "n_guard"):
+                np.testing.assert_array_equal(z[k], good[k])
+
+
 class TestCliMain:
     def test_simulate_verb(self, tmp_path, small_scenario):
         scn_file = tmp_path / "scn.json"
@@ -348,6 +416,19 @@ class TestCliMain:
                        str(scn_file)])
         assert rc == 0
         assert (tmp_path / "out" / "rd_rtd.bin").exists()
+
+    def test_preset_verb_and_flagged_bins_exit_3(self, tmp_path, monkeypatch):
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "preset",
+                         "fig7"]) == 0
+        assert (tmp_path / "out" / "report_fig7.json").is_file()
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(TAIL_SMALL))
+        monkeypatch.setattr(cli, "run_simulate",
+                            lambda scn, out: {"flagged_pattern_bins": 2})
+        assert cli.main(["simulate", str(scn_file)]) == 3
+        monkeypatch.setattr(cli, "run_preset", lambda name, out, seed, threads: [
+            {"flagged_pattern_bins": 0}, {"flagged_pattern_bins": 1}])
+        assert cli.main(["preset", "fig6"]) == 3
 
     def test_invalid_scenario_exit_2(self, tmp_path):
         scn_file = tmp_path / "bad.json"

@@ -11,7 +11,8 @@ from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   slow_time_matched_filter, solve_windows, substream,
                   synthesize_rx, unitary_dft, validate_pattern)
 from jcas.channel import echo_component
-from jcas.receiver import capture_windows, pattern_cell_direct
+from jcas.receiver import COND_MAX, capture_windows, invert_cells, \
+    pattern_cell_direct
 from jcas.scheduler import grid_size, occasion_grid_indices
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -320,6 +321,27 @@ class TestProcessSensing:
         assert (328, 74) in cells
 
 
+def solve_oracle(cells):
+    """np.linalg.cond and the row-normalized np.linalg.inv of each 2x2 cell;
+    NaN where a cell is not finite."""
+    cond = np.full(len(cells), np.nan)
+    inv = np.zeros_like(cells)
+    finite = np.isfinite(cells).all(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond[finite] = np.linalg.cond(cells[finite])
+    ok = cond <= COND_MAX
+    inv[ok] = np.linalg.inv(cells[ok])
+    # entries of a small cell's inverse can be too large to square
+    inv[ok] /= np.abs(inv[ok]).max(axis=2, keepdims=True)
+    inv[ok] /= np.linalg.norm(inv[ok], axis=2, keepdims=True)
+    return cond, inv
+
+
+def random_unitary(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q
+
+
 def tail_setup(cfg, k=16):
     sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, k)
     pat = build_pattern(cfg, sched)
@@ -352,6 +374,13 @@ class TestPattern:
         assert err <= 1e-6
         assert pat.validation_error == err
 
+    def test_validation_rejects_a_nan_pattern(self, cfg_small):
+        sched, pat = tail_setup(cfg_small)
+        pat.p[:] = np.nan
+        with pytest.raises(RuntimeError):
+            validate_pattern(pat, cfg_small, sched)
+        assert np.isnan(pat.validation_error)
+
     @pytest.mark.parametrize("m", [2, 4, 8])
     @pytest.mark.parametrize("cp_occasions", [0, 1, 2])
     @pytest.mark.parametrize("k", [3, 7])
@@ -369,6 +398,37 @@ class TestPattern:
                 for hyp in (0, 1):
                     direct = pattern_cell_direct(cfg, sched, d, signed, hyp)
                     assert np.max(np.abs(pat.p[d, col, :, hyp] - direct)) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-150, 150))
+    def test_closed_form_solve_matches_svd_and_inverse(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        random = gaussian(8, 2, 2)
+        rank1 = gaussian(4, 2, 1) * gaussian(4, 1, 2)
+        special = np.zeros((3, 2, 2), dtype=complex)
+        special[1] = gaussian(2, 2)
+        special[1, 0, 1] = np.nan
+        special[2, 1, 1] = np.nan * 1j
+        # singular values s and s / cond with cond within 1e-3 of COND_MAX
+        cond = COND_MAX * (1 + rng.uniform(-1e-3, 1e-3, 8))
+        edge = np.stack([random_unitary(rng) @ np.diag([1.0, 1 / c])
+                         @ random_unitary(rng) for c in cond])
+        cells = scale * np.concatenate((random, rank1, special, edge))
+        resolvable, p_sol = invert_cells(cells)
+        ref_cond, ref_inv = solve_oracle(cells)
+        decided = ~(np.abs(ref_cond / COND_MAX - 1) <= 1e-9)
+        np.testing.assert_array_equal(resolvable[decided],
+                                      (ref_cond <= COND_MAX)[decided])
+        assert not resolvable[8:15].any()   # rank-1, zero and NaN cells
+        both = resolvable & (ref_cond <= COND_MAX)
+        err = np.max(np.abs(p_sol - ref_inv), axis=(1, 2))
+        assert np.all(err[both] <= 1e-14 * ref_cond[both])
+        assert np.all(p_sol[~resolvable] == 0)
 
     def test_wrong_scheme_rejected(self, cfg_small):
         sched = make_schedule(Scheme.PERIODIC_TD, cfg_small.m_codes, 4)

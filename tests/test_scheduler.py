@@ -93,6 +93,10 @@ class TestOccasionGrid:
         g = occasion_grid_indices(s, cfg)
         per = cfg.m_codes + cfg.cp_occasions
         assert np.array_equal(g // per, np.arange(32))
+        # the per-symbol formula k (M + N_CP/L) + N_CP/L + alpha_k, as int64
+        assert g.dtype == np.int64
+        assert g.tolist() == [k * per + cfg.cp_occasions + a
+                              for k, a in enumerate(s.alpha)]
 
     def test_unambiguous_band(self, cfg):
         td = make_schedule(Scheme.PERIODIC_TD, 4, 80)
