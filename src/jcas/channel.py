@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,46 @@ def target_to_delay_doppler(t: Target, carrier_hz: float, t_s: float
     return delay, doppler
 
 
+def doppler_ramp(doppler_hz: float, t_s: float, stop: int, start: int = 0,
+                 scale: complex = 1.0) -> np.ndarray:
+    """scale * e^{j2pi f t_s i} for the sample indices i in [start, stop).
+
+    Each index is split as i = B a + b with B = isqrt(stop), and the ramp is
+    the outer product of two short exact tables, e^{j theta B a} (times
+    scale) and e^{j theta b}: one complex multiply per sample in place of
+    one complex exponential. theta B a and theta b are each rounded once,
+    as theta i is in the direct form.
+    """
+    theta = 2 * np.pi * doppler_hz * t_s
+    block = max(math.isqrt(stop), 1)
+    a0 = start // block
+    coarse = np.exp(1j * theta * (np.arange(a0, (stop - 1) // block + 1) * block))
+    coarse *= scale
+    fine = np.exp(1j * theta * np.arange(block))
+    ramp = np.multiply.outer(coarse, fine).reshape(-1)
+    return ramp[start - a0 * block:stop - a0 * block]
+
+
+def _add_echo(rx: np.ndarray, tx: np.ndarray, delay_samples: float,
+              doppler_hz: float, amplitude: float, t_s: float,
+              fractional: bool) -> None:
+    """rx += the echo of tx (see echo_component), in place."""
+    n = len(tx)
+    if not delay_samples < n:   # beyond the frame: no echo in either mode
+        return
+    if fractional:
+        freqs = np.fft.fftfreq(n)
+        echo = np.fft.ifft(np.fft.fft(tx) * np.exp(-2j * np.pi * freqs * delay_samples))
+        echo *= doppler_ramp(doppler_hz, t_s, n, scale=amplitude)
+        rx += echo
+        return
+    d = int(round(delay_samples))
+    if d < n:
+        ramp = doppler_ramp(doppler_hz, t_s, n, start=d, scale=amplitude)
+        ramp *= tx[:n - d]
+        rx[d:] += ramp
+
+
 def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
                    amplitude: float, t_s: float,
                    fractional: bool = False) -> np.ndarray:
@@ -59,21 +100,12 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
 
     Integer delays shift linearly (leading gap zero-filled, tail dropped);
     the optional fractional mode applies an exact frequency-domain phase
-    ramp over the whole frame, which wraps circularly.
+    ramp over the whole frame, which wraps circularly within the frame.
+    In both modes a delay of the frame length or more gives no echo. The
+    Doppler ramp runs over the receive sample index (doppler_ramp).
     """
-    n = len(tx)
-    if fractional:
-        freqs = np.fft.fftfreq(n)
-        out = np.fft.ifft(np.fft.fft(tx) * np.exp(-2j * np.pi * freqs * delay_samples))
-    else:
-        d = int(round(delay_samples))
-        out = np.zeros(n, dtype=complex)
-        if d < n:
-            out[d:] = tx[:n - d]
-    ramp = 2j * np.pi * doppler_hz * np.arange(n)
-    ramp *= t_s
-    out *= amplitude
-    out *= np.exp(ramp, out=ramp)
+    out = np.zeros(len(tx), dtype=complex)
+    _add_echo(out, tx, delay_samples, doppler_hz, amplitude, t_s, fractional)
     return out
 
 
@@ -87,22 +119,30 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     amplitude (1.0 when no targets): SI amplitude is
     10^(si_over_echo_db/20) times it, and the noise variance makes the
     per-sample echo power of a reference-amplitude target sit
-    echo_snr_db above the noise.
+    echo_snr_db above the noise. The echoes are added into the frame in
+    place, and both noise components are drawn into one reused buffer.
     """
     if len(tx) == 0:
         raise ValueError("empty frame")
     ref_amp = max((t.amplitude for t in targets), default=1.0)
-    rx = np.zeros_like(tx)
-    if cc.si_enabled:
-        rx += 10 ** (cc.si_over_echo_db / 20) * ref_amp * tx
-    for t in targets:
-        delay, doppler = target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
-        rx += echo_component(tx, delay, doppler, t.amplitude, cfg.t_s,
-                             fractional=cc.fractional_delay)
-    if cc.noise_enabled:
+    if cc.noise_enabled:   # before rx exists: |tx|^2 is a frame-size temporary
         if rng is None:
             raise ValueError("noise requires a random source")
         sigma2 = ref_amp ** 2 * np.mean(np.abs(tx) ** 2) * 10 ** (-cc.echo_snr_db / 10)
-        rx.real += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
-        rx.imag += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
+    if cc.si_enabled:
+        rx = tx * (10 ** (cc.si_over_echo_db / 20) * ref_amp)
+    else:
+        rx = np.zeros_like(tx)
+    for t in targets:
+        delay, doppler = target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
+        _add_echo(rx, tx, delay, doppler, t.amplitude, cfg.t_s,
+                  cc.fractional_delay)
+    if cc.noise_enabled:
+        # Generator.normal(0, s) draws exactly s * standard_normal
+        sigma = np.sqrt(sigma2 / 2)
+        z = np.empty(len(tx))
+        for part in (rx.real, rx.imag):
+            rng.standard_normal(out=z)
+            z *= sigma
+            part += z
     return rx

@@ -311,18 +311,20 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
-                        signed_bin: int, hyp: int,
-                        n_guard: int = 1) -> np.ndarray:
+                        signed_bin: int, hyp: int, n_guard: int = 1,
+                        tx: np.ndarray | None = None) -> np.ndarray:
     """Independent calibration of one pattern cell via the full pipeline.
 
-    Synthesizes the complete K-symbol zero-data frame and an on-grid
-    calibration echo, runs both windows through process_sensing, and
-    reads the cell. Used to validate the fast calibration path.
+    Synthesizes the complete K-symbol zero-data frame (or takes it as tx)
+    and an on-grid calibration echo, runs both windows through
+    process_sensing, and reads the cell. Used to validate the fast
+    calibration path.
     """
     from .channel import echo_component
     n_grid = grid_size(schedule, cfg)
     f_b = signed_bin / (n_grid * cfg.t_chirp)
-    tx = assemble_frame(cfg, schedule)
+    if tx is None:
+        tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
     rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
     out = []
@@ -342,6 +344,7 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
     records it on the tensor.
     """
     rng = rng or np.random.default_rng(0)
+    tx = assemble_frame(cfg, schedule)   # the zero-data frame every cell echoes
     worst = 0.0
     for _ in range(n_cells):
         d_bin = int(rng.integers(pat.n_guard, cfg.l_occ))
@@ -349,7 +352,7 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
         hyp = int(rng.integers(0, 2))
         signed = signed_bin(col, pat.band)
         direct = pattern_cell_direct(cfg, schedule, d_bin, signed, hyp,
-                                     pat.n_guard)
+                                     pat.n_guard, tx)
         fast = pat.p[d_bin, col, :, hyp]
         worst = float(np.maximum(worst, np.max(np.abs(direct - fast))
                                  / max(np.max(np.abs(direct)), 1e-30)))

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcas import (ChannelConfig, Scheme, Target, assemble_frame,
                   make_schedule, substream, synthesize_rx,
                   target_to_delay_doppler)
-from jcas.channel import echo_component
+from jcas.channel import doppler_ramp, echo_component
+from jcas.cli import Scenario
 
 NO_NOISE = ChannelConfig(noise_enabled=False)
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -120,3 +125,127 @@ class TestEchoComponent:
         out = echo_component(x, 0, 1e5, 2.0, cfg_small.t_s)
         expected = 2.0 * np.exp(2j * np.pi * 1e5 * np.arange(100) * cfg_small.t_s)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    def test_delay_beyond_the_frame_gives_no_echo(self, rng):
+        # a fractional (circular) delay used to wrap n + 10 back to 10
+        x = rng.normal(size=256) + 1j * rng.normal(size=256)
+        for delay in (256.0, 266.0, 1e6):
+            for fractional in (False, True):
+                out = echo_component(x, delay, 1e4, 1.0, 1e-6, fractional)
+                assert out.shape == x.shape and not out.any()
+
+    def test_target_beyond_the_frame_adds_nothing(self, cfg_small):
+        tx = _frame(cfg_small)
+        far = Target((len(tx) + 10) * 3e8 * cfg_small.t_s / 2, 20.0)
+        for fractional in (False, True):
+            cc = ChannelConfig(noise_enabled=False, fractional_delay=fractional)
+            assert synthesize_rx(tx, [far], cc, cfg_small).tobytes() == \
+                synthesize_rx(tx, [], cc, cfg_small).tobytes()
+
+
+class TestDopplerRamp:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 1024), start_frac=st.floats(0, 1, exclude_max=True),
+           f_ts=st.floats(-0.5, 0.5), t_s=st.sampled_from([1e-9, 4.07e-9, 1e-6]))
+    @example(n=1, start_frac=0.0, f_ts=0.3, t_s=1e-6)
+    @example(n=1024, start_frac=0.0, f_ts=0.5, t_s=1e-6)     # n = B^2
+    @example(n=1000, start_frac=0.0, f_ts=-0.5, t_s=1e-6)    # not a multiple of B
+    @example(n=1000, start_frac=0.99, f_ts=0.37, t_s=1e-9)   # shorter than B
+    @example(n=777, start_frac=0.5, f_ts=0.0, t_s=4.07e-9)
+    def test_matches_the_direct_exponential(self, n, start_frac, f_ts, t_s):
+        f = f_ts / t_s
+        start = int(start_frac * n)
+        ref = np.exp(2j * np.pi * f * t_s * np.arange(n))
+        ramp = doppler_ramp(f, t_s, n, start)
+        assert ramp.shape == (n - start,)
+        np.testing.assert_allclose(ramp, ref[start:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(doppler_ramp(f, t_s, n, start, scale=-2.5),
+                                   -2.5 * ref[start:], rtol=0, atol=3e-12)
+
+
+def oracle_echo(tx, delay_samples, doppler_hz, amplitude, t_s, fractional):
+    """echo_component as it was before the factored ramp: a full-length
+    exponential over a zero-filled copy (fractional delays wrap)."""
+    n = len(tx)
+    if fractional:
+        freqs = np.fft.fftfreq(n)
+        out = np.fft.ifft(np.fft.fft(tx) * np.exp(-2j * np.pi * freqs * delay_samples))
+    else:
+        d = int(round(delay_samples))
+        out = np.zeros(n, dtype=complex)
+        if d < n:
+            out[d:] = tx[:n - d]
+    ramp = 2j * np.pi * doppler_hz * np.arange(n)
+    ramp *= t_s
+    out *= amplitude
+    out *= np.exp(ramp, out=ramp)
+    return out
+
+
+def oracle_synthesize(tx, targets, cc, cfg, rng=None):
+    """synthesize_rx as it was: zeros + SI, one echo copy per target, and
+    Generator.normal noise."""
+    ref_amp = max((t.amplitude for t in targets), default=1.0)
+    rx = np.zeros_like(tx)
+    if cc.si_enabled:
+        rx += 10 ** (cc.si_over_echo_db / 20) * ref_amp * tx
+    for t in targets:
+        delay, doppler = target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
+        rx += oracle_echo(tx, delay, doppler, t.amplitude, cfg.t_s,
+                          cc.fractional_delay)
+    if cc.noise_enabled:
+        sigma2 = ref_amp ** 2 * np.mean(np.abs(tx) ** 2) * 10 ** (-cc.echo_snr_db / 10)
+        rx.real += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
+        rx.imag += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
+    return rx
+
+
+class TestAgainstTheOracle:
+    TARGETS = [Target(0.0, 0.0), Target(50.0, 30.0),
+               Target(77.7, -410.0, amplitude=0.5), Target(120.3, 900.0, 2.0),
+               Target(233.1, -55.5, amplitude=0.1)]
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("si", [False, True])
+    @pytest.mark.parametrize("n_targets", [1, 2, 5])
+    def test_matches_the_old_loop(self, cfg_small, fractional, si, n_targets):
+        tx = _frame(cfg_small, k=8, seed=n_targets)
+        cc = ChannelConfig(si_enabled=si, noise_enabled=False,
+                           fractional_delay=fractional)
+        targets = self.TARGETS[:n_targets]
+        want = oracle_synthesize(tx, targets, cc, cfg_small)
+        got = synthesize_rx(tx, targets, cc, cfg_small)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for t in targets:
+            delay, doppler = target_to_delay_doppler(t, cfg_small.carrier_hz,
+                                                     cfg_small.t_s)
+            want = oracle_echo(tx, delay, doppler, t.amplitude, cfg_small.t_s,
+                               fractional)
+            got = echo_component(tx, delay, doppler, t.amplitude,
+                                 cfg_small.t_s, fractional)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_noise_is_byte_identical(self, cfg_small):
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(si_enabled=False, echo_snr_db=-7.0)
+        want = oracle_synthesize(tx, [], cc, cfg_small, substream(11, "noise"))
+        got = synthesize_rx(tx, [], cc, cfg_small, substream(11, "noise"))
+        assert got.tobytes() == want.tobytes()
+
+    def test_fig7_peak_memory(self):
+        # the old loop peaked at 3.55 frame sizes on this frame
+        scn = Scenario(scheme="fsi_tail", seed=1, targets=[
+            {"range_m": 100.0, "velocity_kmh": 100.0},
+            {"range_m": 900.0, "velocity_kmh": -100.0}])
+        cfg = scn.waveform_config()
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, scn.k)
+        tx = assemble_frame(cfg, sched, rng=substream(1, "payload"))
+        assert len(tx) == 163840
+        tracemalloc.start()
+        try:
+            synthesize_rx(tx, scn.target_list(), scn.channel_config(), cfg,
+                          rng=substream(1, "noise"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * tx.nbytes

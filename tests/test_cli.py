@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -406,6 +407,110 @@ class TestCalibrationCache:
         with np.load(path) as z:
             for k in ("p", "p_sol", "resolvable", "n_guard"):
                 np.testing.assert_array_equal(z[k], good[k])
+
+
+class TestPatternMemo:
+    """The last pattern loaded stays in memory while its file is unchanged."""
+
+    @pytest.fixture
+    def loads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        calls = []
+        real = np.load
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np, "load", counting)
+        return calls
+
+    @staticmethod
+    def _pattern(scn):
+        return cli.load_or_build_pattern(scn, cli.make_schedule(
+            scn.scheme_enum, scn.m_codes, scn.k, seed=scn.seed))
+
+    def test_second_warm_simulate_does_not_load(self, tmp_path, loads):
+        scn = Scenario(**TAIL_SMALL)
+        reports = []
+        for _ in range(3):   # cold build, first warm run, second warm run
+            run_simulate(scn, tmp_path / "out")
+            reports.append(json.loads(
+                (tmp_path / "out" / "report_fsi_tail.json").read_text()))
+        assert len(loads) == 1
+        assert reports[0]["detections"] == reports[2]["detections"]
+
+    def test_replaced_file_is_reloaded(self, tmp_path, loads):
+        scn = Scenario(**TAIL_SMALL)
+        self._pattern(scn)
+        pat = self._pattern(scn)
+        path = cli.pattern_path(scn)
+        tmp = path.with_suffix(".new.npz")
+        np.savez(tmp, **dict(vars(pat), p=2 * pat.p, validation_error=0.5))
+        os.replace(tmp, path)
+        again = self._pattern(scn)
+        assert len(loads) == 2
+        np.testing.assert_array_equal(again.p, 2 * pat.p)
+        assert again.validation_error == 0.5
+
+    def test_deleted_file_is_rebuilt_without_the_old_entry(self, tmp_path,
+                                                           loads, monkeypatch):
+        scn = Scenario(**TAIL_SMALL)
+        self._pattern(scn)
+        p = self._pattern(scn).p
+        first, old = p.copy(), weakref.ref(p)
+        del p
+        assert cli._pattern_memo is not None and old() is not None
+        cli.pattern_path(scn).unlink()
+        held = []
+        real = cli.receiver.build_pattern
+
+        def build(*args, **kwargs):
+            held.append((cli._pattern_memo, old()))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli.receiver, "build_pattern", build)
+        again = self._pattern(scn)
+        assert held == [(None, None)]   # nothing keeps the old arrays alive
+        assert cli.pattern_path(scn).is_file()
+        np.testing.assert_array_equal(again.p, first)
+
+    def test_truncated_file_is_rebuilt(self, tmp_path, loads):
+        scn = Scenario(**TAIL_SMALL)
+        self._pattern(scn)
+        pat = self._pattern(scn)
+        path = cli.pattern_path(scn)
+        with open(path, "r+b") as f:   # in place: same inode
+            f.truncate(1000)
+        again = self._pattern(scn)
+        np.testing.assert_array_equal(again.p, pat.p)
+        with np.load(path) as z:
+            np.testing.assert_array_equal(z["p"], pat.p)
+
+    def test_memoized_arrays_are_read_only(self, tmp_path, loads):
+        scn = Scenario(**TAIL_SMALL)
+        built = self._pattern(scn)
+        loaded = self._pattern(scn)
+        hit = self._pattern(scn)
+        assert len(loads) == 1
+        built.p[0, 0] = 1   # the caller's own
+        for pat in (loaded, hit):
+            for a in (pat.p, pat.p_sol, pat.resolvable):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1
+        hit.validation_error = 7.0   # the fields stay per call
+        assert self._pattern(scn).validation_error is None
+        assert len(loads) == 1
+
+    def test_calibrate_after_simulate_validates(self, tmp_path, loads, capsys):
+        scn = Scenario(**TAIL_SMALL)
+        run_simulate(scn, tmp_path / "out")
+        run_simulate(scn, tmp_path / "out")   # memoizes the unvalidated file
+        cli.run_calibrate(scn)
+        (line,) = [s for s in capsys.readouterr().out.splitlines()
+                   if s.startswith("validation error: ")]
+        assert float(line.split(": ")[1]) <= 1e-6
+        assert len(loads) == 1
+        assert self._pattern(scn).validation_error <= 1e-6
+        assert len(loads) == 2   # the stored, validated file
 
 
 class TestCliMain:

@@ -10,6 +10,7 @@ from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   process_sensing, quantize, si_filter, signed_bin,
                   slow_time_matched_filter, solve_windows, substream,
                   synthesize_rx, unitary_dft, validate_pattern)
+from jcas import receiver
 from jcas.channel import echo_component
 from jcas.receiver import COND_MAX, capture_windows, invert_cells, \
     pattern_cell_direct
@@ -373,6 +374,22 @@ class TestPattern:
                                rng=np.random.default_rng(5))
         assert err <= 1e-6
         assert pat.validation_error == err
+
+    def test_validation_assembles_the_frame_once(self, cfg_small, monkeypatch):
+        sched, pat = tail_setup(cfg_small)
+        frames = []
+
+        def counting(*args, **kwargs):
+            frames.append(assemble_frame(*args, **kwargs))
+            return frames[-1]
+        monkeypatch.setattr(receiver, "assemble_frame", counting)
+        validate_pattern(pat, cfg_small, sched, n_cells=3)
+        assert len(frames) == 1
+        # the shared frame is the one pattern_cell_direct builds on its own
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            pattern_cell_direct(cfg_small, sched, 5, -2, 1),
+            pattern_cell_direct(cfg_small, sched, 5, -2, 1, tx=frames[0]))
 
     def test_validation_rejects_a_nan_pattern(self, cfg_small):
         sched, pat = tail_setup(cfg_small)
