@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .util import SPEED_OF_LIGHT, check_db
 from .waveform import WaveformConfig
@@ -81,8 +82,11 @@ def _add_echo(rx: np.ndarray, tx: np.ndarray, delay_samples: float,
     if not delay_samples < n:   # beyond the frame: no echo in either mode
         return
     if fractional:
-        freqs = np.fft.fftfreq(n)
-        echo = np.fft.ifft(np.fft.fft(tx) * np.exp(-2j * np.pi * freqs * delay_samples))
+        # zero-padded past the delayed end, so nothing wraps to the front
+        size = scipy.fft.next_fast_len(n + math.ceil(delay_samples))
+        spec = scipy.fft.fft(tx, size)
+        spec *= np.exp(-2j * np.pi * scipy.fft.fftfreq(size) * delay_samples)
+        echo = scipy.fft.ifft(spec, overwrite_x=True)[:n]
         echo *= doppler_ramp(doppler_hz, t_s, n, scale=amplitude)
         rx += echo
         return
@@ -98,11 +102,14 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
                    fractional: bool = False) -> np.ndarray:
     """One delayed, Doppler-shifted copy of the transmit stream.
 
-    Integer delays shift linearly (leading gap zero-filled, tail dropped);
-    the optional fractional mode applies an exact frequency-domain phase
-    ramp over the whole frame, which wraps circularly within the frame.
-    In both modes a delay of the frame length or more gives no echo. The
-    Doppler ramp runs over the receive sample index (doppler_ramp).
+    Integer delays shift linearly (leading gap zero-filled, tail dropped).
+    The optional fractional mode applies an exact frequency-domain phase
+    ramp to the frame zero-padded to at least n + ceil(delay) samples and
+    keeps the first n, so it too shifts linearly: on an integer delay it
+    equals the integer mode, and the frame's end does not wrap into the
+    leading gap. In both modes a delay of the frame length or more gives
+    no echo. The Doppler ramp runs over the receive sample index
+    (doppler_ramp).
     """
     out = np.zeros(len(tx), dtype=complex)
     _add_echo(out, tx, delay_samples, doppler_hz, amplitude, t_s, fractional)

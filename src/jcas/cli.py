@@ -236,10 +236,19 @@ def read_rd_binary(path: Path) -> np.ndarray:
 
 CSV_BLOCK_CELLS = 16384   # cells formatted at a time; bounds the writer's memory
 _POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
+# the four ASCII digits of 0..9999 as the low bytes of a little-endian word
+_DIGITS4 = np.frombuffer(b"".join(b"%04d\0\0\0\0" % i for i in range(10000)),
+                         "<u8")
+# "e-16".."e+23", indexed by the exponent + 16
+_EXP4 = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-16, 24)), "<u4")
+# one 14-byte cell "d.ddddddde+XX," as leading digit, ".ddddddd" and "e+XX"
+_CELL = np.dtype({"names": ["d0", "mant", "exp"], "formats": ["u1", "<u8", "<u4"],
+                  "offsets": [0, 1, 9], "itemsize": 14})
 
 
 def _format_e7(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Write f"{v:.7e}" of each float64 v >= 0 in x into buf[:, :13].
+    """Write f"{v:.7e}" of each float64 v >= 0 in x into buf[:, :13], buf
+    a C-contiguous (len(x), 14) uint8 array.
 
     Returns the indices of the cells left unwritten, whose digits the
     vectorized rounding cannot vouch for: 10^(7-e) is not an exact double
@@ -254,25 +263,30 @@ def _format_e7(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     # 10^n. One too high, y lands just below 1e7 and rint makes it 1e7; one
     # too low, y is 1e8 and the carry below raises e. Both give
     # 1.0000000e(n), as the f-string does.
-    y = x * _POW10[np.clip(7 - e, 0, 22)]
+    y = x * _POW10.take(7 - e, mode="clip")   # 10^0..10^22
     frac = y - np.floor(y)
     slow = (np.abs(frac - 0.5) < 1e-6) | (e < -15) | (e > 7) | ~np.isfinite(x)
     m = np.rint(y, out=frac)
     carry = m >= 1e8   # 9.99999995 and up round to 1.0000000e(e+1)
     m[carry] = 1e7
     e[carry] += 1
-    m[slow] = 0   # their digits are not used; keep the cast defined
+    m[slow] = 0   # their digits are not used; keep the cast and lookups defined
+    e[slow] = 0
     m = m.astype(np.int32)
-    for j in range(8, 1, -1):   # last digit first; no (n, 8) digit array
-        np.add(m % 10, 48, out=buf[:, j], casting="unsafe")
-        m //= 10
-    np.add(m, 48, out=buf[:, 0], casting="unsafe")
-    buf[:, 1] = ord(".")
-    buf[:, 9] = ord("e")
-    buf[:, 10] = np.where(e < 0, ord("-"), ord("+"))
-    np.abs(e, out=e)
-    np.add(e // 10, 48, out=buf[:, 11], casting="unsafe")
-    np.add(e % 10, 48, out=buf[:, 12], casting="unsafe")
+    # the 8 digits as two 4-digit words: "DDDD" of the high half gives the
+    # leading digit and, shifted under ".", three more; the low half follows
+    hi = m // 10000
+    m -= 10000 * hi
+    head, tail = _DIGITS4.take(hi), _DIGITS4.take(m)
+    cell = buf.view(_CELL)[:, 0]
+    cell["d0"] = head
+    head &= 0xFFFFFF00
+    head |= ord(".")
+    tail <<= 32
+    head |= tail
+    cell["mant"] = head
+    e += 16
+    cell["exp"] = _EXP4.take(e)
     return np.flatnonzero(slow)
 
 
@@ -424,11 +438,9 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
 
     rd = receiver.process_sensing(rx, cfg, schedule,
                                   receiver.WindowKind.STANDARD, scn.n_guard)
-    if band:
-        rd = receiver.extract_band(rd, band)
     if scheme is Scheme.FSI_TAIL:
-        rd_shift = receiver.extract_band(receiver.process_sensing(
-            rx, cfg, schedule, receiver.WindowKind.SHIFTED, scn.n_guard), band)
+        rd_shift = receiver.process_sensing(
+            rx, cfg, schedule, receiver.WindowKind.SHIFTED, scn.n_guard)
         pat = load_or_build_pattern(scn, schedule)
         flagged_bins = pat.flagged_bins
         maps = {"std": rd.values, "shift": rd_shift.values}

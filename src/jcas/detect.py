@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import Target, target_to_delay_doppler
 from .receiver import RdMatrix
@@ -39,6 +39,44 @@ def check_peak_args(rel_threshold: float, max_peaks: int | None, guard: int) -> 
         raise ValueError("guard must be >= 0")
 
 
+PEAK_BLOCK_CELLS = 1 << 16   # neighborhood cells find_peaks gathers at a time
+
+
+def _neighborhood_max(power: np.ndarray, cells: np.ndarray, guard: int
+                      ) -> np.ndarray:
+    """Max of power over the (2*guard+1)^2 neighborhood of each (row, col)
+    in cells: rows clip at the edges, columns wrap.
+
+    A guard past the map's edges adds no cell: clipped rows repeat, and
+    2*guard+1 wrapped columns take in every column. The few cells of a
+    real map are gathered directly, a block at a time; when that would
+    cost more, two separable sliding-window passes cover the whole map.
+    """
+    n_rows, n_cols = power.shape
+    g_rows = min(guard, n_rows - 1)
+    row_offs = np.arange(-g_rows, g_rows + 1)
+    col_offs = np.arange(-guard, guard + 1) if 2 * guard + 1 < n_cols \
+        else np.arange(n_cols)
+    n_r, n_c = len(row_offs), len(col_offs)
+    if len(cells) * n_r * n_c > power.size * (n_r + n_c):
+        near = sliding_window_view(np.pad(power, ((g_rows, g_rows), (0, 0)),
+                                          mode="edge"), n_r, axis=0).max(axis=-1)
+        if n_c < n_cols:
+            near = sliding_window_view(np.pad(near, ((0, 0), (guard, guard)),
+                                              mode="wrap"), n_c, axis=1).max(axis=-1)
+        else:
+            near = near.max(axis=1, keepdims=True)
+        return near[cells[:, 0], cells[:, 1] % near.shape[1]]
+    out = np.empty(len(cells))
+    step = max(1, PEAK_BLOCK_CELLS // (n_r * n_c))
+    for i in range(0, len(cells), step):
+        d, c = cells[i:i + step].T
+        rows = np.clip(d[:, None] + row_offs, 0, n_rows - 1)
+        cols = (c[:, None] + col_offs) % n_cols
+        out[i:i + step] = power[rows[:, :, None], cols[:, None, :]].max(axis=(1, 2))
+    return out
+
+
 def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
                max_peaks: int | None = None, guard: int = 2
                ) -> list[Detection]:
@@ -56,10 +94,8 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     peak_max = power.max()
     if peak_max == 0:
         return []
-    size = 2 * guard + 1
-    local_max = power >= maximum_filter(power, size=size,
-                                        mode=("nearest", "wrap"))
-    hits = np.argwhere(local_max & (power >= rel_threshold * peak_max))
+    hits = np.argwhere(power >= rel_threshold * peak_max)
+    hits = hits[power[tuple(hits.T)] >= _neighborhood_max(power, hits, guard)]
     dets = []
     for d, c in hits:
         dets.append(Detection(

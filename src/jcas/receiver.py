@@ -41,7 +41,9 @@ class RdMatrix:
     ``values`` is (L or 2L range bins x n_doppler) complex. Doppler columns
     are in FFT order; column c sits at signed bin ``signed_bin(c, n_doppler)``.
     ``grid_size`` is the full slow-time grid length G, which fixes the
-    Doppler bin width 1/(G*T_chirp) even for band-restricted maps.
+    Doppler bin width 1/(G*T_chirp) even for band-restricted maps: the
+    K-column maps process_sensing gives periodic schedules, and the tail
+    solve's (2L, K) map.
     """
 
     values: np.ndarray
@@ -144,7 +146,13 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
 def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
                     kind: WindowKind = WindowKind.STANDARD,
                     n_guard: int = 1) -> RdMatrix:
-    """Full sensing chain from receive samples to range-Doppler map."""
+    """Full sensing chain from receive samples to range-Doppler map.
+
+    Random schemes give the full G-column map of slow_time_matched_filter.
+    Periodic ones (periodic_td, fsi_tail) give the K-column unambiguous
+    band directly, equal to extract_band of the full map: column c holds
+    signed bin signed_bin(c, K), and the bin width is still 1/(G T_chirp).
+    """
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
 
@@ -165,7 +173,17 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         beat = mix(slots, chirp)
         profiles = si_filter(beat, n_guard)
 
-    return slow_time_matched_filter(profiles, g, n_grid, cfg)
+    band = unambiguous_band(schedule, cfg)
+    if not band:
+        return slow_time_matched_filter(profiles, g, n_grid, cfg)
+    # periodic occasions g_k = kP + r with G = KP: the full map is the
+    # K-point inverse DFT tiled over the grid, times e^{j2pi r nu/G}, so
+    # the band's signed bins b come straight from it
+    if not np.array_equal(g, g[0] + n_grid // band * np.arange(band)):
+        raise ValueError("a banded scheme needs one occasion per period")
+    rd = scipy.fft.ifft(profiles.T, axis=1)
+    rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band))
+    return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
 
 def extract_band(rd: RdMatrix, band: int) -> RdMatrix:
@@ -330,7 +348,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     out = []
     for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
         rd = process_sensing(rx, cfg, schedule, kind, n_guard)
-        out.append(rd.values[d_bin, signed_bin % n_grid])
+        out.append(rd.values[d_bin, signed_bin % rd.n_doppler])
     return np.array(out)
 
 
@@ -374,11 +392,13 @@ def solve_windows(rd_std: RdMatrix, rd_shift: RdMatrix, pat: PatternTensor
         raise ValueError("window maps must have identical shapes")
     if rd_std.n_doppler != pat.band:
         raise ValueError("window maps must be restricted to the pattern band")
-    obs = np.stack([rd_std.values, rd_shift.values], axis=-1)
-    out = np.einsum('dcij,dcj->dci', pat.p_sol, obs)
-    out[~pat.resolvable] = 0
-    return RdMatrix(values=np.concatenate((out[..., 0], out[..., 1])),
-                    grid_size=rd_std.grid_size, cfg=rd_std.cfg)
+    l = rd_std.values.shape[0]
+    out = np.empty((2 * l, pat.band), dtype=complex)
+    # p_sol is zero in the rows of an unresolvable cell
+    for hyp, rows in enumerate((out[:l], out[l:])):
+        np.multiply(pat.p_sol[..., hyp, 0], rd_std.values, out=rows)
+        rows += pat.p_sol[..., hyp, 1] * rd_shift.values
+    return RdMatrix(values=out, grid_size=rd_std.grid_size, cfg=rd_std.cfg)
 
 
 def check_cleanup_radius(radius: int) -> None:

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter
 
-from jcas import Target, evaluate, find_peaks
+from jcas import Target, detect, evaluate, find_peaks
 from jcas.detect import truth_cell
 from jcas.receiver import RdMatrix
 from jcas.util import mps_to_kmh
@@ -64,6 +70,61 @@ class TestFindPeaks:
                       cfg=cfg)
         with pytest.raises(ValueError):
             find_peaks(rd)
+
+
+def peaks_oracle(rd, rel_threshold, max_peaks, guard):
+    """find_peaks as a full-map maximum filter: (cell, normalized power) of
+    each peak, strongest first."""
+    power = np.abs(rd.values) ** 2
+    peak_max = power.max()
+    if peak_max == 0:
+        return []
+    local_max = power >= maximum_filter(power, size=2 * guard + 1,
+                                        mode=("nearest", "wrap"))
+    hits = np.argwhere(local_max & (power >= rel_threshold * peak_max))
+    dets = sorted(((float(power[d, c] / peak_max), int(d),
+                    rd.signed_bin(int(c)), (int(d), int(c))) for d, c in hits),
+                  key=lambda p: (-p[0], p[1], p[2]))
+    return [(cell, p) for p, _, _, cell in dets][:max_peaks]
+
+
+# small integer levels give ties and flat stretches; a few large cells
+# give a strong peak and a sparse candidate set
+MAP_CELLS = st.one_of(st.integers(0, 3).map(float),
+                      st.sampled_from([0.0, 0.5, 1.0, 10.0]),
+                      st.floats(0, 1))
+
+
+class TestFindPeaksOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(values=arrays(float, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                         elements=MAP_CELLS),
+           rel_threshold=st.floats(0.001, 0.999),
+           max_peaks=st.one_of(st.none(), st.integers(1, 4)),
+           guard=st.integers(0, 12), block=st.sampled_from([1, 7, 1 << 16]))
+    @example(values=np.ones((3, 4)), rel_threshold=0.5, max_peaks=None,
+             guard=0, block=1 << 16)                       # flat map, no guard
+    @example(values=np.ones((1, 6)), rel_threshold=0.5, max_peaks=2,
+             guard=2, block=1 << 16)                       # 1 x N
+    @example(values=np.arange(5.0)[:, None], rel_threshold=0.01, max_peaks=None,
+             guard=9, block=1)                             # N x 1, guard > map
+    def test_matches_the_maximum_filter(self, cfg, values, rel_threshold,
+                                        max_peaks, guard, block):
+        rd = RdMatrix(values=values.astype(complex), grid_size=320, cfg=cfg)
+        with mock.patch.object(detect, "PEAK_BLOCK_CELLS", block):
+            got = find_peaks(rd, rel_threshold, max_peaks, guard)
+        assert [(d.cell, d.normalized_power) for d in got] == \
+            peaks_oracle(rd, rel_threshold, max_peaks, guard)
+
+    def test_dense_candidates_take_the_whole_map_pass(self, cfg, rng):
+        # a noise map at a low threshold: most cells pass, and the
+        # separable passes run instead of per-cell gathers
+        values = rng.normal(size=(64, 40)) + 1j * rng.normal(size=(64, 40))
+        rd = RdMatrix(values=values, grid_size=40, cfg=cfg)
+        for guard in (1, 2, 19, 20, 70):
+            got = find_peaks(rd, 0.01, None, guard)
+            assert [(d.cell, d.normalized_power) for d in got] == \
+                peaks_oracle(rd, 0.01, None, guard)
 
 
 def physical(cfg, cell, n_dop=320, n_rows=1):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -497,15 +499,37 @@ class TestSolveWindows:
                               np.zeros((sched.k, cfg_small.l_occ)), pat)
         assert np.all(solve_windows(zero, zero, pat).values == 0)
 
-    def test_unresolvable_cells_propagate_as_zeros(self, cfg_small):
+    def test_unresolvable_cells_propagate_as_zeros(self, cfg_small, rng):
         import copy
         sched, pat = tail_setup(cfg_small)
         pat = copy.deepcopy(pat)
-        pat.resolvable[25, 3] = False
-        ones = self._grid_map(cfg_small, sched, np.ones(
-            (sched.k, cfg_small.l_occ), dtype=complex), pat)
-        solved = solve_windows(ones, ones, pat).values
+        pat.p[25, 3] = [[1, 2], [2, 4]]   # rank 1
+        pat.resolvable, pat.p_sol = invert_cells(pat.p)
+        assert not pat.resolvable[25, 3]
+        shape = (sched.k, cfg_small.l_occ)
+        std, shift = (self._grid_map(cfg_small, sched, rng.normal(size=shape)
+                                     + 1j * rng.normal(size=shape), pat)
+                      for _ in range(2))
+        assert std.values[25, 3] != 0 and shift.values[25, 3] != 0
+        solved = solve_windows(std, shift, pat).values
         assert solved[25, 3] == 0 and solved[cfg_small.l_occ + 25, 3] == 0
+        assert np.all(solved[:cfg_small.l_occ][pat.resolvable] != 0)
+
+    def test_matches_the_einsum_form(self, cfg_small, rng):
+        sched, pat = tail_setup(cfg_small)
+        shape = (cfg_small.l_occ, pat.band)
+        std, shift = (receiver.RdMatrix(rng.normal(size=shape)
+                                        + 1j * rng.normal(size=shape),
+                                        grid_size(sched, cfg_small), cfg_small)
+                      for _ in range(2))
+        obs = np.stack([std.values, shift.values], axis=-1)
+        want = np.einsum('dcij,dcj->dci', pat.p_sol, obs)
+        want[~pat.resolvable] = 0
+        want = np.concatenate((want[..., 0], want[..., 1]))
+        got = solve_windows(std, shift, pat)
+        assert got.values.shape == want.shape
+        assert got.grid_size == std.grid_size
+        assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_full_width_maps_rejected(self, cfg_small):
         # the solve takes maps already restricted to the pattern band
@@ -607,6 +631,44 @@ class TestQuantize:
         assert abs(pk_after - clean_peak) < 0.05 * clean_peak
         # raw-stream quantization leaves the echo at or below the noise floor
         assert pk_before < 3 * floor_before
+
+
+class TestBandOnlyFilter:
+    """process_sensing's K-column map of a periodic schedule against the
+    band of the full G-column matched filter."""
+
+    @pytest.mark.parametrize("n_cp", [64, 128])   # 1 and 2 CP occasions
+    @pytest.mark.parametrize("scheme,kind", [
+        (Scheme.PERIODIC_TD, WindowKind.STANDARD),
+        (Scheme.FSI_TAIL, WindowKind.STANDARD),
+        (Scheme.FSI_TAIL, WindowKind.SHIFTED)])
+    def test_matches_the_band_of_the_full_map(self, n_cp, scheme, kind):
+        cfg = WaveformConfig(n_fft=256, m_codes=4, n_cp=n_cp, scs_hz=480e3)
+        assert cfg.cp_occasions == n_cp // 64
+        sched = make_schedule(scheme, cfg.m_codes, 16)
+        tx = assemble_frame(cfg, sched, rng=substream(70, "p"))
+        n_grid = grid_size(sched, cfg)
+        v = 3 / (n_grid * cfg.t_chirp) * cfg.wavelength_m / 2
+        rx = synthesize_rx(tx, [Target(20 * 3e8 * cfg.t_s / 2, v),
+                                Target(45 * 3e8 * cfg.t_s / 2, -2 * v, 0.5)],
+                           ChannelConfig(), cfg, rng=substream(70, "n"))
+        band = receiver.unambiguous_band(sched, cfg)
+        got = process_sensing(rx, cfg, sched, kind)
+        with mock.patch.object(receiver, "unambiguous_band", lambda s, c: None):
+            full = process_sensing(rx, cfg, sched, kind)
+        assert full.n_doppler == n_grid > band == sched.k
+        want = extract_band(full, band)
+        assert got.values.shape == want.values.shape
+        assert got.grid_size == want.grid_size == n_grid
+        assert np.max(np.abs(got.values - want.values)) \
+            <= 1e-12 * np.max(np.abs(want.values))
+
+    def test_aperiodic_occasions_rejected(self, cfg_small):
+        from jcas import Schedule
+        sched = Schedule(Scheme.PERIODIC_TD, 4, 4, slots=(0, 1, 8, 12))
+        rx = np.zeros(grid_size(sched, cfg_small) * cfg_small.l_occ, complex)
+        with pytest.raises(ValueError):
+            process_sensing(rx, cfg_small, sched)
 
 
 class TestExtractBand:
