@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .util import SPEED_OF_LIGHT, check_db
+from .util import SPEED_OF_LIGHT, check_db, next_fast_len
 from .waveform import WaveformConfig
 
 
@@ -83,10 +82,10 @@ def _add_echo(rx: np.ndarray, tx: np.ndarray, delay_samples: float,
         return
     if fractional:
         # zero-padded past the delayed end, so nothing wraps to the front
-        size = scipy.fft.next_fast_len(n + math.ceil(delay_samples))
-        spec = scipy.fft.fft(tx, size)
-        spec *= np.exp(-2j * np.pi * scipy.fft.fftfreq(size) * delay_samples)
-        echo = scipy.fft.ifft(spec, overwrite_x=True)[:n]
+        size = next_fast_len(n + math.ceil(delay_samples))
+        spec = np.fft.fft(tx, size)
+        spec *= np.exp(-2j * np.pi * np.fft.fftfreq(size) * delay_samples)
+        echo = np.fft.ifft(spec, out=spec)[:n]
         echo *= doppler_ramp(doppler_hz, t_s, n, scale=amplitude)
         rx += echo
         return

@@ -96,17 +96,16 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
         return []
     hits = np.argwhere(power >= rel_threshold * peak_max)
     hits = hits[power[tuple(hits.T)] >= _neighborhood_max(power, hits, guard)]
-    dets = []
-    for d, c in hits:
-        dets.append(Detection(
-            range_m=rd.range_m_of(int(d)),
-            velocity_kmh=mps_to_kmh(rd.velocity_mps_of(int(c))),
-            normalized_power=float(power[d, c] / peak_max),
-            cell=(int(d), int(c)),
-            range_bin=int(d),
-            doppler_bin=rd.signed_bin(int(c))))
-    dets.sort(key=lambda p: (-p.normalized_power, p.range_bin, p.doppler_bin))
-    return dets[:max_peaks] if max_peaks is not None else dets
+    d, c = hits.T
+    norm = power[d, c] / peak_max
+    bins = rd.signed_bin(c)
+    order = np.lexsort((bins, d, -norm))[:max_peaks]
+    d, c, norm, bins = d[order], c[order], norm[order], bins[order]
+    fields = (rd.range_m_of(d), mps_to_kmh(rd.velocity_mps_of(c)), norm, d, c,
+              bins)
+    return [Detection(range_m=r, velocity_kmh=v, normalized_power=p,
+                      cell=(di, ci), range_bin=di, doppler_bin=b)
+            for r, v, p, di, ci, b in zip(*(a.tolist() for a in fields))]
 
 
 def truth_cell(t: Target, cfg: WaveformConfig, n_grid: int

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
+from .util import next_fast_len
 from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
     transmit_constants, unitary_dft
 
@@ -54,6 +54,7 @@ class RdMatrix:
     def n_doppler(self) -> int:
         return self.values.shape[1]
 
+    # the axis methods take an int or an int array (elementwise)
     def signed_bin(self, col: int) -> int:
         return signed_bin(col, self.n_doppler)
 
@@ -122,7 +123,7 @@ def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
         raise ValueError("one profile per scheduled occasion required")
     filled = np.zeros((profiles.shape[1], n_grid), dtype=complex)
     filled[:, g] = profiles.T
-    rd = scipy.fft.ifft(filled, axis=1, overwrite_x=True)
+    rd = np.fft.ifft(filled, axis=1, out=filled)
     rd *= n_grid / len(g)
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
@@ -181,7 +182,7 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
     # the band's signed bins b come straight from it
     if not np.array_equal(g, g[0] + n_grid // band * np.arange(band)):
         raise ValueError("a banded scheme needs one occasion per period")
-    rd = scipy.fft.ifft(profiles.T, axis=1)
+    rd = np.fft.ifft(profiles.T, axis=1)
     rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band))
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
@@ -298,7 +299,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     lag_chirp = np.exp(1j * np.pi * lag * lag / l)
     d = np.arange(l)
     out_chirp = np.exp(-1j * np.pi * d * d / l) / np.sqrt(l)
-    size = scipy.fft.next_fast_len(n + l - 1)
+    size = next_fast_len(n + l - 1)
 
     p = np.zeros((l, band, 2, 2), dtype=complex)
     for wi, kind in enumerate((WindowKind.STANDARD, WindowKind.SHIFTED)):
@@ -308,12 +309,12 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
         phase = steer * np.exp(-2j * np.pi * cfg.t_s * np.outer(offs, f_b))
         z = np.empty((2, 3, band, l), dtype=complex)   # (hyp, symbol, col, d)
         for k in range(3):
-            ref_f = scipy.fft.fft(refs[k] * ref_twist, size)
+            ref_f = np.fft.fft(refs[k] * ref_twist, size)
             for hyp in (0, 1):
                 lo = offs[k] + (1 - hyp) * l
                 b = probe[lo:lo + len(lag)] * lag_chirp
-                conv = scipy.fft.ifft(ref_f * scipy.fft.fft(b[::-1], size),
-                                      overwrite_x=True)
+                conv = ref_f * np.fft.fft(b[::-1], size)
+                np.fft.ifft(conv, out=conv)
                 z[hyp, k] = phase[k, :, None] * out_chirp * conv[:, n - 1:n - 1 + l]
         interior_dev = np.max(np.abs(z[:, 1] - z[:, 2]), axis=-1)
         scale = np.maximum(np.max(np.abs(z[:, 1]), axis=-1), 1e-30)

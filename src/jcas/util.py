@@ -1,4 +1,5 @@
-"""Small shared helpers: named random substreams and physical constants."""
+"""Small shared helpers: named random substreams, physical constants and
+FFT sizes."""
 
 import hashlib
 
@@ -23,6 +24,21 @@ def check_db(db: float, name: str) -> None:
     """Reject a dB level whose power ratio 10^(|db|/10) would pass 1e300."""
     if not abs(db) <= 3000:
         raise ValueError(f"{name} must be within +-3000 dB")
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n (at least 1): a length numpy's
+    pocketfft transforms fast, as scipy.fft.next_fast_len gives for
+    complex input."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def kmh_to_mps(v_kmh: float) -> float:

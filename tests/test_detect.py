@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter
 
-from jcas import Target, detect, evaluate, find_peaks
-from jcas.detect import truth_cell
+from jcas import Target, cli, detect, evaluate, find_peaks
+from jcas.detect import Detection, truth_cell
 from jcas.receiver import RdMatrix
 from jcas.util import mps_to_kmh
 
@@ -72,9 +72,9 @@ class TestFindPeaks:
             find_peaks(rd)
 
 
-def peaks_oracle(rd, rel_threshold, max_peaks, guard):
-    """find_peaks as a full-map maximum filter: (cell, normalized power) of
-    each peak, strongest first."""
+def peaks_oracle(rd, rel_threshold=0.05, max_peaks=None, guard=2):
+    """find_peaks as a full-map maximum filter and one Detection per peak,
+    read off RdMatrix's axis methods, strongest first."""
     power = np.abs(rd.values) ** 2
     peak_max = power.max()
     if peak_max == 0:
@@ -82,10 +82,14 @@ def peaks_oracle(rd, rel_threshold, max_peaks, guard):
     local_max = power >= maximum_filter(power, size=2 * guard + 1,
                                         mode=("nearest", "wrap"))
     hits = np.argwhere(local_max & (power >= rel_threshold * peak_max))
-    dets = sorted(((float(power[d, c] / peak_max), int(d),
-                    rd.signed_bin(int(c)), (int(d), int(c))) for d, c in hits),
-                  key=lambda p: (-p[0], p[1], p[2]))
-    return [(cell, p) for p, _, _, cell in dets][:max_peaks]
+    dets = [Detection(range_m=rd.range_m_of(int(d)),
+                      velocity_kmh=mps_to_kmh(rd.velocity_mps_of(int(c))),
+                      normalized_power=float(power[d, c] / peak_max),
+                      cell=(int(d), int(c)), range_bin=int(d),
+                      doppler_bin=rd.signed_bin(int(c)))
+            for d, c in hits]
+    dets.sort(key=lambda p: (-p.normalized_power, p.range_bin, p.doppler_bin))
+    return dets[:max_peaks]
 
 
 # small integer levels give ties and flat stretches; a few large cells
@@ -113,8 +117,7 @@ class TestFindPeaksOracle:
         rd = RdMatrix(values=values.astype(complex), grid_size=320, cfg=cfg)
         with mock.patch.object(detect, "PEAK_BLOCK_CELLS", block):
             got = find_peaks(rd, rel_threshold, max_peaks, guard)
-        assert [(d.cell, d.normalized_power) for d in got] == \
-            peaks_oracle(rd, rel_threshold, max_peaks, guard)
+        assert got == peaks_oracle(rd, rel_threshold, max_peaks, guard)
 
     def test_dense_candidates_take_the_whole_map_pass(self, cfg, rng):
         # a noise map at a low threshold: most cells pass, and the
@@ -123,8 +126,35 @@ class TestFindPeaksOracle:
         rd = RdMatrix(values=values, grid_size=40, cfg=cfg)
         for guard in (1, 2, 19, 20, 70):
             got = find_peaks(rd, 0.01, None, guard)
-            assert [(d.cell, d.normalized_power) for d in got] == \
-                peaks_oracle(rd, 0.01, None, guard)
+            assert got == peaks_oracle(rd, 0.01, None, guard)
+
+    @pytest.mark.parametrize("shape", [(512, 320),    # a full map
+                                       (1024, 64)])   # the tail solve's band map
+    def test_noise_only_maps(self, cfg, shape):
+        # thousands of local maxima, each with its own range and velocity
+        rng = np.random.default_rng(2026)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rd = RdMatrix(values=values, grid_size=320, cfg=cfg)
+        want = peaks_oracle(rd)
+        assert len(want) > 1000
+        assert find_peaks(rd) == want
+        assert find_peaks(rd, max_peaks=3) == want[:3]
+
+    def test_preset_maps(self, tmp_path):
+        # every map the presets detect on, at the presets' own arguments
+        calls = []
+        real = detect.find_peaks
+
+        def spy(rd, *args):
+            calls.append((rd, args))
+            return real(rd, *args)
+
+        with mock.patch.object(detect, "find_peaks", spy):
+            for name in ("fig6", "fig7", "fig7_offgrid"):
+                cli.run_preset(name, tmp_path)
+        assert len(calls) == 4 + 1 + 3
+        for rd, args in calls:
+            assert real(rd, *args) == peaks_oracle(rd, *args)
 
 
 def physical(cfg, cell, n_dop=320, n_rows=1):
