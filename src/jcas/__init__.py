@@ -13,7 +13,7 @@ from .detect import Detection, EvalReport, evaluate, find_peaks
 from .receiver import PatternTensor, RdMatrix, WindowKind, build_pattern, \
     delay_and_sum, extract_band, mix, peak_cleanup, process_sensing, \
     quantize, si_filter, signed_bin, slow_time_matched_filter, \
-    solve_windows, validate_pattern
+    receive_tail, solve_windows, validate_pattern
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     occasion_grid_indices, unambiguous_band
 from .util import SPEED_OF_LIGHT, substream

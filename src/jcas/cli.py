@@ -1,4 +1,4 @@
-"""Scenario configuration, experiment orchestration, and artifact output.
+"""Scenario configuration, experiment orchestration and the command line.
 
 Verbs:
     simulate <scenario.json>   run one scenario, write RD artifacts + report
@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import ctypes
 import hashlib
 import json
 import math
 import numbers
 import os
-import struct
 import sys
 import tempfile
 import time
@@ -32,6 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import comms, detect, receiver
+# perfbench wraps these by their names in this module, the reader included
+from .artifacts import read_rd_binary, write_rd_binary, write_rd_csv
 from .channel import ChannelConfig, Target, synthesize_rx, \
     target_to_delay_doppler
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
@@ -66,9 +66,6 @@ def _retain_freed_heap() -> None:
 
 
 _retain_freed_heap()
-
-MAGIC = b"RDMX"
-FORMAT_VERSION = 1
 
 
 class ScenarioError(ValueError):
@@ -134,9 +131,11 @@ class Scenario:
                 c and c in self.tag for c in ("/", os.sep, os.altsep, "\0")):
             raise ScenarioError(f"tag must be a plain file name, not {self.tag!r}")
         for t in self.targets:
-            if not isinstance(t, dict) or "range_m" not in t \
-                    or "velocity_kmh" not in t:
+            if not isinstance(t, dict) or not {"range_m", "velocity_kmh"} <= t.keys():
                 raise ScenarioError("each target needs range_m and velocity_kmh")
+            unknown = t.keys() - {"range_m", "velocity_kmh", "amplitude"}
+            if unknown:
+                raise ScenarioError(f"unknown target keys: {sorted(unknown, key=str)}")
         try:
             cfg = self.waveform_config()
             for t in self.target_list():
@@ -154,8 +153,7 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         if not isinstance(d, dict):
             raise ScenarioError("a scenario must be a JSON object")
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(d) - allowed
+        unknown = d.keys() - cls.__dataclass_fields__.keys()
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**d)
@@ -189,132 +187,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, ValueError) as e:   # ValueError: malformed JSON or text
         raise ScenarioError(f"cannot read {path}: {e}")
     return Scenario.from_dict(d)
-
-
-# ---------------------------------------------------------------------------
-# artifact IO
-# ---------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def _rewrite(path: Path):
-    """Open ``path`` for binary writing over its old bytes, not truncating first.
-
-    The file is cut to what was written when the block exits, so a finished
-    file holds exactly the new bytes. Truncating to zero and writing again
-    would free the old blocks and, on ext4, force the new ones to disk at
-    close; rewriting in place leaves the same-sized artifacts of repeated
-    runs in the page cache for the usual writeback.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with os.fdopen(fd, "wb") as f:
-        try:
-            yield f
-        finally:
-            f.truncate()
-
-
-def write_rd_binary(path: Path, values: np.ndarray) -> None:
-    """RDMX format of a (rows, cols) map: magic, u16 version, u32 rows,
-    u32 cols, row-major little-endian complex float64."""
-    rows, cols = values.shape
-    with _rewrite(path) as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<HII", FORMAT_VERSION, rows, cols))
-        f.write(np.ascontiguousarray(values, dtype="<c16"))
-
-
-def read_rd_binary(path: Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError("not an RDMX file")
-        version, rows, cols = struct.unpack("<HII", f.read(10))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported RDMX version {version}")
-        data = np.frombuffer(f.read(), dtype="<c16")
-    return data.reshape(rows, cols)
-
-
-CSV_BLOCK_CELLS = 16384   # cells formatted at a time; bounds the writer's memory
-_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
-# the four ASCII digits of 0..9999 as the low bytes of a little-endian word
-_DIGITS4 = np.frombuffer(b"".join(b"%04d\0\0\0\0" % i for i in range(10000)),
-                         "<u8")
-# "e-16".."e+23", indexed by the exponent + 16
-_EXP4 = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-16, 24)), "<u4")
-# one 14-byte cell "d.ddddddde+XX," as leading digit, ".ddddddd" and "e+XX"
-_CELL = np.dtype({"names": ["d0", "mant", "exp"], "formats": ["u1", "<u8", "<u4"],
-                  "offsets": [0, 1, 9], "itemsize": 14})
-
-
-def _format_e7(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Write f"{v:.7e}" of each float64 v >= 0 in x into buf[:, :13], buf
-    a C-contiguous (len(x), 14) uint8 array.
-
-    Returns the indices of the cells left unwritten, whose digits the
-    vectorized rounding cannot vouch for: 10^(7-e) is not an exact double
-    (this takes in every three-digit exponent), the scaled value lies
-    within 1e-6 of a rounding tie, or v is not finite.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(x))
-    e[~np.isfinite(e)] = 0   # a zero cell then reads 0.0000000e+00
-    e = e.astype(np.int32)
-    # floor(log10 x) is one off only within a few ulps of a power of ten
-    # 10^n. One too high, y lands just below 1e7 and rint makes it 1e7; one
-    # too low, y is 1e8 and the carry below raises e. Both give
-    # 1.0000000e(n), as the f-string does.
-    y = x * _POW10.take(7 - e, mode="clip")   # 10^0..10^22
-    frac = y - np.floor(y)
-    slow = (np.abs(frac - 0.5) < 1e-6) | (e < -15) | (e > 7) | ~np.isfinite(x)
-    m = np.rint(y, out=frac)
-    carry = m >= 1e8   # 9.99999995 and up round to 1.0000000e(e+1)
-    m[carry] = 1e7
-    e[carry] += 1
-    m[slow] = 0   # their digits are not used; keep the cast and lookups defined
-    e[slow] = 0
-    m = m.astype(np.int32)
-    # the 8 digits as two 4-digit words: "DDDD" of the high half gives the
-    # leading digit and, shifted under ".", three more; the low half follows
-    hi = m // 10000
-    m -= 10000 * hi
-    head, tail = _DIGITS4.take(hi), _DIGITS4.take(m)
-    cell = buf.view(_CELL)[:, 0]
-    cell["d0"] = head
-    head &= 0xFFFFFF00
-    head |= ord(".")
-    tail <<= 32
-    head |= tail
-    cell["mant"] = head
-    e += 16
-    cell["exp"] = _EXP4.take(e)
-    return np.flatnonzero(slow)
-
-
-def write_rd_csv(path: Path, values: np.ndarray) -> None:
-    """Normalized magnitude, one row of the (rows, cols) map per line.
-
-    Each cell is f"{v:.7e}"; cells are joined by "," and each line ends in
-    "\\n". The map is formatted a block of rows at a time.
-    """
-    mag = np.abs(values, dtype=np.float64)
-    peak = mag.max()
-    if peak > 0:
-        mag /= peak
-    rows, cols = mag.shape
-    step = max(1, CSV_BLOCK_CELLS // cols)
-    with _rewrite(path) as f:
-        for r in range(0, rows, step):
-            block = mag[r:r + step]
-            buf = np.empty(block.shape + (14,), np.uint8)
-            buf[:, :, 13] = ord(",")
-            buf[:, -1, 13] = ord("\n")
-            x, buf = block.ravel(), buf.reshape(-1, 14)
-            done = 0
-            for i in _format_e7(x, buf):
-                f.write(buf[done:i])
-                f.write(f"{x[i]:.7e}".encode() + buf[i, 13].tobytes())
-                done = i + 1
-            f.write(buf[done:])
 
 
 def pattern_cache_key(scn: Scenario) -> str:
@@ -436,26 +308,22 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     band = unambiguous_band(schedule, cfg)
     flagged_bins = 0
 
-    rd = receiver.process_sensing(rx, cfg, schedule,
-                                  receiver.WindowKind.STANDARD, scn.n_guard)
     if scheme is Scheme.FSI_TAIL:
-        rd_shift = receiver.process_sensing(
-            rx, cfg, schedule, receiver.WindowKind.SHIFTED, scn.n_guard)
         pat = load_or_build_pattern(scn, schedule)
         flagged_bins = pat.flagged_bins
-        maps = {"std": rd.values, "shift": rd_shift.values}
-        if scn.peak_cleanup:
-            rd, rd_shift = [receiver.peak_cleanup(
-                m, [d.cell for d in detect.find_peaks(
-                    m, scn.rel_threshold, scn.max_peaks, scn.guard)],
-                scn.cleanup_radius) for m in (rd, rd_shift)]
+        std, shift, rd = receiver.receive_tail(
+            rx, cfg, schedule, pat, scn.n_guard,
+            scn.cleanup_radius if scn.peak_cleanup else None,
+            scn.rel_threshold, scn.max_peaks, scn.guard)
         # near and far rows share one extended range axis, so detection
         # on it gives both a single normalization
-        rd = receiver.solve_windows(rd, rd_shift, pat)
-        maps.update(near=rd.values[:cfg.l_occ], far=rd.values[cfg.l_occ:],
-                    combined=rd.values)
+        maps = {"std": std.values, "shift": shift.values,
+                "near": rd.values[:cfg.l_occ], "far": rd.values[cfg.l_occ:],
+                "combined": rd.values}
         name = "combined"
     else:
+        rd = receiver.process_sensing(rx, cfg, schedule,
+                                      receiver.WindowKind.STANDARD, scn.n_guard)
         name = "single"
         maps = {name: rd.values}
 

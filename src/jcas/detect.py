@@ -155,19 +155,17 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
             dd = abs(det.range_bin - td)
             dv = _circ_dist(det.doppler_bin % n_grid, tv % n_grid, n_grid)
             if dd <= tol_d and dv <= tol_v:
-                cost = (dd + dv, dd)
+                cost = (dd + dv, dd, dv)   # dv follows from the first two: same order
                 if best_cost is None or cost < best_cost:
                     best, best_cost = i, cost
         if best is None:
             report.false_alarms.append(det)
         else:
             taken[best] = True
-            td, tv = cells[best]
             report.matched.append({
                 "truth_index": best, "detection": det.to_dict(),
-                "range_bin_error": det.range_bin - td,
-                "doppler_bin_error": _circ_dist(det.doppler_bin % n_grid,
-                                                tv % n_grid, n_grid)})
+                "range_bin_error": det.range_bin - cells[best][0],
+                "doppler_bin_error": best_cost[2]})
     report.misses = [i for i, t in enumerate(taken) if not t]
 
     if rd is not None and report.matched:

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
-from .util import next_fast_len
+from .util import SPEED_OF_LIGHT, next_fast_len
 from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
     transmit_constants, unitary_dft
 
@@ -59,7 +59,6 @@ class RdMatrix:
         return signed_bin(col, self.n_doppler)
 
     def range_m_of(self, d: int) -> float:
-        from .util import SPEED_OF_LIGHT
         return d * SPEED_OF_LIGHT * self.cfg.t_s / 2
 
     def velocity_mps_of(self, col: int) -> float:
@@ -424,6 +423,23 @@ def peak_cleanup(rd: RdMatrix, cells, radius: int = 2) -> RdMatrix:
         vals[lo:hi, cols] = 0
         vals[d0, c0] = keep
     return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
+
+
+def receive_tail(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
+                 pat: PatternTensor, n_guard: int = 1, cleanup_radius: int | None = None,
+                 rel_threshold: float = 0.05, max_peaks: int | None = None,
+                 guard: int = 2) -> tuple[RdMatrix, RdMatrix, RdMatrix]:
+    """Both tail-mode window maps, as captured, and their 2x2 solve: (std,
+    shift, solved). With a cleanup_radius, the solve takes each window map
+    cleaned around its own find_peaks cells."""
+    from . import detect   # detect imports this module
+    std, shift = (process_sensing(rx, cfg, schedule, kind, n_guard)
+                  for kind in (WindowKind.STANDARD, WindowKind.SHIFTED))
+    if cleanup_radius is None:
+        return std, shift, solve_windows(std, shift, pat)
+    cleaned = [peak_cleanup(m, [d.cell for d in detect.find_peaks(
+        m, rel_threshold, max_peaks, guard)], cleanup_radius) for m in (std, shift)]
+    return std, shift, solve_windows(*cleaned, pat)
 
 
 def quantize(v: np.ndarray, bits: int, full_scale: float) -> np.ndarray:

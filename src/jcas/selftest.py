@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelConfig, Target, synthesize_rx
-from .receiver import WindowKind, process_sensing
+from .channel import ChannelConfig, Target, echo_component, synthesize_rx
+from .receiver import WindowKind, build_pattern, process_sensing, \
+    slow_time_matched_filter, validate_pattern
 from .scheduler import Scheme, grid_size, make_schedule, occasion_grid_indices
 from .util import substream
 from .waveform import WaveformConfig, assemble_frame, make_base_set, \
@@ -118,7 +119,6 @@ def check_occasion_grids():
 
 
 def check_matched_filter_equivalence():
-    from .receiver import slow_time_matched_filter
     rng = np.random.default_rng(4)
     cfg = SMALL
     k, n_grid, l = 12, 40, cfg.l_occ
@@ -141,7 +141,6 @@ def check_grid_exactness():
     n_grid = grid_size(sched, cfg)
     d, nu = 10, 5
     f_d = nu / (n_grid * cfg.t_chirp)
-    from .channel import echo_component
     rx = echo_component(tx, d, f_d, 1.0, cfg.t_s)
     rd = process_sensing(rx, cfg, sched)
     cell = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
@@ -165,14 +164,13 @@ def check_determinism():
 
 
 def check_pattern_calibration():
-    from .receiver import build_pattern, validate_pattern
     sched = make_schedule(Scheme.FSI_TAIL, SMALL.m_codes, 6)
     pat = build_pattern(SMALL, sched)
     validate_pattern(pat, SMALL, sched, n_cells=4, tol=1e-9)
 
 
 def all_checks(inject_fault: str | None = None):
-    checks = [
+    return [
         ("dft-unitarity", check_dft_unitarity),
         ("code-unitarity", lambda: check_code_unitarity(
             corrupt=(inject_fault == "code-unitarity"))),
@@ -187,4 +185,3 @@ def all_checks(inject_fault: str | None = None):
         ("determinism", check_determinism),
         ("pattern-calibration", check_pattern_calibration),
     ]
-    return checks

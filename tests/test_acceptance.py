@@ -9,16 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
-                  assemble_frame, build_pattern, extract_band, find_peaks,
-                  make_base_set, make_chirp, make_code_matrix, make_schedule,
-                  make_sensing_waveforms, process_sensing, run_link,
-                  solve_windows, substream, synthesize_rx, unitary_dft)
+from jcas import (ChannelConfig, Scheme, Target, WaveformConfig,
+                  assemble_frame, build_pattern, find_peaks, make_base_set,
+                  make_chirp, make_code_matrix, make_schedule,
+                  make_sensing_waveforms, process_sensing, receive_tail,
+                  run_link, substream, synthesize_rx, unitary_dft)
 from jcas.channel import echo_component
 from jcas.cli import (FIG6_TARGETS, FIG7_OFFGRID_TARGETS, FIG7_TARGETS,
                       Scenario, run_preset, run_simulate)
 from jcas.comms import despread, qpsk_ber_awgn
-from jcas.scheduler import unambiguous_band
 from jcas.util import kmh_to_mps
 
 SEED = 2026
@@ -227,7 +226,6 @@ def fig7_setup():
     sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 64)
     t0 = time.perf_counter()
     pat = build_pattern(cfg, sched)
-    band = unambiguous_band(sched, cfg)
 
     def run(targets, cleanup):
         tx = assemble_frame(cfg, sched, rng=substream(SEED, "c5/payload"))
@@ -235,16 +233,8 @@ def fig7_setup():
               for t in targets]
         rx = synthesize_rx(tx, tl, ChannelConfig(), cfg,
                            rng=substream(SEED, "c5/noise"))
-        rd_s = process_sensing(rx, cfg, sched, WindowKind.STANDARD)
-        rd_h = process_sensing(rx, cfg, sched, WindowKind.SHIFTED)
-        std_b, shf_b = extract_band(rd_s, band), extract_band(rd_h, band)
-        if cleanup:
-            from jcas import peak_cleanup
-            solve_std = peak_cleanup(std_b, [d.cell for d in find_peaks(std_b)])
-            solve_shf = peak_cleanup(shf_b, [d.cell for d in find_peaks(shf_b)])
-        else:
-            solve_std, solve_shf = std_b, shf_b
-        return std_b, shf_b, solve_windows(solve_std, solve_shf, pat)
+        return receive_tail(rx, cfg, sched, pat,
+                            cleanup_radius=2 if cleanup else None)
 
     return {"cfg": cfg, "run": run, "t0": t0}
 

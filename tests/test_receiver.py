@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   assemble_frame, build_pattern, delay_and_sum, extract_band,
-                  find_peaks, make_base_set, make_chirp, make_code_matrix,
-                  make_schedule, make_sensing_waveforms, mix, peak_cleanup,
-                  process_sensing, quantize, si_filter, signed_bin,
-                  slow_time_matched_filter, solve_windows, substream,
-                  synthesize_rx, unitary_dft, validate_pattern)
+                  find_peaks, make_chirp, make_schedule, mix, peak_cleanup,
+                  process_sensing, quantize, receive_tail, si_filter,
+                  signed_bin, slow_time_matched_filter, solve_windows,
+                  spread_and_assemble, substream, synthesize_rx,
+                  transmit_constants, unitary_dft, unitary_idft,
+                  validate_pattern)
 from jcas import receiver
 from jcas.channel import echo_component
 from jcas.receiver import COND_MAX, capture_windows, invert_cells, \
@@ -22,18 +23,9 @@ ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
 NO_NOISE = ChannelConfig(noise_enabled=False)
 
 
-def waves_for(cfg):
-    chirp = make_chirp(cfg)
-    codes = make_code_matrix(cfg.m_codes)
-    return chirp, codes, make_sensing_waveforms(make_base_set(cfg, chirp), codes)
-
-
-def sensing_symbol(cfg, m, data=None, rng=None):
-    """Time-domain body b_m + optional data part."""
-    from jcas import spread_and_assemble, unitary_idft
-    chirp, codes, _ = waves_for(cfg)
-    if data is None:
-        data = np.zeros((cfg.m_codes - 1, cfg.l_occ), dtype=complex)
+def sensing_symbol(cfg, m, data):
+    """Time-domain body b_m plus the data part."""
+    chirp, codes, _ = transmit_constants(cfg)
     return unitary_idft(spread_and_assemble(cfg, m, unitary_dft(chirp), data, codes))
 
 
@@ -54,7 +46,7 @@ class TestMix:
         # direct expansion oracle: beat(b_m, b_m + data) is the chirp
         # self-term plus the data cross-term
         cfg = cfg_small
-        _, _, waves = waves_for(cfg)
+        _, _, waves = transmit_constants(cfg)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
         sym = sensing_symbol(cfg, 1, data)
         data_part = sym - waves[1]
@@ -71,7 +63,7 @@ class TestDelayAndSum:
     def test_chirp_si_folds_to_constant(self, cfg_small):
         # the sensing self-term folds to a constant: only same-code products survive
         cfg = cfg_small
-        _, _, waves = waves_for(cfg)
+        _, _, waves = transmit_constants(cfg)
         for m in range(cfg.m_codes):
             y = delay_and_sum(waves[m] * np.conj(waves[m]), cfg.m_codes)
             np.testing.assert_allclose(y, cfg.m_codes * np.ones(cfg.l_occ),
@@ -79,7 +71,7 @@ class TestDelayAndSum:
 
     def test_data_si_cross_term_cancels(self, cfg_small, rng):
         cfg = cfg_small
-        _, _, waves = waves_for(cfg)
+        _, _, waves = transmit_constants(cfg)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
         sym = sensing_symbol(cfg, 2, data)
         data_part = sym - waves[2]
@@ -255,7 +247,7 @@ class TestProcessSensing:
         # reference: rho_k * b_{(alpha_k + shift) mod M}, one symbol at a time
         from jcas.receiver import _fsi_references
         cfg, m = cfg_small, cfg_small.m_codes
-        _, _, waves = waves_for(cfg)
+        _, _, waves = transmit_constants(cfg)
         for scheme in (Scheme.FSI_RANDOM, Scheme.FSI_TAIL):
             sched = make_schedule(scheme, m, 6, rng=substream(12, "s"))
             for kind, shift in ((WindowKind.STANDARD, 0),
@@ -456,11 +448,10 @@ class TestPattern:
 
 
 class TestSolveWindows:
-    def _maps(self, cfg, sched, targets, pat):
+    def _solved(self, cfg, sched, targets, pat):
         tx = assemble_frame(cfg, sched, rng=substream(30, "p"))
         rx = synthesize_rx(tx, targets, ECHO_ONLY, cfg)
-        return [extract_band(process_sensing(rx, cfg, sched, kind), pat.band)
-                for kind in (WindowKind.STANDARD, WindowKind.SHIFTED)]
+        return receive_tail(rx, cfg, sched, pat)[2]
 
     def _grid_map(self, cfg, sched, profiles, pat):
         return extract_band(slow_time_matched_filter(
@@ -473,8 +464,7 @@ class TestSolveWindows:
         d0, nu0 = 20, 2
         r_m = d0 * 3e8 * cfg_small.t_s / 2
         v = nu0 / (n_grid * cfg_small.t_chirp) * cfg_small.wavelength_m / 2
-        rd_s, rd_h = self._maps(cfg_small, sched, [Target(r_m, v)], pat)
-        solved = solve_windows(rd_s, rd_h, pat).values
+        solved = self._solved(cfg_small, sched, [Target(r_m, v)], pat).values
         assert solved.shape == (2 * cfg_small.l_occ, pat.band)
         near, far = solved[:cfg_small.l_occ], solved[cfg_small.l_occ:]
         cell = (d0, nu0 % pat.band)
@@ -488,8 +478,7 @@ class TestSolveWindows:
         delta = d0 + cfg_small.l_occ
         r_m = delta * 3e8 * cfg_small.t_s / 2
         v = nu0 / (n_grid * cfg_small.t_chirp) * cfg_small.wavelength_m / 2
-        rd_s, rd_h = self._maps(cfg_small, sched, [Target(r_m, v)], pat)
-        dets = find_peaks(solve_windows(rd_s, rd_h, pat), rel_threshold=0.05)
+        dets = find_peaks(self._solved(cfg_small, sched, [Target(r_m, v)], pat))
         assert dets[0].range_bin == delta
         assert dets[0].doppler_bin == nu0
 
@@ -530,6 +519,22 @@ class TestSolveWindows:
         assert got.values.shape == want.shape
         assert got.grid_size == std.grid_size
         assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("radius", [None, 2])
+    def test_receive_tail_cleans_only_what_it_solves(self, cfg_small, radius):
+        sched, pat = tail_setup(cfg_small)
+        tx = assemble_frame(cfg_small, sched, rng=substream(31, "p"))
+        # off grid, so its straddle shoulders give the cleanup cells to zero
+        rx = synthesize_rx(tx, [Target(20.4 * 3e8 * cfg_small.t_s / 2, 0.0)],
+                           ECHO_ONLY, cfg_small)
+        std, shift, solved = receive_tail(rx, cfg_small, sched, pat,
+                                          cleanup_radius=radius)
+        for got, kind in zip((std, shift), WindowKind):   # as captured
+            np.testing.assert_array_equal(
+                got.values, process_sensing(rx, cfg_small, sched, kind).values)
+        # bit for bit the solve of the window maps, unless cleaned first
+        plain = solve_windows(std, shift, pat).values
+        assert np.array_equal(solved.values, plain) == (radius is None)
 
     def test_full_width_maps_rejected(self, cfg_small):
         # the solve takes maps already restricted to the pattern band
@@ -693,16 +698,11 @@ class TestConventions:
         sched = make_schedule(scheme, cfg.m_codes, k, rng=substream(60, "s"))
         tx = assemble_frame(cfg, sched, rng=substream(60, "p"))
         n_grid = grid_size(sched, cfg)
-        from jcas import unambiguous_band
-        band = unambiguous_band(sched, cfg)
         nu0 = 3   # well inside every scheme's band
         v = nu0 / (n_grid * cfg.t_chirp) * cfg.wavelength_m / 2
         r_m = 20 * 3e8 * cfg.t_s / 2
         rx = synthesize_rx(tx, [Target(r_m, v)], ECHO_ONLY, cfg)
-        rd = process_sensing(rx, cfg, sched)
-        if band:
-            rd = extract_band(rd, band)
-        dets = find_peaks(rd)
+        dets = find_peaks(process_sensing(rx, cfg, sched))
         assert dets[0].doppler_bin == nu0
         assert dets[0].velocity_kmh > 0
 
@@ -733,8 +733,6 @@ class TestConventions:
         nu0 = -2
         f_b = nu0 / (n_grid * cfg.t_chirp)
         rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-        rd_s, rd_h = (extract_band(process_sensing(rx, cfg, sched, kind), pat.band)
-                      for kind in (WindowKind.STANDARD, WindowKind.SHIFTED))
-        dets = find_peaks(solve_windows(rd_s, rd_h, pat))
+        dets = find_peaks(receive_tail(rx, cfg, sched, pat)[2])
         assert dets[0].range_bin == delta
         assert dets[0].doppler_bin == nu0

@@ -105,16 +105,13 @@ class TestCodeMatrix:
 
 
 class TestSensingWaveforms:
-    def _waves(self, cfg):
-        chirp = make_chirp(cfg)
-        return make_sensing_waveforms(make_base_set(cfg, chirp),
-                                      make_code_matrix(cfg.m_codes))
-
+    # transmit_constants' waveforms: TestTransmitConstants holds them equal
+    # to make_sensing_waveforms of the base set and code matrix
     def test_occasion_zero_energy_fraction_m2(self):
         # closed form: fraction -> (2pi+4)/(4pi); exact discrete value is
         # 1/2 + cot(pi/N)/N, computed independently as the oracle
         cfg = WaveformConfig(n_fft=1024, m_codes=2, n_cp=512, scs_hz=120e3)
-        waves = self._waves(cfg)
+        waves = transmit_constants(cfg)[2]
         e0 = np.sum(np.abs(waves[0][:cfg.l_occ]) ** 2)
         total = np.sum(np.abs(waves[0]) ** 2)
         n = cfg.n_fft
@@ -123,20 +120,20 @@ class TestSensingWaveforms:
         assert abs(e0 / total - (2 * np.pi + 4) / (4 * np.pi)) < 1e-4
 
     def test_total_energy(self, cfg):
-        waves = self._waves(cfg)
+        waves = transmit_constants(cfg)[2]
         for m in range(cfg.m_codes):
             assert abs(np.sum(np.abs(waves[m]) ** 2) - cfg.n_fft) < 1e-8
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_cyclic_code_shift_identity(self, m):
         cfg = WaveformConfig(n_fft=128 * m, m_codes=m, n_cp=128, scs_hz=1e6)
-        waves = self._waves(cfg)
+        waves = transmit_constants(cfg)[2]
         for i in range(m):
             np.testing.assert_allclose(np.roll(waves[i], cfg.l_occ),
                                        waves[(i + 1) % m], atol=1e-12)
 
     def test_energy_localized_at_own_occasion(self, cfg):
-        waves = self._waves(cfg)
+        waves = transmit_constants(cfg)[2]
         l = cfg.l_occ
         for m in range(cfg.m_codes):
             per_occ = [np.sum(np.abs(waves[m][q * l:(q + 1) * l]) ** 2)
@@ -153,9 +150,7 @@ class TestSensingWaveforms:
 class TestSpreadAndAssemble:
     def test_sensing_only_symbol_is_bm(self, cfg_small):
         cfg = cfg_small
-        chirp = make_chirp(cfg)
-        codes = make_code_matrix(cfg.m_codes)
-        waves = make_sensing_waveforms(make_base_set(cfg, chirp), codes)
+        chirp, codes, waves = transmit_constants(cfg)
         for m in range(cfg.m_codes):
             spectrum = spread_and_assemble(cfg, m, unitary_dft(chirp),
                                            np.zeros((cfg.m_codes - 1, cfg.l_occ)),
@@ -165,8 +160,7 @@ class TestSpreadAndAssemble:
 
     def test_despread_recovers_data_and_sensing(self, cfg_small, rng):
         cfg = cfg_small
-        chirp = make_chirp(cfg)
-        codes = make_code_matrix(cfg.m_codes)
+        chirp, codes, _ = transmit_constants(cfg)
         spec = unitary_dft(chirp)
         data = rng.normal(size=(3, cfg.l_occ)) + 1j * rng.normal(size=(3, cfg.l_occ))
         groups = spread_and_assemble(cfg, 2, spec, data, codes).reshape(-1, cfg.m_codes)
@@ -195,8 +189,7 @@ class TestSpreadAndAssemble:
 
 class TestAssembleSymbol:
     def _spectrum(self, cfg):
-        codes = make_code_matrix(cfg.m_codes)
-        chirp = make_chirp(cfg)
+        chirp, codes, _ = transmit_constants(cfg)
         return spread_and_assemble(cfg, 0, unitary_dft(chirp),
                                    np.zeros((cfg.m_codes - 1, cfg.l_occ)), codes)
 
