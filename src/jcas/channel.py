@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,31 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
     return out
 
 
+class PendingNoise:
+    """The noise draws of a frame of n samples, rng.standard_normal((2, n)),
+    started on an executor into a buffer allocated by the caller.
+
+    result() waits for them; if the executor has not begun the draw, it
+    cancels it and draws on the calling thread instead, so a busy or
+    descheduled worker never costs more than drawing inline. Either way
+    the draws are the same.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, executor: Executor):
+        self._rng = rng
+        self._buf = np.empty((2, n))
+        self._future = executor.submit(rng.standard_normal, out=self._buf)
+
+    def result(self) -> np.ndarray:
+        if self._future.cancel():
+            return self._rng.standard_normal(out=self._buf)
+        return self._future.result()
+
+
 def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
                   cfg: WaveformConfig,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+                  rng: np.random.Generator | PendingNoise | None = None
+                  ) -> np.ndarray:
     """Receive samples of the transmit samples tx: scaled SI + echoes +
     circular Gaussian noise.
 
@@ -126,7 +149,12 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     10^(si_over_echo_db/20) times it, and the noise variance makes the
     per-sample echo power of a reference-amplitude target sit
     echo_snr_db above the noise. The echoes are added into the frame in
-    place, and both noise components are drawn into one reused buffer.
+    place.
+
+    rng is the Generator to draw the noise from, or its draws already
+    started (PendingNoise), the real parts' first, as the Generator gives
+    them. A pending draw is taken only once the SI and echoes are in the
+    frame; either gives the same samples.
     """
     if len(tx) == 0:
         raise ValueError("empty frame")
@@ -134,7 +162,10 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     if cc.noise_enabled:   # before rx exists: |tx|^2 is a frame-size temporary
         if rng is None:
             raise ValueError("noise requires a random source")
-        sigma2 = ref_amp ** 2 * np.mean(np.abs(tx) ** 2) * 10 ** (-cc.echo_snr_db / 10)
+        power = np.abs(tx)
+        power **= 2
+        sigma2 = ref_amp ** 2 * np.mean(power) * 10 ** (-cc.echo_snr_db / 10)
+        del power
     if cc.si_enabled:
         rx = tx * (10 ** (cc.si_over_echo_db / 20) * ref_amp)
     else:
@@ -146,9 +177,12 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     if cc.noise_enabled:
         # Generator.normal(0, s) draws exactly s * standard_normal
         sigma = np.sqrt(sigma2 / 2)
-        z = np.empty(len(tx))
-        for part in (rx.real, rx.imag):
-            rng.standard_normal(out=z)
+        draws = rng.standard_normal((2, len(tx))) \
+            if isinstance(rng, np.random.Generator) else rng.result()
+        if draws.shape != (2, len(tx)):
+            raise ValueError(f"noise draws shaped {draws.shape}, "
+                             f"not (2, {len(tx)})")
+        for part, z in zip((rx.real, rx.imag), draws):
             z *= sigma
             part += z
     return rx

@@ -22,6 +22,7 @@ import numbers
 import os
 import sys
 import tempfile
+import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -32,12 +33,12 @@ import numpy as np
 from . import comms, detect, receiver
 # perfbench wraps these by their names in this module, the reader included
 from .artifacts import read_rd_binary, write_rd_binary, write_rd_csv
-from .channel import ChannelConfig, Target, synthesize_rx, \
+from .channel import ChannelConfig, PendingNoise, Target, synthesize_rx, \
     target_to_delay_doppler
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     unambiguous_band
 from .util import check_db, kmh_to_mps, substream
-from .waveform import WaveformConfig, assemble_frame
+from .waveform import WaveformConfig, assemble_frame, frame_len
 
 
 def _retain_freed_heap() -> None:
@@ -146,8 +147,9 @@ class Scenario:
             receiver.si_filter(np.zeros(cfg.l_occ), self.n_guard)   # its bounds
             receiver.check_cleanup_radius(self.cleanup_radius)
             detect.check_peak_args(self.rel_threshold, self.max_peaks, self.guard)
-        except (TypeError, ValueError) as e:
-            raise ScenarioError(str(e))
+        # MemoryError: a size whose buffers cannot be allocated
+        except (TypeError, ValueError, MemoryError) as e:
+            raise ScenarioError(str(e) or "out of memory")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -283,6 +285,34 @@ def load_or_build_pattern(scn: Scenario, schedule: Schedule,
 # simulation runner
 # ---------------------------------------------------------------------------
 
+# One worker thread, started by the first draw, fills the noise buffers:
+# numpy releases the GIL while it fills, so the draw runs beside the
+# frame assembly on a second CPU. It runs nothing but the fill.
+_noise_worker: concurrent.futures.ThreadPoolExecutor | None = None
+_noise_worker_lock = threading.Lock()
+
+
+def _forget_noise_worker() -> None:
+    """A forked child has no copy of the worker thread, and an executor
+    that believes it has one would queue draws forever: start afresh."""
+    global _noise_worker, _noise_worker_lock
+    _noise_worker, _noise_worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):   # POSIX
+    os.register_at_fork(after_in_child=_forget_noise_worker)
+
+
+def _draw_noise(rng: np.random.Generator, n: int) -> PendingNoise:
+    """Start rng.standard_normal((2, n)) on the noise worker."""
+    global _noise_worker
+    with _noise_worker_lock:
+        if _noise_worker is None:
+            _noise_worker = concurrent.futures.ThreadPoolExecutor(
+                1, thread_name_prefix="jcas-noise")
+    return PendingNoise(rng, n, _noise_worker)
+
+
 def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     """Run one scenario end to end; writes artifacts, returns the report."""
     t_start = time.perf_counter()
@@ -296,10 +326,13 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              rng=substream(scn.seed, f"{tag}/schedule"),
                              one_per_group=scn.rtd_one_per_group,
                              seed=scn.seed)
+    cc = scn.channel_config()
+    noise = _draw_noise(substream(scn.seed, f"{tag}/noise"),
+                        frame_len(cfg, schedule)) if cc.noise_enabled else None
     tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        rx = synthesize_rx(tx, scn.target_list(), scn.channel_config(), cfg,
-                           rng=substream(scn.seed, f"{tag}/noise"))
+        rx = synthesize_rx(tx, scn.target_list(), cc, cfg, noise)
+    del noise   # it holds the draws, a frame's worth of memory
     if not np.isfinite(rx).all():
         raise ScenarioError("the receive samples overflow: reduce the SI, "
                             "noise or target levels")
@@ -474,8 +507,10 @@ def main(argv: list[str] | None = None) -> int:
                 run_calibrate(scn)
                 return 0
             reports = [run_simulate(scn, args.out_dir)]
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
+    # MemoryError: an allocation refused for the scenario's sizes, in this
+    # thread or re-raised from the noise worker
+    except (ScenarioError, MemoryError) as e:
+        print(f"scenario error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     return 3 if any(r["flagged_pattern_bins"] for r in reports) else 0
 

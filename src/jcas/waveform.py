@@ -107,7 +107,9 @@ def unitary_idft(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.shape[-1] == 0:
         raise ValueError("empty input")
-    return np.fft.ifft(v, axis=-1) * np.sqrt(v.shape[-1])
+    out = np.fft.ifft(v, axis=-1)
+    out *= np.sqrt(v.shape[-1])
+    return out
 
 
 def make_chirp(cfg: WaveformConfig) -> np.ndarray:
@@ -199,7 +201,9 @@ def _to_time(frame: np.ndarray, cfg: WaveformConfig, rho: np.ndarray) -> None:
     """Turn the spectra held in the bodies of frame (K, N_CP + N) into
     symbols in place: IDFT, per-symbol phase rho, CP prepend."""
     body = frame[:, cfg.n_cp:]
-    np.multiply(unitary_idft(body), rho[:, None], out=body)
+    np.fft.ifft(body, axis=-1, out=body)
+    body *= np.sqrt(cfg.n_fft)
+    body *= rho[:, None]
     frame[:, :cfg.n_cp] = body[:, cfg.n_fft - cfg.n_cp:]
 
 
@@ -240,11 +244,24 @@ def assemble_symbol(spectrum: np.ndarray, cfg: WaveformConfig,
     return frame[0]
 
 
+# the QPSK points of random_qpsk, indexed by 2 * b_re + b_im
+_QPSK = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]) / np.sqrt(2)
+
+
 def random_qpsk(rng: np.random.Generator, size) -> np.ndarray:
-    """Unit-power QPSK symbols for frame payloads (no bit bookkeeping)."""
-    re = rng.integers(0, 2, size) * 2 - 1
-    im = rng.integers(0, 2, size) * 2 - 1
-    return (re + 1j * im) / np.sqrt(2)
+    """Unit-power QPSK symbols for frame payloads (no bit bookkeeping):
+    ((2 b_re - 1) + j (2 b_im - 1)) / sqrt(2) from two bit draws."""
+    idx = rng.integers(0, 2, size) * 2
+    idx += rng.integers(0, 2, size)
+    return _QPSK.take(idx)
+
+
+def frame_len(cfg: WaveformConfig, schedule: Schedule) -> int:
+    """Samples in the transmit frame of a schedule: K symbols of N_CP + N
+    for the implanted schemes, M*K slots of L for the slotted ones."""
+    if schedule.scheme.is_fsi:
+        return schedule.k * cfg.symbol_len
+    return cfg.m_codes * schedule.k * cfg.l_occ
 
 
 def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
@@ -278,11 +295,12 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
         payload = np.asarray(payload, dtype=complex)
         if payload.shape != shape:
             raise ValueError("payload shape mismatch for implanted-OFDM frame")
-        frame = np.empty((k_syms, cfg.symbol_len), dtype=complex)
+        out = np.empty(frame_len(cfg, schedule), dtype=complex)
+        frame = out.reshape(k_syms, -1)
         _spread(frame[:, cfg.n_cp:], codes, np.asarray(schedule.alpha),
                 sensing_scale * unitary_dft(chirp), payload)
         _to_time(frame, cfg, symbol_rotation(np.arange(k_syms), cfg.m_codes, scheme))
-        return frame.reshape(-1)
+        return out
 
     # slotted schemes: M*K slots of length L
     n_slots = cfg.m_codes * schedule.k
@@ -298,7 +316,8 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     if payload.shape != (n_data, cfg.l_occ):
         raise ValueError("payload shape mismatch for slotted frame")
 
-    frame = np.empty((n_slots, cfg.l_occ), dtype=complex)
+    out = np.empty(frame_len(cfg, schedule), dtype=complex)
+    frame = out.reshape(n_slots, -1)
     frame[scheduled] = chirp
     frame[~scheduled] = unitary_idft(payload)
-    return frame.reshape(-1)
+    return out

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from jcas import (ChannelConfig, Scheme, Target, assemble_frame,
                   make_schedule, substream, synthesize_rx,
                   target_to_delay_doppler)
-from jcas.channel import doppler_ramp, echo_component
-from jcas.cli import Scenario
+from jcas.channel import PendingNoise, doppler_ramp, echo_component
+from jcas.cli import Scenario, _draw_noise
 
 NO_NOISE = ChannelConfig(noise_enabled=False)
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -236,6 +238,46 @@ class TestAgainstTheOracle:
         want = oracle_synthesize(tx, [], cc, cfg_small, substream(11, "noise"))
         got = synthesize_rx(tx, [], cc, cfg_small, substream(11, "noise"))
         assert got.tobytes() == want.tobytes()
+
+    def test_pending_noise_is_byte_identical(self, cfg_small):
+        # the draw run_simulate starts on the noise worker before it
+        # assembles the frame
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(si_enabled=False, echo_snr_db=-7.0)
+        want = oracle_synthesize(tx, [], cc, cfg_small, substream(11, "noise"))
+        got = synthesize_rx(tx, [], cc, cfg_small,
+                            _draw_noise(substream(11, "noise"), len(tx)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_pending_draw_equals_inline_draw_with_echoes(self, cfg_small):
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(echo_snr_db=-7.0)
+        targets = self.TARGETS
+        want = synthesize_rx(tx, targets, cc, cfg_small, substream(3, "noise"))
+        got = synthesize_rx(tx, targets, cc, cfg_small,
+                            _draw_noise(substream(3, "noise"), len(tx)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_pending_draw_not_begun_is_drawn_by_the_caller(self, cfg_small):
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(echo_snr_db=-7.0)
+        want = synthesize_rx(tx, [], cc, cfg_small, substream(3, "noise"))
+        release = threading.Event()
+        with ThreadPoolExecutor(1) as busy:
+            blocker = busy.submit(release.wait, 20)
+            got = synthesize_rx(tx, [], cc, cfg_small,
+                                PendingNoise(substream(3, "noise"), len(tx), busy))
+            # taken back, not waited for behind the blocker
+            assert blocker.running()
+            release.set()
+        assert got.tobytes() == want.tobytes()
+
+    def test_pending_draw_of_another_length_rejected(self, cfg_small):
+        tx = _frame(cfg_small, k=8)
+        wrong = Future()
+        wrong.set_result(np.zeros((2, len(tx) - 1)))
+        with pytest.raises(ValueError, match="noise draws shaped"):
+            synthesize_rx(tx, [], ChannelConfig(), cfg_small, wrong)
 
     def test_fig7_peak_memory(self):
         # the old loop peaked at 3.55 frame sizes on this frame

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -135,16 +136,68 @@ class TestRunSimulate:
     def test_probed_layers_are_called_through_their_modules(self, tmp_path,
                                                             monkeypatch):
         # perfbench times a layer by replacing its name in these modules; a
-        # caller that bound the function directly would bypass it unseen
+        # caller that bound the function directly would bypass it unseen.
+        # Its tracer is single-threaded: every layer runs on the caller's
+        # thread, and the noise worker only fills its buffer.
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
-        want = {(cli, "write_rd_csv"): 5, (cli, "write_rd_binary"): 5,
-                (cli, "load_or_build_pattern"): 1, (receiver, "process_sensing"): 2,
-                (receiver, "peak_cleanup"): 2, (receiver, "solve_windows"): 1,
-                (detect, "find_peaks"): 3}
+        want = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
+                (cli, "synthesize_rx"): 1, (cli, "write_rd_csv"): 5,
+                (cli, "write_rd_binary"): 5, (cli, "load_or_build_pattern"): 1,
+                (receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 1,
+                (receiver, "process_sensing"): 2, (receiver, "peak_cleanup"): 2,
+                (receiver, "solve_windows"): 1, (detect, "find_peaks"): 3,
+                (detect, "evaluate"): 1}
+        threads = set()
+
+        def spy(fn):
+            def call(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return mock.Mock(side_effect=call)
+
         for mod, name in want:
-            monkeypatch.setattr(mod, name, mock.Mock(wraps=getattr(mod, name)))
+            monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
         run_simulate(Scenario(**TAIL_SMALL, peak_cleanup=True), tmp_path / "out")
         assert {k: getattr(*k).call_count for k in want} == want
+        assert threads == {threading.get_ident()}
+
+    def test_failing_noise_draw_raises(self, tmp_path, small_scenario,
+                                       monkeypatch):
+        class Broken:
+            def standard_normal(self, out):
+                raise RuntimeError("draw failed")
+
+        real = cli.substream
+        monkeypatch.setattr(cli, "substream", lambda seed, name: Broken()
+                            if name.endswith("/noise") else real(seed, name))
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_simulate(small_scenario, tmp_path)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_noise_drawn_only_when_enabled(self, tmp_path, small_scenario,
+                                           monkeypatch, noise):
+        draw = mock.Mock(wraps=cli._draw_noise)
+        monkeypatch.setattr(cli, "_draw_noise", draw)
+        small_scenario.noise_enabled = noise
+        run_simulate(small_scenario, tmp_path)
+        assert draw.call_count == noise
+
+    def test_forked_child_draws_noise(self, tmp_path, small_scenario):
+        # the child of a process whose noise worker has started
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import multiprocessing as mp, sys; from jcas import cli\n"
+                f"scn = cli.Scenario(**{small_scenario.to_dict()!r})\n"
+                "cli.run_simulate(scn, sys.argv[1])\n"
+                "p = mp.get_context('fork').Process(target=cli.run_simulate, "
+                "args=(scn, sys.argv[1]))\n"
+                "p.start(); p.join(60)\n"
+                "alive = p.is_alive(); p.kill()\n"
+                "print(alive, p.exitcode)")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "0"]
 
     def test_tail_presets_share_an_out_dir(self, tmp_path):
         # fig7 and fig7_offgrid write every file under its own name
@@ -443,6 +496,29 @@ class TestCliMain:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error:")
+
+    @pytest.mark.parametrize("scn", [
+        pytest.param({"scheme": "rtd", "n_fft": 2**40, "n_cp": 0}, id="n_fft"),
+        pytest.param({"scheme": "fsi_tail", "k": 2**40}, id="k")])
+    def test_refused_allocation_exit_2(self, tmp_path, scn):
+        # terabytes, refused at once; the address-space limit keeps them
+        # refused where the kernel would overcommit them
+        scn_file = tmp_path / "huge.json"
+        scn_file.write_text(json.dumps(scn))
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+                "from jcas.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        for verb in ("simulate", "calibrate"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"),
+                 verb, str(scn_file)], capture_output=True, text=True,
+                timeout=120, env={**os.environ, "PYTHONPATH": str(src),
+                                  "OPENBLAS_NUM_THREADS": "1"})
+            assert proc.returncode == 2, proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("scenario error:")
 
     def test_import_leaves_scipy_signal_out(self):
         # a fresh interpreter: this pytest process may have imported them

@@ -5,6 +5,7 @@ from jcas import (Scheme, WaveformConfig, assemble_frame, assemble_symbol,
                   make_base_set, make_chirp, make_code_matrix, make_schedule,
                   make_sensing_waveforms, spread_and_assemble, substream,
                   transmit_constants, unitary_dft, unitary_idft)
+from jcas.waveform import frame_len, random_qpsk
 
 
 class TestUnitaryDft:
@@ -280,6 +281,28 @@ class TestAssembleFrame:
         with pytest.raises(ValueError):
             assemble_frame(cfg_small, sched,
                            payload=np.zeros((3, 3, cfg_small.l_occ)))
+
+
+def qpsk_oracle(rng, size):
+    """random_qpsk as it was: the symbols computed from the two bit draws."""
+    re = rng.integers(0, 2, size) * 2 - 1
+    im = rng.integers(0, 2, size) * 2 - 1
+    return (re + 1j * im) / np.sqrt(2)
+
+
+class TestRandomQpsk:
+    @pytest.mark.parametrize("size", [7, (64, 3, 512), (240, 512)])
+    def test_table_equals_the_formula_bit_for_bit(self, size):
+        got = random_qpsk(substream(4, "payload"), size)
+        want = qpsk_oracle(substream(4, "payload"), size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_frame_len_is_the_assembled_length(cfg_small, scheme):
+    sched = make_schedule(scheme, cfg_small.m_codes, 5, rng=substream(2, "s"))
+    frame = assemble_frame(cfg_small, sched, rng=substream(2, "p"))
+    assert len(frame) == frame_len(cfg_small, sched)
 
 
 class TestTransmitConstants:
