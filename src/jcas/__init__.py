@@ -11,7 +11,7 @@ from .channel import ChannelConfig, Target, synthesize_rx, target_to_delay_doppl
 from .comms import demodulate, despread, modulate, run_link
 from .detect import Detection, EvalReport, evaluate, find_peaks
 from .receiver import PatternTensor, RdMatrix, WindowKind, build_pattern, \
-    delay_and_sum, extract_band, mix, peak_cleanup, process_sensing, \
+    delay_and_sum, mix, peak_cleanup, process_sensing, \
     quantize, si_filter, signed_bin, slow_time_matched_filter, \
     receive_tail, solve_windows, validate_pattern
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \

@@ -108,28 +108,48 @@ def _format_e7(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.flatnonzero(slow)
 
 
-def write_rd_csv(path: Path, values: np.ndarray) -> None:
+def write_rd_csv(path: Path, values: np.ndarray, split: int | None = None,
+                 lines: bytes | None = None) -> tuple[int, bytes] | None:
     """Normalized magnitude, one row of the (rows, cols) map per line.
 
     Each cell is f"{v:.7e}"; cells are joined by "," and each line ends in
     "\\n". The map is formatted a block of rows at a time.
+
+    A ``split`` row cuts the map into values[:split] and values[split:].
+    Each is normalized by its own peak when written alone, so the first of
+    them that holds this map's peak has for its CSV exactly its lines of
+    this CSV: they are returned as (0 or 1, lines). ``lines``, such lines
+    of values, are written as they are, and values is not formatted.
     """
+    if lines is not None:
+        with _rewrite(path) as f:
+            f.write(lines)
+        return None
     mag = np.abs(values, dtype=np.float64)
     peak = mag.max()
+    rows, cols = mag.shape
+    held = None
+    if split is not None:
+        held = next((i for i, part in enumerate((mag[:split], mag[split:]))
+                     if part.size and part.max() == peak), None)
     if peak > 0:
         mag /= peak
-    rows, cols = mag.shape
     step = max(1, CSV_BLOCK_CELLS // cols)
+    starts = sorted({*range(0, rows, step), *([split] if held is not None else [])})
+    kept = []
     with _rewrite(path) as f:
-        for r in range(0, rows, step):
-            block = mag[r:r + step]
+        for r, stop in zip(starts, starts[1:] + [rows]):
+            block = mag[r:stop]
             buf = np.empty(block.shape + (14,), np.uint8)
             buf[:, :, 13] = ord(",")
             buf[:, -1, 13] = ord("\n")
             x, buf = block.ravel(), buf.reshape(-1, 14)
-            done = 0
+            pieces, done = [], 0
             for i in _format_e7(x, buf):
-                f.write(buf[done:i])
-                f.write(f"{x[i]:.7e}".encode() + buf[i, 13].tobytes())
+                pieces += buf[done:i], f"{x[i]:.7e}".encode() + buf[i, 13].tobytes()
                 done = i + 1
-            f.write(buf[done:])
+            pieces.append(buf[done:])
+            f.writelines(pieces)
+            if held is not None and (r < split) == (held == 0):
+                kept += pieces
+    return None if held is None else (held, b"".join(kept))

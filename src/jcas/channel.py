@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, check_db, next_fast_len
+from .util import SPEED_OF_LIGHT, Pending, check_db, next_fast_len
 from .waveform import WaveformConfig
 
 
@@ -116,30 +116,17 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
     return out
 
 
-class PendingNoise:
-    """The noise draws of a frame of n samples, rng.standard_normal((2, n)),
-    started on an executor into a buffer allocated by the caller.
-
-    result() waits for them; if the executor has not begun the draw, it
-    cancels it and draws on the calling thread instead, so a busy or
-    descheduled worker never costs more than drawing inline. Either way
-    the draws are the same.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int, executor: Executor):
-        self._rng = rng
-        self._buf = np.empty((2, n))
-        self._future = executor.submit(rng.standard_normal, out=self._buf)
-
-    def result(self) -> np.ndarray:
-        if self._future.cancel():
-            return self._rng.standard_normal(out=self._buf)
-        return self._future.result()
+def start_noise(rng: np.random.Generator, n: int) -> Pending:
+    """rng.standard_normal((2, n)), the noise draws of a frame of n samples,
+    started on the background worker into a buffer allocated here. A draw
+    the worker has not begun is drawn on the caller (util.Pending); either
+    way the draws are the same."""
+    return Pending(functools.partial(rng.standard_normal, out=np.empty((2, n))))
 
 
 def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
                   cfg: WaveformConfig,
-                  rng: np.random.Generator | PendingNoise | None = None
+                  rng: np.random.Generator | Pending | None = None
                   ) -> np.ndarray:
     """Receive samples of the transmit samples tx: scaled SI + echoes +
     circular Gaussian noise.
@@ -152,7 +139,7 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     place.
 
     rng is the Generator to draw the noise from, or its draws already
-    started (PendingNoise), the real parts' first, as the Generator gives
+    started (start_noise), the real parts' first, as the Generator gives
     them. A pending draw is taken only once the SI and echoes are in the
     frame; either gives the same samples.
     """

@@ -22,7 +22,6 @@ import numbers
 import os
 import sys
 import tempfile
-import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -33,7 +32,7 @@ import numpy as np
 from . import comms, detect, receiver
 # perfbench wraps these by their names in this module, the reader included
 from .artifacts import read_rd_binary, write_rd_binary, write_rd_csv
-from .channel import ChannelConfig, PendingNoise, Target, synthesize_rx, \
+from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
     target_to_delay_doppler
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     unambiguous_band
@@ -285,34 +284,6 @@ def load_or_build_pattern(scn: Scenario, schedule: Schedule,
 # simulation runner
 # ---------------------------------------------------------------------------
 
-# One worker thread, started by the first draw, fills the noise buffers:
-# numpy releases the GIL while it fills, so the draw runs beside the
-# frame assembly on a second CPU. It runs nothing but the fill.
-_noise_worker: concurrent.futures.ThreadPoolExecutor | None = None
-_noise_worker_lock = threading.Lock()
-
-
-def _forget_noise_worker() -> None:
-    """A forked child has no copy of the worker thread, and an executor
-    that believes it has one would queue draws forever: start afresh."""
-    global _noise_worker, _noise_worker_lock
-    _noise_worker, _noise_worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):   # POSIX
-    os.register_at_fork(after_in_child=_forget_noise_worker)
-
-
-def _draw_noise(rng: np.random.Generator, n: int) -> PendingNoise:
-    """Start rng.standard_normal((2, n)) on the noise worker."""
-    global _noise_worker
-    with _noise_worker_lock:
-        if _noise_worker is None:
-            _noise_worker = concurrent.futures.ThreadPoolExecutor(
-                1, thread_name_prefix="jcas-noise")
-    return PendingNoise(rng, n, _noise_worker)
-
-
 def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     """Run one scenario end to end; writes artifacts, returns the report."""
     t_start = time.perf_counter()
@@ -327,7 +298,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              one_per_group=scn.rtd_one_per_group,
                              seed=scn.seed)
     cc = scn.channel_config()
-    noise = _draw_noise(substream(scn.seed, f"{tag}/noise"),
+    noise = start_noise(substream(scn.seed, f"{tag}/noise"),
                         frame_len(cfg, schedule)) if cc.noise_enabled else None
     tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -350,9 +321,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             scn.rel_threshold, scn.max_peaks, scn.guard)
         # near and far rows share one extended range axis, so detection
         # on it gives both a single normalization
-        maps = {"std": std.values, "shift": shift.values,
-                "near": rd.values[:cfg.l_occ], "far": rd.values[cfg.l_occ:],
-                "combined": rd.values}
+        maps = {"std": std.values, "shift": shift.values, "combined": rd.values,
+                "near": rd.values[:cfg.l_occ], "far": rd.values[cfg.l_occ:]}
         name = "combined"
     else:
         rd = receiver.process_sensing(rx, cfg, schedule,
@@ -371,10 +341,16 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                                   snr_db=scn.comms_snr_db,
                                   rng=substream(scn.seed, f"{tag}/comms-noise"))
 
+    # the CSV of near or far, whichever holds the combined map's peak, is its
+    # rows of the combined CSV, which is written first
+    csv_lines = {}
     for map_name, m in maps.items():
         stem = f"rd_{tag}_{map_name}" if len(maps) > 1 else f"rd_{tag}"
         write_rd_binary(out / f"{stem}.bin", m)
-        write_rd_csv(out / f"{stem}.csv", m)
+        held = write_rd_csv(out / f"{stem}.csv", m, lines=csv_lines.get(map_name),
+                            split=cfg.l_occ if map_name == "combined" else None)
+        if held is not None:
+            csv_lines[("near", "far")[held[0]]] = held[1]
 
     report = {
         "scenario": scn.to_dict(),

@@ -10,6 +10,8 @@ grid) so +f_D still peaks at the bin whose signed frequency is +f_D.
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
-from .util import SPEED_OF_LIGHT, next_fast_len
+from .util import SPEED_OF_LIGHT, Pending, next_fast_len
 from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
     transmit_constants, unitary_dft
 
@@ -150,8 +152,9 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
 
     Random schemes give the full G-column map of slow_time_matched_filter.
     Periodic ones (periodic_td, fsi_tail) give the K-column unambiguous
-    band directly, equal to extract_band of the full map: column c holds
-    signed bin signed_bin(c, K), and the bin width is still 1/(G T_chirp).
+    band of the full map directly, the columns whose signed bin lies in
+    [-K/2, K/2): column c holds signed bin signed_bin(c, K), and the bin
+    width is still 1/(G T_chirp).
     """
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
@@ -184,19 +187,6 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
     rd = np.fft.ifft(profiles.T, axis=1)
     rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band))
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
-
-
-def extract_band(rd: RdMatrix, band: int) -> RdMatrix:
-    """Restrict a full map to the scheme's unambiguous Doppler band.
-
-    Keeps columns whose signed bin lies in [-band/2, band/2), re-indexed
-    in FFT order of the band. The bin width is unchanged.
-    """
-    if band > rd.n_doppler:
-        raise ValueError("band wider than the map")
-    cols = signed_bin(np.arange(band), band) % rd.n_doppler
-    return RdMatrix(values=rd.values[:, cols], grid_size=rd.grid_size,
-                    cfg=rd.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +245,56 @@ def invert_cells(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return resolvable, p_sol
 
 
+def _pattern_slice(cfg: WaveformConfig, refs: np.ndarray, phase: np.ndarray,
+                   probe_f: np.ndarray, ref_twist: np.ndarray,
+                   out_chirp: np.ndarray, k_full: int, out: np.ndarray,
+                   cols: slice, bufs: tuple[np.ndarray, ...]) -> None:
+    """Band columns cols of one receive window's calibrated response into
+    out[:, cols], out (L, band, hyp): (z_0 + (K-1) z_1) / K per cell.
+
+    refs, phase and probe_f are the window's mixer references (3, N),
+    steering phases (3, band) and probe transforms (3, hyp, size). The
+    slice is computed in bufs = (ref_f, conv, z_1), shaped (h, size),
+    (h, size) and (hyp, h, L) for h columns or more. Symbol 0 goes straight
+    into out, symbol 1 into z_1, and symbol 2 is only compared with symbol 1
+    for the steady-state check.
+    """
+    n, l = cfg.n_fft, cfg.l_occ
+    w = cols.stop - cols.start
+    rf, cv, z_1 = bufs[0][:w], bufs[1][:w], bufs[2][:, :w]
+    for k in range(3):
+        np.multiply(refs[k], ref_twist[cols], out=rf[:, :n])
+        rf[:, n:] = 0
+        np.fft.fft(rf, axis=-1, out=rf)
+        for hyp in (0, 1):
+            np.multiply(rf, probe_f[k, hyp], out=cv)
+            np.fft.ifft(cv, axis=-1, out=cv)
+            z = phase[k, cols, None] * out_chirp * cv[:, n - 1:n - 1 + l]
+            if k == 0:
+                out[:, cols, hyp] = z.T
+            elif k == 1:
+                z_1[hyp] = z
+            else:
+                dev = np.max(np.abs(z_1[hyp] - z), axis=-1)
+                scale = np.max(np.abs(z_1[hyp]), axis=-1)
+                if np.any(dev > 1e-6 * np.maximum(scale, 1e-30)):
+                    raise RuntimeError("steady-state calibration assumption broken")
+    for hyp in (0, 1):
+        out[:, cols, hyp] = ((out[:, cols, hyp].T + (k_full - 1) * z_1[hyp])
+                             / k_full).T
+
+
+def _run_slices(tasks: collections.deque, bufs: tuple[np.ndarray, ...]) -> None:
+    """Take build_pattern's slices off the shared queue one at a time and
+    compute each in bufs, until none is left."""
+    while True:
+        try:
+            task = tasks.popleft()
+        except IndexError:
+            return
+        _pattern_slice(*task, bufs)
+
+
 def build_pattern(cfg: WaveformConfig, schedule: Schedule,
                   n_guard: int = 1) -> PatternTensor:
     """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
@@ -273,11 +313,14 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     e^{-j2pi f_b n Ts}, moved to the reference, and a phase that times the
     echo's own e^{-j2pi f_b delta Ts} is e^{-j2pi f_b o_k Ts} for every d.
     So one reference transform per (window, symbol) serves all band columns.
+
+    Each window's band is computed in two halves. The caller and the
+    background worker (util.Pending) share the four slices, each in
+    half-band buffers of its own; a worker that has not begun is taken back.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
     m, l, n = cfg.m_codes, cfg.l_occ, cfg.n_fft
-    k_full = schedule.k
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule, cfg)
 
@@ -299,27 +342,37 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     d = np.arange(l)
     out_chirp = np.exp(-1j * np.pi * d * d / l) / np.sqrt(l)
     size = next_fast_len(n + l - 1)
+    h = (band + 1) // 2   # half the band, rounded up
 
-    p = np.zeros((l, band, 2, 2), dtype=complex)
+    p = np.empty((l, band, 2, 2), dtype=complex)
+    tasks = collections.deque()   # (window, half of the band)
     for wi, kind in enumerate((WindowKind.STANDARD, WindowKind.SHIFTED)):
         offs = np.arange(3) * cfg.symbol_len \
             + (cfg.n_cp if kind is WindowKind.STANDARD else 0)
         refs = _fsi_references(cfg, cal_sched, kind)
         phase = steer * np.exp(-2j * np.pi * cfg.t_s * np.outer(offs, f_b))
-        z = np.empty((2, 3, band, l), dtype=complex)   # (hyp, symbol, col, d)
+        probe_f = np.empty((3, 2, size), dtype=complex)   # (symbol, hyp, lag)
         for k in range(3):
-            ref_f = np.fft.fft(refs[k] * ref_twist, size)
             for hyp in (0, 1):
                 lo = offs[k] + (1 - hyp) * l
                 b = probe[lo:lo + len(lag)] * lag_chirp
-                conv = ref_f * np.fft.fft(b[::-1], size)
-                np.fft.ifft(conv, out=conv)
-                z[hyp, k] = phase[k, :, None] * out_chirp * conv[:, n - 1:n - 1 + l]
-        interior_dev = np.max(np.abs(z[:, 1] - z[:, 2]), axis=-1)
-        scale = np.maximum(np.max(np.abs(z[:, 1]), axis=-1), 1e-30)
-        if np.any(interior_dev > 1e-6 * scale):
-            raise RuntimeError("steady-state calibration assumption broken")
-        p[:, :, wi] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).T
+                probe_f[k, hyp] = np.fft.fft(b[::-1], size)
+        tasks.extend((cfg, refs, phase, probe_f, ref_twist, out_chirp, schedule.k,
+                      p[:, :, wi], slice(c0, min(c0 + h, band)))
+                     for c0 in range(0, band, h))
+    # the caller and the background worker take slices off the queue, each
+    # in half-band buffers of its own, allocated here
+    bufs = [(np.empty((h, size), dtype=complex), np.empty((h, size), dtype=complex),
+             np.empty((2, h, l), dtype=complex)) for _ in range(2)]
+    helper = Pending(functools.partial(_run_slices, tasks, bufs[1]))
+    try:
+        _run_slices(tasks, bufs[0])
+    except BaseException:
+        tasks.clear()
+        helper.drop()   # its slice writes into p and its buffers
+        raise
+    helper.result()
+    del bufs, helper   # the slice buffers go before the cells are inverted
 
     resolvable, p_sol = invert_cells(p)
     resolvable[:n_guard] = False

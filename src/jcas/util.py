@@ -1,7 +1,12 @@
-"""Small shared helpers: named random substreams, physical constants and
-FFT sizes."""
+"""Small shared helpers: named random substreams, physical constants, FFT
+sizes and the background worker."""
 
+import concurrent.futures
 import hashlib
+import os
+import threading
+from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
@@ -47,3 +52,57 @@ def kmh_to_mps(v_kmh: float) -> float:
 
 def mps_to_kmh(v_mps: float) -> float:
     return v_mps * 3.6
+
+
+# One worker thread, started by its first task, runs coarse numpy work that
+# releases the GIL (the noise fill, slices of the pattern build) beside the
+# caller on a second CPU. It calls no function that perfbench wraps: the
+# tracer keeps one span stack, for the caller's thread.
+_worker: concurrent.futures.ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the worker thread, and an executor
+    that believes it has one would queue tasks forever: start afresh."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):   # POSIX
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def background_worker() -> concurrent.futures.Executor:
+    """The shared one-thread executor, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = concurrent.futures.ThreadPoolExecutor(
+                1, thread_name_prefix="jcas-worker")
+        return _worker
+
+
+class Pending:
+    """call() started on the background worker.
+
+    result() gives its value: it waits for a call the worker has begun, and
+    cancels one it has not and calls it on the calling thread instead, so a
+    busy worker never costs more than calling inline. call must give the
+    same value on either thread.
+    """
+
+    def __init__(self, call: Callable[[], Any]):
+        self._call = call
+        self._future = background_worker().submit(call)
+
+    def result(self) -> Any:
+        if self._future.cancel():
+            return self._call()
+        return self._future.result()
+
+    def drop(self) -> None:
+        """Cancel the call, or wait for it to end if it has begun; its
+        value or exception is discarded."""
+        if not self._future.cancel():
+            concurrent.futures.wait((self._future,))

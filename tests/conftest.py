@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from jcas import WaveformConfig
+from jcas import WaveformConfig, util
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -26,3 +28,18 @@ def cfg_small():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def block_worker():
+    """block() keeps the shared background worker busy until the test ends
+    and returns the future of the task that blocks it."""
+    release, blockers = threading.Event(), []
+
+    def block():
+        blockers.append(util.background_worker().submit(release.wait, 20))
+        return blockers[-1]
+    yield block
+    release.set()
+    for blocker in blockers:
+        blocker.result()

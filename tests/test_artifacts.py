@@ -171,6 +171,31 @@ class TestCsvWriter:
             artifacts.write_rd_csv(path, values)
         assert path.read_bytes() == csv_reference(values)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 5),
+           block=st.sampled_from([1, 4, 10, artifacts.CSV_BLOCK_CELLS]),
+           ties=st.booleans())
+    def test_split_returns_the_lines_of_the_half_with_the_peak(
+            self, tmp_path_factory, data, rows, cols, block, ties):
+        split = data.draw(st.integers(0, rows))
+        cells = st.sampled_from([0.0, 0.5, 1.0]) if ties else CELLS
+        values = np.array(data.draw(st.lists(cells, min_size=rows * cols,
+                                             max_size=rows * cols)))
+        values = values.reshape(rows, cols)
+        base = tmp_path_factory.getbasetemp()
+        with mock.patch.object(artifacts, "CSV_BLOCK_CELLS", block):
+            held = artifacts.write_rd_csv(base / "whole.csv", values, split=split)
+        assert (base / "whole.csv").read_bytes() == csv_reference(values)
+        parts = (values[:split], values[split:])
+        holders = [i for i, part in enumerate(parts)
+                   if part.size and part.max() == values.max()]
+        if not holders:
+            assert held is None
+            return
+        assert held == (holders[0], csv_reference(parts[holders[0]]))
+        artifacts.write_rd_csv(base / "part.csv", parts[held[0]], lines=held[1])
+        assert (base / "part.csv").read_bytes() == held[1]
+
     @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 16390), (2345, 7)])
     def test_blocks_and_special_cells(self, tmp_path, rng, shape):
         # one block, several, a row wider than a block, and a partial last block

@@ -1,7 +1,6 @@
 import math
-import threading
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 from jcas import (ChannelConfig, Scheme, Target, assemble_frame,
                   make_schedule, substream, synthesize_rx,
                   target_to_delay_doppler)
-from jcas.channel import PendingNoise, doppler_ramp, echo_component
-from jcas.cli import Scenario, _draw_noise
+from jcas.channel import doppler_ramp, echo_component, start_noise
+from jcas.cli import Scenario
 
 NO_NOISE = ChannelConfig(noise_enabled=False)
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -246,7 +245,7 @@ class TestAgainstTheOracle:
         cc = ChannelConfig(si_enabled=False, echo_snr_db=-7.0)
         want = oracle_synthesize(tx, [], cc, cfg_small, substream(11, "noise"))
         got = synthesize_rx(tx, [], cc, cfg_small,
-                            _draw_noise(substream(11, "noise"), len(tx)))
+                            start_noise(substream(11, "noise"), len(tx)))
         assert got.tobytes() == want.tobytes()
 
     def test_pending_draw_equals_inline_draw_with_echoes(self, cfg_small):
@@ -255,21 +254,19 @@ class TestAgainstTheOracle:
         targets = self.TARGETS
         want = synthesize_rx(tx, targets, cc, cfg_small, substream(3, "noise"))
         got = synthesize_rx(tx, targets, cc, cfg_small,
-                            _draw_noise(substream(3, "noise"), len(tx)))
+                            start_noise(substream(3, "noise"), len(tx)))
         assert got.tobytes() == want.tobytes()
 
-    def test_pending_draw_not_begun_is_drawn_by_the_caller(self, cfg_small):
+    def test_pending_draw_not_begun_is_drawn_by_the_caller(self, cfg_small,
+                                                           block_worker):
         tx = _frame(cfg_small, k=8)
         cc = ChannelConfig(echo_snr_db=-7.0)
         want = synthesize_rx(tx, [], cc, cfg_small, substream(3, "noise"))
-        release = threading.Event()
-        with ThreadPoolExecutor(1) as busy:
-            blocker = busy.submit(release.wait, 20)
-            got = synthesize_rx(tx, [], cc, cfg_small,
-                                PendingNoise(substream(3, "noise"), len(tx), busy))
-            # taken back, not waited for behind the blocker
-            assert blocker.running()
-            release.set()
+        blocker = block_worker()
+        got = synthesize_rx(tx, [], cc, cfg_small,
+                            start_noise(substream(3, "noise"), len(tx)))
+        # taken back, not waited for behind the blocker
+        assert not blocker.done()
         assert got.tobytes() == want.tobytes()
 
     def test_pending_draw_of_another_length_rejected(self, cfg_small):

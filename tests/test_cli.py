@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcas import cli, detect, receiver
+from jcas import channel, cli, detect, receiver
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
 
 
@@ -116,7 +116,13 @@ class TestRunSimulate:
             {"range_m": 24.0, "velocity_kmh": 0.0},
             {"range_m": 115.0, "velocity_kmh": 432.0}]})
         out = tmp_path / "out"
+        write = mock.Mock(wraps=cli.write_rd_csv)
+        monkeypatch.setattr(cli, "write_rd_csv", write)
         report = run_simulate(scn, out)
+        # one of near and far is written from the combined CSV's lines
+        from_lines = [c.args[0].name for c in write.call_args_list
+                      if c.kwargs["lines"] is not None]
+        assert from_lines in (["rd_fsi_tail_near.csv"], ["rd_fsi_tail_far.csv"])
         for name in ("std", "shift", "near", "far", "combined"):
             assert (out / f"rd_fsi_tail_{name}.bin").is_file()
             assert (out / f"rd_fsi_tail_{name}.csv").is_file()
@@ -138,15 +144,21 @@ class TestRunSimulate:
         # perfbench times a layer by replacing its name in these modules; a
         # caller that bound the function directly would bypass it unseen.
         # Its tracer is single-threaded: every layer runs on the caller's
-        # thread, and the noise worker only fills its buffer.
+        # thread, and the background worker only runs numpy work inside
+        # them (the noise fill, slices of the pattern build).
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
-        want = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
-                (cli, "synthesize_rx"): 1, (cli, "write_rd_csv"): 5,
-                (cli, "write_rd_binary"): 5, (cli, "load_or_build_pattern"): 1,
-                (receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 1,
-                (receiver, "process_sensing"): 2, (receiver, "peak_cleanup"): 2,
-                (receiver, "solve_windows"): 1, (detect, "find_peaks"): 3,
-                (detect, "evaluate"): 1}
+        simulate = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
+                    (cli, "synthesize_rx"): 1, (cli, "write_rd_csv"): 5,
+                    (cli, "write_rd_binary"): 5, (cli, "load_or_build_pattern"): 1,
+                    (receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 1,
+                    (receiver, "process_sensing"): 2, (receiver, "peak_cleanup"): 2,
+                    (receiver, "solve_windows"): 1, (detect, "find_peaks"): 3,
+                    (detect, "evaluate"): 1}
+        # a cold calibrate: build, then validate three cells, each through
+        # both windows of an echo of the one zero-data frame
+        calibrate = {(receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 2,
+                     (receiver, "validate_pattern"): 1,
+                     (receiver, "process_sensing"): 6, (channel, "echo_component"): 3}
         threads = set()
 
         def spy(fn):
@@ -155,10 +167,17 @@ class TestRunSimulate:
                 return fn(*args, **kwargs)
             return mock.Mock(side_effect=call)
 
-        for mod, name in want:
+        for mod, name in simulate.keys() | calibrate.keys():
             monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
-        run_simulate(Scenario(**TAIL_SMALL, peak_cleanup=True), tmp_path / "out")
-        assert {k: getattr(*k).call_count for k in want} == want
+        scn = Scenario(**TAIL_SMALL, peak_cleanup=True)
+        run_simulate(scn, tmp_path / "out")
+        assert {k: getattr(*k).call_count for k in simulate} == simulate
+        for mod, name in calibrate:
+            getattr(mod, name).reset_mock()
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cold"))
+        schedule = cli.make_schedule(scn.scheme_enum, scn.m_codes, scn.k)
+        cli.load_or_build_pattern(scn, schedule, validate=True)
+        assert {k: getattr(*k).call_count for k in calibrate} == calibrate
         assert threads == {threading.get_ident()}
 
     def test_failing_noise_draw_raises(self, tmp_path, small_scenario,
@@ -176,8 +195,8 @@ class TestRunSimulate:
     @pytest.mark.parametrize("noise", [False, True])
     def test_noise_drawn_only_when_enabled(self, tmp_path, small_scenario,
                                            monkeypatch, noise):
-        draw = mock.Mock(wraps=cli._draw_noise)
-        monkeypatch.setattr(cli, "_draw_noise", draw)
+        draw = mock.Mock(wraps=cli.start_noise)
+        monkeypatch.setattr(cli, "start_noise", draw)
         small_scenario.noise_enabled = noise
         run_simulate(small_scenario, tmp_path)
         assert draw.call_count == noise

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
-                  assemble_frame, build_pattern, delay_and_sum, extract_band,
+                  assemble_frame, build_pattern, delay_and_sum,
                   find_peaks, make_chirp, make_schedule, mix, peak_cleanup,
                   process_sensing, quantize, receive_tail, si_filter,
                   signed_bin, slow_time_matched_filter, solve_windows,
@@ -15,8 +19,8 @@ from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   validate_pattern)
 from jcas import receiver
 from jcas.channel import echo_component
-from jcas.receiver import COND_MAX, capture_windows, invert_cells, \
-    pattern_cell_direct
+from jcas.receiver import COND_MAX, RdMatrix, capture_windows, \
+    invert_cells, pattern_cell_direct
 from jcas.scheduler import grid_size, occasion_grid_indices
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -27,6 +31,16 @@ def sensing_symbol(cfg, m, data):
     """Time-domain body b_m plus the data part."""
     chirp, codes, _ = transmit_constants(cfg)
     return unitary_idft(spread_and_assemble(cfg, m, unitary_dft(chirp), data, codes))
+
+
+def extract_band(rd, band):
+    """Oracle: the columns of a full map whose signed bin lies in
+    [-band/2, band/2), in FFT order of the band; the bin width is kept."""
+    if band > rd.n_doppler:
+        raise ValueError("band wider than the map")
+    cols = signed_bin(np.arange(band), band) % rd.n_doppler
+    return RdMatrix(values=rd.values[:, cols], grid_size=rd.grid_size,
+                    cfg=rd.cfg)
 
 
 class TestMix:
@@ -447,6 +461,138 @@ class TestPattern:
             build_pattern(cfg_small, sched)
 
 
+class TestPatternWorker:
+    """build_pattern shares its slices with the background worker."""
+
+    def _spy(self, monkeypatch, before):
+        """Record the thread of each slice; before(on_caller, args) runs
+        first and gives the args the slice is computed from."""
+        real, threads, caller = receiver._pattern_slice, [], threading.get_ident()
+
+        def pattern_slice(*args):
+            threads.append(threading.get_ident())
+            return real(*before(threads[-1] == caller, args))
+        monkeypatch.setattr(receiver, "_pattern_slice", pattern_slice)
+        return threads
+
+    def _sync(self, on_worker=lambda args: args):
+        """A before() under which the caller's slices wait until the worker
+        has begun one, and the worker's go through on_worker."""
+        started = threading.Event()
+
+        def before(on_caller, args):
+            if on_caller:
+                assert started.wait(20)
+                return args
+            started.set()
+            return on_worker(args)
+        return before
+
+    def test_slices_taken_back_from_a_busy_worker(self, cfg_small, monkeypatch,
+                                                  block_worker):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        threads = self._spy(monkeypatch, self._sync())
+        free = build_pattern(cfg_small, sched)
+        assert len(threads) == 4 and set(threads) != {threading.get_ident()}
+        monkeypatch.undo()
+        threads = self._spy(monkeypatch, lambda on_caller, args: args)
+        blocker = block_worker()
+        pat = build_pattern(cfg_small, sched)
+        assert not blocker.done()   # not waited for behind the blocker
+        assert threads == [threading.get_ident()] * 4
+        for name in ("p", "p_sol", "resolvable"):
+            assert getattr(pat, name).tobytes() == getattr(free, name).tobytes()
+
+    def test_worker_slice_failure_raises(self, cfg_small, monkeypatch):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+
+        def broken(args):
+            refs = args[1].copy()
+            refs[2] *= 2   # symbol 2 no longer repeats symbol 1
+            return (args[0], refs) + args[2:]
+        threads = self._spy(monkeypatch, self._sync(broken))
+        with pytest.raises(RuntimeError, match="steady-state"):
+            build_pattern(cfg_small, sched)
+        assert set(threads) != {threading.get_ident()}
+
+    def test_caller_slice_failure_waits_for_the_worker(self, cfg_small,
+                                                       monkeypatch):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        real, caller = receiver._pattern_slice, threading.get_ident()
+        started, ended, threads = threading.Event(), threading.Event(), []
+
+        def pattern_slice(*args):
+            threads.append(threading.get_ident())
+            if threads[-1] == caller:
+                assert started.wait(20)
+                raise RuntimeError("caller slice failed")
+            started.set()
+            time.sleep(0.2)
+            real(*args)
+            ended.set()
+        monkeypatch.setattr(receiver, "_pattern_slice", pattern_slice)
+        with pytest.raises(RuntimeError, match="caller slice failed"):
+            build_pattern(cfg_small, sched)
+        assert ended.is_set()
+        # the queue was dropped: the worker took no slice after its first
+        assert len(threads) == 2
+
+    def test_caller_slice_failure_takes_the_queued_helper_back(
+            self, cfg_small, monkeypatch, block_worker):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+
+        def fail(on_caller, args):
+            raise RuntimeError("caller slice failed")
+        threads = self._spy(monkeypatch, fail)
+        blocker = block_worker()
+        with pytest.raises(RuntimeError, match="caller slice failed"):
+            build_pattern(cfg_small, sched)
+        assert not blocker.done()
+        assert threads == [threading.get_ident()]   # the helper never ran
+
+    def test_concurrent_builds_compute_each_slice_once(self, cfg_small,
+                                                       monkeypatch):
+        # callers on more threads than cores share the one worker and each
+        # one's queue; a slice lost or taken twice shows in the count
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        want = build_pattern(cfg_small, sched)
+        slices = self._spy(monkeypatch, lambda on_caller, args: args)
+        results = []
+
+        def run():
+            for _ in range(5):
+                results.append(build_pattern(cfg_small, sched))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 20 and len(slices) == 4 * 20
+        for pat in results:
+            assert pat.p.tobytes() == want.p.tobytes()
+            assert pat.p_sol.tobytes() == want.p_sol.tobytes()
+
+    def test_fig7_build_peak_memory(self):
+        # both windows in flight, each in half-band buffers; building the
+        # windows one after the other at full band peaked at 17.7 MB here
+        cfg = WaveformConfig()
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 64)
+        tracemalloc.start()
+        try:
+            pat = build_pattern(cfg, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pat.p.shape == (512, 64, 2, 2)
+        assert peak < 15e6
+
+
 class TestSolveWindows:
     def _solved(self, cfg, sched, targets, pat):
         tx = assemble_frame(cfg, sched, rng=substream(30, "p"))
@@ -554,7 +700,6 @@ class TestSolveWindows:
 class TestPeakCleanup:
     def _rd(self, cfg):
         vals = np.zeros((cfg.l_occ, 16), dtype=complex)
-        from jcas.receiver import RdMatrix
         return RdMatrix(values=vals, grid_size=80, cfg=cfg)
 
     def test_isolated_peak_unchanged(self, cfg_small):
@@ -678,7 +823,6 @@ class TestBandOnlyFilter:
 
 class TestExtractBand:
     def test_band_columns(self, cfg_small, rng):
-        from jcas.receiver import RdMatrix
         vals = rng.normal(size=(cfg_small.l_occ, 80)) + 0j
         rd = RdMatrix(values=vals, grid_size=80, cfg=cfg_small)
         sub = extract_band(rd, 16)
