@@ -15,26 +15,25 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import ctypes
-import hashlib
 import json
 import math
 import numbers
 import os
 import sys
-import tempfile
 import time
-import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import comms, detect, receiver
-# perfbench wraps these by their names in this module, the reader included
+# perfbench wraps or looks up these by their names in this module, the
+# reader and the cache's path names included
 from .artifacts import read_rd_binary, write_rd_binary, write_rd_csv
+from .cache import cache_dir, load_or_build_pattern, pattern_cache_key, pattern_path
 from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
     target_to_delay_doppler
-from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
+from .scheduler import Scheme, grid_size, make_schedule, \
     unambiguous_band
 from .util import check_db, kmh_to_mps, substream
 from .waveform import WaveformConfig, assemble_frame, frame_len
@@ -188,96 +187,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, ValueError) as e:   # ValueError: malformed JSON or text
         raise ScenarioError(f"cannot read {path}: {e}")
     return Scenario.from_dict(d)
-
-
-def pattern_cache_key(scn: Scenario) -> str:
-    rel = {k: getattr(scn, k) for k in
-           ("n_fft", "m_codes", "n_cp", "scs_hz", "carrier_hz", "k",
-            "n_guard", "scheme")}
-    rel["format"] = 5   # the .npz layout written by load_or_build_pattern
-    return hashlib.sha256(json.dumps(rel, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def cache_dir() -> Path:
-    d = os.environ.get("JCAS_CACHE_DIR")
-    if d:
-        return Path(d)
-    return Path.home() / ".cache" / "jcas"
-
-
-def pattern_path(scn: Scenario) -> Path:
-    return cache_dir() / f"pattern_{pattern_cache_key(scn)}.npz"
-
-
-# The last pattern this process loaded from disk, with the identity of its
-# file: (path, st_dev, st_ino, st_mtime_ns, st_size). Every store and every
-# rebuild drops it, so a rewritten file is read again, never served stale.
-_pattern_memo: tuple[tuple, receiver.PatternTensor] | None = None
-
-
-def _read_pattern(path: Path) -> receiver.PatternTensor:
-    """The pattern stored at path, with read-only arrays: the memoized one
-    if the file is the one it was loaded from, else read and memoized."""
-    global _pattern_memo
-    memo = _pattern_memo   # one read: preset threads may swap the entry
-    with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        key = (os.fspath(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-        if memo is not None and memo[0] == key:
-            return replace(memo[1])
-        _pattern_memo = None
-        with np.load(f) as z:
-            fields_ = {k: z[k][()] for k in z.files}
-    for v in fields_.values():
-        if isinstance(v, np.ndarray):
-            v.flags.writeable = False
-    pat = receiver.PatternTensor(**fields_)
-    _pattern_memo = (key, replace(pat))
-    return pat
-
-
-def load_or_build_pattern(scn: Scenario, schedule: Schedule,
-                          validate: bool = False) -> receiver.PatternTensor:
-    """The cached pattern of scn. A file that is missing, unreadable, lacks a
-    field or does not fit scn's (range bins, band) shape and guard is rebuilt.
-    With ``validate``, a cached pattern not yet validated is validated, and
-    rebuilt if it fails; the validated pattern is stored. The last pattern
-    loaded stays in memory, with read-only arrays, while its file is
-    unchanged; a built pattern is the caller's own."""
-    global _pattern_memo
-    cfg = scn.waveform_config()
-    shape = (cfg.l_occ, unambiguous_band(schedule, cfg))
-    path = pattern_path(scn)
-    try:
-        pat = _read_pattern(path)
-        if not (pat.p.shape == shape + (2, 2) == pat.p_sol.shape
-                and pat.resolvable.shape == shape and pat.n_guard == scn.n_guard):
-            raise ValueError("the cached pattern does not fit the scenario")
-        if not validate or pat.validation_error is not None:
-            return pat
-        receiver.validate_pattern(pat, cfg, schedule)
-    except (OSError, ValueError, TypeError, EOFError, RuntimeError,
-            zipfile.BadZipFile):
-        pat = None
-    # the pattern is rebuilt or rewritten from here on, so the entry goes
-    # first; the build runs outside the handler, whose traceback would keep
-    # the failed load's frames, and through them the entry, alive
-    _pattern_memo = None
-    if pat is None:
-        pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard)
-        if validate:
-            receiver.validate_pattern(pat, cfg, schedule)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # write beside the target and rename, so readers never see a partial file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, **{k: v for k, v in vars(pat).items() if v is not None})
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return pat
 
 
 # ---------------------------------------------------------------------------

@@ -170,16 +170,14 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
 
     if rd is not None and report.matched:
         power = np.abs(rd.values) ** 2
-        n_dop = rd.n_doppler
         mask = np.ones_like(power, dtype=bool)
         peak_powers = []
         for i, (td, tv) in enumerate(cells):
-            cols = [(tv + t) % n_dop for t in range(-tol_v, tol_v + 1)]
-            lo, hi = max(0, td - tol_d), min(power.shape[0], td + tol_d + 1)
-            if lo < hi:
-                mask[lo:hi, cols] = False
+            rows, cols = rd.neighborhood(td, tv, tol_d, tol_v)
+            if rows.start < rows.stop:
+                mask[rows, cols] = False
                 if i not in report.misses:
-                    peak_powers.append(power[lo:hi, cols].max())
+                    peak_powers.append(power[rows, cols].max())
         interference = power[mask].max() if mask.any() else 0.0
         if peak_powers and interference > 0:
             report.peak_to_interference_db = float(

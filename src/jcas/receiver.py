@@ -67,6 +67,13 @@ class RdMatrix:
         freq = self.signed_bin(col) / (self.grid_size * self.cfg.t_chirp)
         return freq * self.cfg.wavelength_m / 2
 
+    def neighborhood(self, d: int, col: int, rows: int, cols: int
+                     ) -> tuple[slice, list[int]]:
+        """Index of the cells within rows range bins and cols Doppler columns
+        of (d, col): rows clip at the map's edges, columns wrap."""
+        return (slice(max(0, d - rows), min(self.values.shape[0], d + rows + 1)),
+                [(col + t) % self.n_doppler for t in range(-cols, cols + 1)])
+
 
 def capture_windows(rx: np.ndarray, cfg: WaveformConfig, k: int,
                     kind: WindowKind) -> np.ndarray:
@@ -194,6 +201,7 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
 # ---------------------------------------------------------------------------
 
 COND_MAX = 1e6   # a 2x2 cell with a larger condition number is unresolvable
+VALIDATION_TOL = 1e-6   # the largest deviation validate_pattern passes by default
 
 
 @dataclass
@@ -203,10 +211,10 @@ class PatternTensor:
     ``p[d, c, w, h]`` is the complex RD value at cell (range bin d,
     band column c) produced by a unit-amplitude on-grid calibration echo
     of hypothesis h (0 = near, delay d; 1 = far, delay d + L) observed in
-    window w (0 = standard, 1 = shifted). Stored beside it, from
-    ``invert_cells``: ``p_sol``, the per-cell 2x2 inverses with rows of unit
-    norm, zero where ``resolvable`` is false (an ill-conditioned 2x2 or a
-    range bin notched by the SI guard). ``band`` is derived from ``p``.
+    window w (0 = standard, 1 = shifted). Derived from it by ``solve``:
+    ``p_sol``, the per-cell 2x2 inverses with rows of unit norm, zero where
+    ``resolvable`` is false (an ill-conditioned 2x2 or a range bin notched
+    by the SI guard). ``band`` is derived from ``p``.
     """
 
     p: np.ndarray          # (L, band, 2, 2)
@@ -214,6 +222,16 @@ class PatternTensor:
     resolvable: np.ndarray  # (L, band) bool
     n_guard: int
     validation_error: float | None = None
+
+    @classmethod
+    def solve(cls, p: np.ndarray, n_guard: int,
+              validation_error: float | None = None) -> "PatternTensor":
+        """The pattern of the responses p: every cell inverted by
+        invert_cells, the n_guard notched range bins unresolvable."""
+        resolvable, p_sol = invert_cells(p)
+        resolvable[:n_guard] = False
+        p_sol[:n_guard] = 0
+        return cls(p, p_sol, resolvable, n_guard, validation_error)
 
     @property
     def band(self) -> int:
@@ -374,11 +392,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     helper.result()
     del bufs, helper   # the slice buffers go before the cells are inverted
 
-    resolvable, p_sol = invert_cells(p)
-    resolvable[:n_guard] = False
-    p_sol[:n_guard] = 0
-    return PatternTensor(p=p, p_sol=p_sol, resolvable=resolvable,
-                         n_guard=n_guard)
+    return PatternTensor.solve(p, n_guard)
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
@@ -408,7 +422,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
 def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
                      schedule: Schedule, n_cells: int = 3,
                      rng: np.random.Generator | None = None,
-                     tol: float = 1e-6) -> float:
+                     tol: float = VALIDATION_TOL) -> float:
     """Spot-check the fast calibration against the direct pipeline.
 
     Returns the worst relative deviation over the sampled cells and
@@ -468,12 +482,9 @@ def peak_cleanup(rd: RdMatrix, cells, radius: int = 2) -> RdMatrix:
     """
     check_cleanup_radius(radius)
     vals = rd.values.copy()
-    n_dop = rd.n_doppler
     for d0, c0 in cells:
         keep = vals[d0, c0]
-        lo, hi = max(0, d0 - radius), min(vals.shape[0], d0 + radius + 1)
-        cols = [(c0 + t) % n_dop for t in range(-radius, radius + 1)]
-        vals[lo:hi, cols] = 0
+        vals[rd.neighborhood(d0, c0, radius, radius)] = 0
         vals[d0, c0] = keep
     return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
 
@@ -493,21 +504,3 @@ def receive_tail(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
     cleaned = [peak_cleanup(m, [d.cell for d in detect.find_peaks(
         m, rel_threshold, max_peaks, guard)], cleanup_radius) for m in (std, shift)]
     return std, shift, solve_windows(*cleaned, pat)
-
-
-def quantize(v: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
-    """Uniform mid-rise quantizer on real and imaginary parts, clipped.
-
-    Models the ADC: placed on the raw receive stream it demonstrates how
-    un-cancelled SI eats the dynamic range; placed after delay-and-sum it
-    models the analog-cancellation receiver.
-    """
-    if not 4 <= bits <= 16:
-        raise ValueError("bits must be in [4, 16]")
-    step = 2 * full_scale / (1 << bits)
-    top = full_scale - step / 2
-
-    def q(x):
-        return np.clip((np.floor(x / step) + 0.5) * step, -top, top)
-
-    return q(np.real(v)) + 1j * q(np.imag(v))

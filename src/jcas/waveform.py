@@ -197,16 +197,6 @@ def _spread(out: np.ndarray, codes: np.ndarray, alpha: np.ndarray,
     np.matmul(coef, codes, out=out.reshape(k, -1, m))
 
 
-def _to_time(frame: np.ndarray, cfg: WaveformConfig, rho: np.ndarray) -> None:
-    """Turn the spectra held in the bodies of frame (K, N_CP + N) into
-    symbols in place: IDFT, per-symbol phase rho, CP prepend."""
-    body = frame[:, cfg.n_cp:]
-    np.fft.ifft(body, axis=-1, out=body)
-    body *= np.sqrt(cfg.n_fft)
-    body *= rho[:, None]
-    frame[:, :cfg.n_cp] = body[:, cfg.n_fft - cfg.n_cp:]
-
-
 def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
                         chirp_spectrum: np.ndarray, data: np.ndarray,
                         codes: np.ndarray) -> np.ndarray:
@@ -232,16 +222,6 @@ def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
     s = np.empty((1, cfg.n_fft), dtype=complex)
     _spread(s, codes, np.array([sensing_code]), chirp_spectrum, data[None])
     return s[0]
-
-
-def assemble_symbol(spectrum: np.ndarray, cfg: WaveformConfig,
-                    symbol_index: int, scheme: Scheme) -> np.ndarray:
-    """IDFT, the scheme's per-symbol rotation, and CP prepend of one (N,)
-    symbol spectrum. Returns N + N_CP samples."""
-    frame = np.empty((1, cfg.symbol_len), dtype=complex)
-    frame[0, cfg.n_cp:] = spectrum
-    _to_time(frame, cfg, symbol_rotation([symbol_index], cfg.m_codes, scheme))
-    return frame[0]
 
 
 # the QPSK points of random_qpsk, indexed by 2 * b_re + b_im
@@ -297,9 +277,14 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
             raise ValueError("payload shape mismatch for implanted-OFDM frame")
         out = np.empty(frame_len(cfg, schedule), dtype=complex)
         frame = out.reshape(k_syms, -1)
-        _spread(frame[:, cfg.n_cp:], codes, np.asarray(schedule.alpha),
+        body = frame[:, cfg.n_cp:]
+        _spread(body, codes, np.asarray(schedule.alpha),
                 sensing_scale * unitary_dft(chirp), payload)
-        _to_time(frame, cfg, symbol_rotation(np.arange(k_syms), cfg.m_codes, scheme))
+        # in place: IDFT, the per-symbol rotation, then the CP
+        np.fft.ifft(body, axis=-1, out=body)
+        body *= np.sqrt(cfg.n_fft)
+        body *= symbol_rotation(np.arange(k_syms), cfg.m_codes, scheme)[:, None]
+        frame[:, :cfg.n_cp] = body[:, cfg.n_fft - cfg.n_cp:]
         return out
 
     # slotted schemes: M*K slots of length L

