@@ -77,9 +77,10 @@ def load_or_build_pattern(scn, schedule: Schedule,
     """The cached pattern of scn. A file that is missing, unreadable, lacks
     p or whose p does not fit scn's (range bins, band) shape is rebuilt.
     With ``validate``, a cached pattern without a passing validation error
-    is validated, and rebuilt if it fails; the validated pattern is stored. The last pattern
-    loaded stays in memory, with read-only arrays, while its file is
-    unchanged; a built pattern is the caller's own."""
+    is validated, and rebuilt if it fails; a pattern is validated while it
+    is built, and the validated pattern is stored. The last pattern loaded
+    stays in memory, with read-only arrays, while its file is unchanged; a
+    built pattern is the caller's own."""
     global _pattern_memo
     cfg = scn.waveform_config()
     path = pattern_path(scn)
@@ -98,9 +99,8 @@ def load_or_build_pattern(scn, schedule: Schedule,
     # the failed load's frames, and through them the entry, alive
     _pattern_memo = None
     if pat is None:
-        pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard)
-        if validate:
-            receiver.validate_pattern(pat, cfg, schedule)
+        pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard,
+                                     validate=validate)
     path.parent.mkdir(parents=True, exist_ok=True)
     # write beside the target and rename, so readers never see a partial file
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -89,7 +89,16 @@ def mix(window: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Dechirp: reference times conjugated received window."""
     if window.shape[-1] != reference.shape[-1]:
         raise ValueError("window/reference length mismatch")
-    return reference * np.conj(window)
+    # in the conjugate's buffer, in the operand order (it sets the last bit)
+    # numpy gave reference * conj(window) on the frames jcas runs: conj first
+    # for a reference of the window's shape (numpy reused the conjugate's
+    # buffer from 256 KiB on), reference first for a broadcast one
+    beat = np.conj(window).astype(np.result_type(window, reference), copy=False)
+    if reference.shape == beat.shape:
+        beat *= reference
+    else:
+        np.multiply(reference, beat, out=beat)
+    return beat
 
 
 def delay_and_sum(beat: np.ndarray, m: int) -> np.ndarray:
@@ -227,8 +236,20 @@ class PatternTensor:
     def solve(cls, p: np.ndarray, n_guard: int,
               validation_error: float | None = None) -> "PatternTensor":
         """The pattern of the responses p: every cell inverted by
-        invert_cells, the n_guard notched range bins unresolvable."""
-        resolvable, p_sol = invert_cells(p)
+        invert_cells, the n_guard notched range bins unresolvable. The
+        caller inverts the first half of the range bins and the background
+        worker the second, each into its rows of the one result."""
+        resolvable = np.empty(p.shape[:2], dtype=bool)
+        p_sol = np.empty(p.shape, dtype=complex)
+        half = len(p) // 2
+        helper = Pending(functools.partial(invert_cells, p[half:],
+                                           (resolvable[half:], p_sol[half:])))
+        try:
+            invert_cells(p[:half], (resolvable[:half], p_sol[:half]))
+        except BaseException:
+            helper.drop()
+            raise
+        helper.result()
         resolvable[:n_guard] = False
         p_sol[:n_guard] = 0
         return cls(p, p_sol, resolvable, n_guard, validation_error)
@@ -242,64 +263,76 @@ class PatternTensor:
         return int((~self.resolvable[self.n_guard:]).sum())
 
 
-def invert_cells(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def invert_cells(p: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form solve of each 2x2 cell P = [[a, b], [c, d]] of p[..., :, :].
 
     Returns the mask cond(P) <= COND_MAX, false for NaN, zero and singular
     cells, and the inverses: rows [d, -b] and [-c, a] times conj(det)/|det|,
-    each scaled to unit norm, zero outside the mask. With r = |det| /
-    ||P||_F^2, cond = (1 + sqrt(1 - 4r^2)) / (2r), free of ||P||_F^4 overflow.
+    each scaled to unit norm, zero outside the mask; written into out =
+    (mask, inverses) if given. With r = |det| / ||P||_F^2,
+    cond = (1 + sqrt(1 - 4r^2)) / (2r), free of ||P||_F^4 overflow.
     """
+    if out is None:
+        out = np.empty(p.shape[:-2], dtype=bool), np.empty(p.shape, dtype=complex)
+    resolvable, p_sol = out
     a, b, c, d = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
     det = a * d - b * c
-    p_sol = np.stack((d, -b, -c, a), axis=-1).reshape(p.shape)
+    p_sol[..., 0, 0], p_sol[..., 1, 1] = d, a
+    np.negative(b, out=p_sol[..., 0, 1])
+    np.negative(c, out=p_sol[..., 1, 0])
     row_sq = (p_sol.real ** 2 + p_sol.imag ** 2).sum(axis=-1)
     with np.errstate(all="ignore"):   # the mask drops what this spoils
         r = np.abs(det) / row_sq.sum(axis=-1)
-        resolvable = (1 + np.sqrt(np.maximum(1 - 4 * r * r, 0))) / (2 * r) <= COND_MAX
+        np.less_equal((1 + np.sqrt(np.maximum(1 - 4 * r * r, 0))) / (2 * r), COND_MAX,
+                      out=resolvable)
         p_sol *= (np.conj(det) / np.abs(det))[..., None, None]
         p_sol /= np.sqrt(row_sq)[..., None]
     p_sol[~resolvable] = 0
     return resolvable, p_sol
 
 
-def _pattern_slice(cfg: WaveformConfig, refs: np.ndarray, phase: np.ndarray,
-                   probe_f: np.ndarray, ref_twist: np.ndarray,
-                   out_chirp: np.ndarray, k_full: int, out: np.ndarray,
-                   cols: slice, bufs: tuple[np.ndarray, ...]) -> None:
-    """Band columns cols of one receive window's calibrated response into
-    out[:, cols], out (L, band, hyp): (z_0 + (K-1) z_1) / K per cell.
+def _pattern_slice(cfg: WaveformConfig, windows: list[tuple], f_b: np.ndarray,
+                   n_chirp: np.ndarray, out_chirp: np.ndarray, k_full: int,
+                   p: np.ndarray, cols: slice, bufs: tuple[np.ndarray, ...]) -> None:
+    """Band columns cols of both receive windows' calibrated responses into
+    p[:, cols], p (L, band, window, hyp): (z_0 + (K-1) z_1) / K per cell.
 
-    refs, phase and probe_f are the window's mixer references (3, N),
-    steering phases (3, band) and probe transforms (3, hyp, size). The
-    slice is computed in bufs = (ref_f, conv, z_1), shaped (h, size),
-    (h, size) and (hyp, h, L) for h columns or more. Symbol 0 goes straight
-    into out, symbol 1 into z_1, and symbol 2 is only compared with symbol 1
-    for the steady-state check.
+    windows holds each window's mixer references (3, N), steering phases
+    (3, band) and probe transforms (3, hyp, size). The slice is computed in
+    bufs = (twist, ref_f, conv, z_1), shaped (h, N), (h, size), (h, size)
+    and (hyp, h, L) for h columns or more: twist, the columns' reference
+    twist e^{-j2pi f_b n Ts} e^{-jpi n^2/L} (n_chirp the second factor),
+    serves both windows. Symbol 0 goes straight into p, symbol 1 into z_1,
+    and symbol 2 is only compared with symbol 1 for the steady-state check.
     """
     n, l = cfg.n_fft, cfg.l_occ
     w = cols.stop - cols.start
-    rf, cv, z_1 = bufs[0][:w], bufs[1][:w], bufs[2][:, :w]
-    for k in range(3):
-        np.multiply(refs[k], ref_twist[cols], out=rf[:, :n])
-        rf[:, n:] = 0
-        np.fft.fft(rf, axis=-1, out=rf)
+    twist, rf, cv, z_1 = bufs[0][:w], bufs[1][:w], bufs[2][:w], bufs[3][:, :w]
+    np.exp(-2j * np.pi * cfg.t_s * np.outer(f_b[cols], np.arange(n)), out=twist)
+    twist *= n_chirp
+    for wi, (refs, phase, probe_f) in enumerate(windows):
+        out = p[:, :, wi]
+        for k in range(3):
+            np.multiply(refs[k], twist, out=rf[:, :n])
+            rf[:, n:] = 0
+            np.fft.fft(rf, axis=-1, out=rf)
+            for hyp in (0, 1):
+                np.multiply(rf, probe_f[k, hyp], out=cv)
+                np.fft.ifft(cv, axis=-1, out=cv)
+                z = phase[k, cols, None] * out_chirp * cv[:, n - 1:n - 1 + l]
+                if k == 0:
+                    out[:, cols, hyp] = z.T
+                elif k == 1:
+                    z_1[hyp] = z
+                else:
+                    dev = np.max(np.abs(z_1[hyp] - z), axis=-1)
+                    scale = np.max(np.abs(z_1[hyp]), axis=-1)
+                    if np.any(dev > 1e-6 * np.maximum(scale, 1e-30)):
+                        raise RuntimeError("steady-state calibration assumption broken")
         for hyp in (0, 1):
-            np.multiply(rf, probe_f[k, hyp], out=cv)
-            np.fft.ifft(cv, axis=-1, out=cv)
-            z = phase[k, cols, None] * out_chirp * cv[:, n - 1:n - 1 + l]
-            if k == 0:
-                out[:, cols, hyp] = z.T
-            elif k == 1:
-                z_1[hyp] = z
-            else:
-                dev = np.max(np.abs(z_1[hyp] - z), axis=-1)
-                scale = np.max(np.abs(z_1[hyp]), axis=-1)
-                if np.any(dev > 1e-6 * np.maximum(scale, 1e-30)):
-                    raise RuntimeError("steady-state calibration assumption broken")
-    for hyp in (0, 1):
-        out[:, cols, hyp] = ((out[:, cols, hyp].T + (k_full - 1) * z_1[hyp])
-                             / k_full).T
+            out[:, cols, hyp] = ((out[:, cols, hyp].T + (k_full - 1) * z_1[hyp])
+                                 / k_full).T
 
 
 def _run_slices(tasks: collections.deque, bufs: tuple[np.ndarray, ...]) -> None:
@@ -314,7 +347,7 @@ def _run_slices(tasks: collections.deque, bufs: tuple[np.ndarray, ...]) -> None:
 
 
 def build_pattern(cfg: WaveformConfig, schedule: Schedule,
-                  n_guard: int = 1) -> PatternTensor:
+                  n_guard: int = 1, validate: bool = False) -> PatternTensor:
     """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
 
     Runs noiseless unit-amplitude calibration echoes through the exact
@@ -332,9 +365,13 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     echo's own e^{-j2pi f_b delta Ts} is e^{-j2pi f_b o_k Ts} for every d.
     So one reference transform per (window, symbol) serves all band columns.
 
-    Each window's band is computed in two halves. The caller and the
-    background worker (util.Pending) share the four slices, each in
-    half-band buffers of its own; a worker that has not begun is taken back.
+    The band is computed in eighths, each for both windows. The caller and
+    the background worker (util.Pending) share the eight slices, each in
+    eighth-band buffers of its own; a worker that has not begun is taken
+    back. With ``validate``, the caller first computes the cells that
+    validate_pattern checks through the direct pipeline, while the worker
+    builds, and the pattern is checked against them as validate_pattern
+    does.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
@@ -353,46 +390,53 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     f_b = bs / (n_grid * cfg.t_chirp)
     steer = np.exp(2j * np.pi * np.outer(g3, bs % n_grid) / n_grid)   # (3, band)
     nn = np.arange(n)
-    ref_twist = np.exp(-2j * np.pi * cfg.t_s * np.outer(f_b, nn)) \
-        * np.exp(-1j * np.pi * nn * nn / l)                            # (band, N)
+    n_chirp = np.exp(-1j * np.pi * nn * nn / l)
     lag = np.arange(-(l - 1), n)
     lag_chirp = np.exp(1j * np.pi * lag * lag / l)
     d = np.arange(l)
     out_chirp = np.exp(-1j * np.pi * d * d / l) / np.sqrt(l)
     size = next_fast_len(n + l - 1)
-    h = (band + 1) // 2   # half the band, rounded up
 
-    p = np.empty((l, band, 2, 2), dtype=complex)
-    tasks = collections.deque()   # (window, half of the band)
-    for wi, kind in enumerate((WindowKind.STANDARD, WindowKind.SHIFTED)):
+    windows = []   # (references, steering phases, probe transforms)
+    for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
         offs = np.arange(3) * cfg.symbol_len \
             + (cfg.n_cp if kind is WindowKind.STANDARD else 0)
-        refs = _fsi_references(cfg, cal_sched, kind)
-        phase = steer * np.exp(-2j * np.pi * cfg.t_s * np.outer(offs, f_b))
         probe_f = np.empty((3, 2, size), dtype=complex)   # (symbol, hyp, lag)
         for k in range(3):
             for hyp in (0, 1):
                 lo = offs[k] + (1 - hyp) * l
                 b = probe[lo:lo + len(lag)] * lag_chirp
                 probe_f[k, hyp] = np.fft.fft(b[::-1], size)
-        tasks.extend((cfg, refs, phase, probe_f, ref_twist, out_chirp, schedule.k,
-                      p[:, :, wi], slice(c0, min(c0 + h, band)))
-                     for c0 in range(0, band, h))
+        windows.append((_fsi_references(cfg, cal_sched, kind),
+                        steer * np.exp(-2j * np.pi * cfg.t_s * np.outer(offs, f_b)),
+                        probe_f))
+    p = np.empty((l, band, 2, 2), dtype=complex)
+    h = (band + 7) // 8   # an eighth of the band, rounded up
+    tasks = collections.deque((cfg, windows, f_b, n_chirp, out_chirp, schedule.k, p,
+                               slice(c0, min(c0 + h, band)))
+                              for c0 in range(0, band, h))
+
+    def slice_bufs():
+        return (np.empty((h, n), dtype=complex), np.empty((h, size), dtype=complex),
+                np.empty((h, size), dtype=complex), np.empty((2, h, l), dtype=complex))
     # the caller and the background worker take slices off the queue, each
-    # in half-band buffers of its own, allocated here
-    bufs = [(np.empty((h, size), dtype=complex), np.empty((h, size), dtype=complex),
-             np.empty((2, h, l), dtype=complex)) for _ in range(2)]
-    helper = Pending(functools.partial(_run_slices, tasks, bufs[1]))
+    # in buffers of its own, allocated here; the caller's only once its
+    # direct cells, which need far more memory, are done
+    helper = Pending(functools.partial(_run_slices, tasks, slice_bufs()))
     try:
-        _run_slices(tasks, bufs[0])
+        cells = _direct_cells(cfg, schedule, n_guard, band) if validate else None
+        _run_slices(tasks, slice_bufs())
     except BaseException:
         tasks.clear()
         helper.drop()   # its slice writes into p and its buffers
         raise
     helper.result()
-    del bufs, helper   # the slice buffers go before the cells are inverted
+    del helper   # the worker's slice buffers go before the cells are inverted
 
-    return PatternTensor.solve(p, n_guard)
+    pat = PatternTensor.solve(p, n_guard)
+    if validate:
+        _check_cells(pat, cells)
+    return pat
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
@@ -419,6 +463,39 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     return np.array(out)
 
 
+def _direct_cells(cfg: WaveformConfig, schedule: Schedule, n_guard: int,
+                  band: int, n_cells: int = 3,
+                  rng: np.random.Generator | None = None) -> list[tuple]:
+    """The cells validation checks, drawn by rng (default_rng(0) if None),
+    each as (range bin, band column, hypothesis, direct pipeline value of
+    both windows); every cell echoes the one zero-data frame."""
+    rng = rng or np.random.default_rng(0)
+    tx = assemble_frame(cfg, schedule)
+    cells = []
+    for _ in range(n_cells):
+        d_bin = int(rng.integers(n_guard, cfg.l_occ))
+        col = int(rng.integers(0, band))
+        hyp = int(rng.integers(0, 2))
+        cells.append((d_bin, col, hyp, pattern_cell_direct(
+            cfg, schedule, d_bin, signed_bin(col, band), hyp, n_guard, tx)))
+    return cells
+
+
+def _check_cells(pat: PatternTensor, cells: list[tuple],
+                 tol: float = VALIDATION_TOL) -> float:
+    """The worst relative deviation of pat.p from the direct cells, recorded
+    on pat; a RuntimeError if it is above tol or NaN."""
+    worst = 0.0
+    for d_bin, col, hyp, direct in cells:
+        fast = pat.p[d_bin, col, :, hyp]
+        worst = float(np.maximum(worst, np.max(np.abs(direct - fast))
+                                 / max(np.max(np.abs(direct)), 1e-30)))
+    pat.validation_error = worst
+    if not worst <= tol:   # a NaN deviation fails too
+        raise RuntimeError(f"pattern validation failed: deviation {worst:.2e}")
+    return worst
+
+
 def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
                      schedule: Schedule, n_cells: int = 3,
                      rng: np.random.Generator | None = None,
@@ -428,23 +505,8 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
     Returns the worst relative deviation over the sampled cells and
     records it on the tensor.
     """
-    rng = rng or np.random.default_rng(0)
-    tx = assemble_frame(cfg, schedule)   # the zero-data frame every cell echoes
-    worst = 0.0
-    for _ in range(n_cells):
-        d_bin = int(rng.integers(pat.n_guard, cfg.l_occ))
-        col = int(rng.integers(0, pat.band))
-        hyp = int(rng.integers(0, 2))
-        signed = signed_bin(col, pat.band)
-        direct = pattern_cell_direct(cfg, schedule, d_bin, signed, hyp,
-                                     pat.n_guard, tx)
-        fast = pat.p[d_bin, col, :, hyp]
-        worst = float(np.maximum(worst, np.max(np.abs(direct - fast))
-                                 / max(np.max(np.abs(direct)), 1e-30)))
-    pat.validation_error = worst
-    if not worst <= tol:   # a NaN deviation fails too
-        raise RuntimeError(f"pattern validation failed: deviation {worst:.2e}")
-    return worst
+    return _check_cells(pat, _direct_cells(cfg, schedule, pat.n_guard, pat.band,
+                                           n_cells, rng), tol)
 
 
 def solve_windows(rd_std: RdMatrix, rd_shift: RdMatrix, pat: PatternTensor

@@ -55,8 +55,8 @@ def mps_to_kmh(v_mps: float) -> float:
 
 
 # One worker thread, started by its first task, runs coarse numpy work that
-# releases the GIL (the noise fill, slices of the pattern build) beside the
-# caller on a second CPU. It calls no function that perfbench wraps: the
+# releases the GIL (the noise fill, slices of the pattern build, half of the
+# pattern's 2x2 solve) beside the caller on a second CPU. It calls no function that perfbench wraps: the
 # tracer keeps one span stack, for the caller's thread.
 _worker: concurrent.futures.ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()

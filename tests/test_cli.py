@@ -145,7 +145,7 @@ class TestRunSimulate:
         # caller that bound the function directly would bypass it unseen.
         # Its tracer is single-threaded: every layer runs on the caller's
         # thread, and the background worker only runs numpy work inside
-        # them (the noise fill, slices of the pattern build).
+        # them (the noise fill, slices of the pattern build, half the solve).
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         simulate = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
                     (cli, "synthesize_rx"): 1, (cli, "write_rd_csv"): 5,
@@ -154,11 +154,15 @@ class TestRunSimulate:
                     (receiver, "process_sensing"): 2, (receiver, "peak_cleanup"): 2,
                     (receiver, "solve_windows"): 1, (detect, "find_peaks"): 3,
                     (detect, "evaluate"): 1}
-        # a cold calibrate: build, then validate three cells, each through
-        # both windows of an echo of the one zero-data frame
+        # a cold calibrate validates while it builds: three cells, each
+        # through both windows of an echo of the one zero-data frame
         calibrate = {(receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 2,
-                     (receiver, "validate_pattern"): 1,
+                     (receiver, "validate_pattern"): 0,
                      (receiver, "process_sensing"): 6, (channel, "echo_component"): 3}
+        # calibrate on the pattern simulate stored unvalidated: a disk load,
+        # solved in two halves, then the same three cells
+        stored = {**calibrate, (receiver, "build_pattern"): 0,
+                  (receiver, "assemble_frame"): 1, (receiver, "validate_pattern"): 1}
         threads = set()
 
         def spy(fn):
@@ -167,17 +171,30 @@ class TestRunSimulate:
                 return fn(*args, **kwargs)
             return mock.Mock(side_effect=call)
 
+        def counts(layers):
+            return {k: getattr(*k).call_count for k in layers}
+
+        def reset():
+            for mod, name in calibrate:
+                getattr(mod, name).reset_mock()
+
         for mod, name in simulate.keys() | calibrate.keys():
             monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
         scn = Scenario(**TAIL_SMALL, peak_cleanup=True)
         run_simulate(scn, tmp_path / "out")
-        assert {k: getattr(*k).call_count for k in simulate} == simulate
-        for mod, name in calibrate:
-            getattr(mod, name).reset_mock()
+        assert counts(simulate) == simulate
+        reset()
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cold"))
         schedule = cli.make_schedule(scn.scheme_enum, scn.m_codes, scn.k)
         cli.load_or_build_pattern(scn, schedule, validate=True)
-        assert {k: getattr(*k).call_count for k in calibrate} == calibrate
+        assert counts(calibrate) == calibrate
+        reset()
+        invert = mock.Mock(wraps=receiver.invert_cells)
+        monkeypatch.setattr(receiver, "invert_cells", invert)
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        pat = cli.load_or_build_pattern(scn, schedule, validate=True)
+        assert counts(stored) == stored
+        assert invert.call_count == 2 and pat.validation_error is not None
         assert threads == {threading.get_ident()}
 
     def test_failing_noise_draw_raises(self, tmp_path, small_scenario,

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
@@ -71,6 +71,39 @@ class TestMix:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mix(np.ones(4), np.ones(5))
+
+    @pytest.mark.parametrize("shape, ref_shape", [
+        ((64, 2048), (64, 2048)),   # the fig7 windows and references
+        ((80, 512), (512,)),        # fig6's rtd slots and chirp
+        ((64, 512), (512,)), ((3, 32, 1024), (32, 1024)),
+        ((7, 33), (33,)), ((5,), (5,))])
+    def test_in_place_product_keeps_the_bits(self, shape, ref_shape):
+        # mix used to return reference * np.conj(window). numpy ran that as
+        # conj(window) * reference, in the conjugate's buffer, when both
+        # have one shape and take 256 KiB or more; the operand order sets
+        # the last bit, and mix keeps the order numpy used on such frames
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            window = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            reference = rng.normal(size=ref_shape) + 1j * rng.normal(size=ref_shape)
+            beat = mix(window, reference)
+            if shape == ref_shape:
+                ordered = np.conj(window) * reference
+            else:
+                ordered = reference * np.conj(window)
+            assert beat.tobytes() == ordered.tobytes()
+            if shape != ref_shape or window.nbytes >= 256 * 1024:
+                old = reference * np.conj(window)
+                assert beat.tobytes() == old.tobytes()
+
+    def test_strided_windows_keep_the_bits(self, cfg, rng):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 64)
+        rx = assemble_frame(cfg, sched, rng=rng)
+        for kind in WindowKind:
+            windows = capture_windows(rx, cfg, sched.k, kind)
+            refs = receiver._fsi_references(cfg, sched, kind)
+            old = refs * np.conj(windows)
+            assert mix(windows, refs).tobytes() == old.tobytes()
 
 
 class TestDelayAndSum:
@@ -351,6 +384,25 @@ def random_unitary(rng):
     return q
 
 
+def oracle_cells(rng, scale):
+    """23 2x2 cells times scale: 8 random, 4 rank-1, one zero, two with a
+    NaN entry, and 8 with a condition number within 1e-3 of COND_MAX."""
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    random = gaussian(8, 2, 2)
+    rank1 = gaussian(4, 2, 1) * gaussian(4, 1, 2)
+    special = np.zeros((3, 2, 2), dtype=complex)
+    special[1] = gaussian(2, 2)
+    special[1, 0, 1] = np.nan
+    special[2, 1, 1] = np.nan * 1j
+    # singular values s and s / cond with cond within 1e-3 of COND_MAX
+    cond = COND_MAX * (1 + rng.uniform(-1e-3, 1e-3, 8))
+    edge = np.stack([random_unitary(rng) @ np.diag([1.0, 1 / c])
+                     @ random_unitary(rng) for c in cond])
+    return scale * np.concatenate((random, rank1, special, edge))
+
+
 def tail_setup(cfg, k=16):
     sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, k)
     pat = build_pattern(cfg, sched)
@@ -427,23 +479,7 @@ class TestPattern:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-150, 150))
     def test_closed_form_solve_matches_svd_and_inverse(self, seed, exponent):
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** exponent
-
-        def gaussian(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-        random = gaussian(8, 2, 2)
-        rank1 = gaussian(4, 2, 1) * gaussian(4, 1, 2)
-        special = np.zeros((3, 2, 2), dtype=complex)
-        special[1] = gaussian(2, 2)
-        special[1, 0, 1] = np.nan
-        special[2, 1, 1] = np.nan * 1j
-        # singular values s and s / cond with cond within 1e-3 of COND_MAX
-        cond = COND_MAX * (1 + rng.uniform(-1e-3, 1e-3, 8))
-        edge = np.stack([random_unitary(rng) @ np.diag([1.0, 1 / c])
-                         @ random_unitary(rng) for c in cond])
-        cells = scale * np.concatenate((random, rank1, special, edge))
+        cells = oracle_cells(np.random.default_rng(seed), 10.0 ** exponent)
         resolvable, p_sol = invert_cells(cells)
         ref_cond, ref_inv = solve_oracle(cells)
         decided = ~(np.abs(ref_cond / COND_MAX - 1) <= 1e-9)
@@ -454,6 +490,45 @@ class TestPattern:
         err = np.max(np.abs(p_sol - ref_inv), axis=(1, 2))
         assert np.all(err[both] <= 1e-14 * ref_cond[both])
         assert np.all(p_sol[~resolvable] == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-150, 150),
+           l=st.integers(1, 9), n_guard=st.integers(1, 10))
+    @example(seed=0, exponent=0, l=1, n_guard=1)
+    @example(seed=1, exponent=0, l=7, n_guard=4)
+    @example(seed=2, exponent=-150, l=5, n_guard=5)
+    def test_split_solve_matches_one_inversion(self, seed, exponent, l, n_guard):
+        # the caller inverts rows [:L/2] and the worker rows [L/2:]; every
+        # row holds every oracle cell: NaN, zero, rank-1 and near COND_MAX
+        rng = np.random.default_rng(seed)
+        cells = oracle_cells(rng, 10.0 ** exponent)
+        p = np.stack([cells[rng.permutation(len(cells))] for _ in range(l)])
+        pat = receiver.PatternTensor.solve(p, n_guard)
+        resolvable, p_sol = invert_cells(p)
+        resolvable[:n_guard] = False
+        p_sol[:n_guard] = 0
+        assert pat.resolvable.tobytes() == resolvable.tobytes()
+        assert pat.p_sol.tobytes() == p_sol.tobytes()
+        assert pat.p is p and pat.n_guard == n_guard
+
+    def test_solve_halves_run_on_both_threads(self, monkeypatch):
+        real, threads, caller = invert_cells, [], threading.get_ident()
+        started = threading.Event()
+
+        def invert(p, out=None):
+            threads.append(threading.get_ident())
+            if threads[-1] == caller:   # wait until the worker has its half
+                assert started.wait(20)
+            else:
+                started.set()
+            return real(p, out)
+        monkeypatch.setattr(receiver, "invert_cells", invert)
+        p = oracle_cells(np.random.default_rng(3), 1.0)[:20].reshape(10, 2, 2, 2)
+        pat = receiver.PatternTensor.solve(p, 1)
+        assert len(threads) == 2 and len(set(threads)) == 2
+        monkeypatch.undo()
+        want = receiver.invert_cells(p)
+        assert pat.p_sol[1:].tobytes() == want[1][1:].tobytes()
 
     def test_wrong_scheme_rejected(self, cfg_small):
         sched = make_schedule(Scheme.PERIODIC_TD, cfg_small.m_codes, 4)
@@ -493,13 +568,13 @@ class TestPatternWorker:
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
         threads = self._spy(monkeypatch, self._sync())
         free = build_pattern(cfg_small, sched)
-        assert len(threads) == 4 and set(threads) != {threading.get_ident()}
+        assert len(threads) == 8 and set(threads) != {threading.get_ident()}
         monkeypatch.undo()
         threads = self._spy(monkeypatch, lambda on_caller, args: args)
         blocker = block_worker()
         pat = build_pattern(cfg_small, sched)
         assert not blocker.done()   # not waited for behind the blocker
-        assert threads == [threading.get_ident()] * 4
+        assert threads == [threading.get_ident()] * 8
         for name in ("p", "p_sol", "resolvable"):
             assert getattr(pat, name).tobytes() == getattr(free, name).tobytes()
 
@@ -507,9 +582,10 @@ class TestPatternWorker:
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
 
         def broken(args):
-            refs = args[1].copy()
+            (refs, *rest), shifted = args[1]
+            refs = refs.copy()
             refs[2] *= 2   # symbol 2 no longer repeats symbol 1
-            return (args[0], refs) + args[2:]
+            return (args[0], [(refs, *rest), shifted]) + args[2:]
         threads = self._spy(monkeypatch, self._sync(broken))
         with pytest.raises(RuntimeError, match="steady-state"):
             build_pattern(cfg_small, sched)
@@ -573,13 +649,91 @@ class TestPatternWorker:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(results) == 20 and len(slices) == 4 * 20
+        assert len(results) == 20 and len(slices) == 8 * 20
         for pat in results:
             assert pat.p.tobytes() == want.p.tobytes()
             assert pat.p_sol.tobytes() == want.p_sol.tobytes()
 
+    @pytest.mark.parametrize("grid", ["small", "fig7"])
+    def test_validated_build_equals_build_then_validate(self, cfg_small, grid):
+        cfg, k = (cfg_small, 16) if grid == "small" else (WaveformConfig(), 64)
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, k)
+        plain = build_pattern(cfg, sched)
+        checked = build_pattern(cfg, sched, validate=True)
+        for name in ("p", "p_sol", "resolvable"):
+            assert getattr(checked, name).tobytes() == getattr(plain, name).tobytes()
+        assert plain.validation_error is None
+        assert checked.validation_error == validate_pattern(plain, cfg, sched)
+
+    def _slow_worker_slice(self, monkeypatch):
+        """Slices on the worker start an Event and take 0.2 s longer; gives
+        the Event, the list of slice threads and the list of slices running."""
+        real, started, threads, running = receiver._pattern_slice, \
+            threading.Event(), [], []
+        caller = threading.get_ident()
+
+        def pattern_slice(*args):
+            threads.append(threading.get_ident())
+            running.append(args[7])
+            try:
+                if threads[-1] != caller:
+                    started.set()
+                    time.sleep(0.2)
+                real(*args)
+            finally:
+                running.remove(args[7])
+        monkeypatch.setattr(receiver, "_pattern_slice", pattern_slice)
+        return started, threads, running
+
+    def test_failing_direct_cell_waits_for_the_worker(self, cfg_small,
+                                                      monkeypatch):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        started, threads, running = self._slow_worker_slice(monkeypatch)
+
+        def failing_cell(*args, **kwargs):
+            assert started.wait(20)
+            raise RuntimeError("direct cell failed")
+        monkeypatch.setattr(receiver, "pattern_cell_direct", failing_cell)
+        with pytest.raises(RuntimeError, match="direct cell failed"):
+            build_pattern(cfg_small, sched, validate=True)
+        assert running == []
+        # the queue was dropped: the worker took no slice after its first,
+        # and the caller none
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("factor", [1 + 1e-3, np.nan])
+    def test_deviating_direct_cell_raises(self, cfg_small, monkeypatch, factor):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        _, threads, running = self._slow_worker_slice(monkeypatch)
+        real = pattern_cell_direct
+        monkeypatch.setattr(receiver, "pattern_cell_direct",
+                            lambda *args: factor * real(*args))
+        with pytest.raises(RuntimeError, match="pattern validation failed"):
+            build_pattern(cfg_small, sched, validate=True)
+        assert running == [] and len(threads) == 8
+
+    def test_busy_worker_leaves_every_task_to_the_caller(self, cfg_small,
+                                                         monkeypatch, block_worker):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        want = build_pattern(cfg_small, sched, validate=True)
+        slices = self._spy(monkeypatch, lambda on_caller, args: args)
+        real, inverts = invert_cells, []
+
+        def invert(*args):
+            inverts.append(threading.get_ident())
+            return real(*args)
+        monkeypatch.setattr(receiver, "invert_cells", invert)
+        blocker = block_worker()
+        got = build_pattern(cfg_small, sched, validate=True)
+        assert not blocker.done()   # not waited for behind the blocker
+        assert slices == [threading.get_ident()] * 8
+        assert inverts == [threading.get_ident()] * 2   # both solve halves
+        for name in ("p", "p_sol", "resolvable"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.validation_error == want.validation_error
+
     def test_fig7_build_peak_memory(self):
-        # both windows in flight, each in half-band buffers; building the
+        # both windows in flight, each in eighth-band buffers; building the
         # windows one after the other at full band peaked at 17.7 MB here
         cfg = WaveformConfig()
         sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 64)
