@@ -39,6 +39,15 @@ def pattern_path(scn) -> Path:
     return cache_dir() / f"pattern_{pattern_cache_key(scn)}.npz"
 
 
+class CacheError(OSError):
+    """A pattern could not be stored in the cache directory; ``pattern`` is
+    the pattern all the same, built or validated."""
+
+    def __init__(self, message: str, pattern: receiver.PatternTensor):
+        super().__init__(message)
+        self.pattern = pattern
+
+
 # The last pattern this process loaded from disk, with the identity of its
 # file: (path, st_dev, st_ino, st_mtime_ns, st_size), and the shape and guard
 # it was checked and solved for. Every store and every rebuild drops it, so a
@@ -80,7 +89,8 @@ def load_or_build_pattern(scn, schedule: Schedule,
     is validated, and rebuilt if it fails; a pattern is validated while it
     is built, and the validated pattern is stored. The last pattern loaded
     stays in memory, with read-only arrays, while its file is unchanged; a
-    built pattern is the caller's own."""
+    built pattern is the caller's own. A store that fails raises CacheError,
+    which holds the pattern."""
     global _pattern_memo
     cfg = scn.waveform_config()
     path = pattern_path(scn)
@@ -101,15 +111,19 @@ def load_or_build_pattern(scn, schedule: Schedule,
     if pat is None:
         pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard,
                                      validate=validate)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # write beside the target and rename, so readers never see a partial file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, p=pat.p, **({} if pat.validation_error is None else
-                                    {"validation_error": pat.validation_error}))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # write beside the target and rename, so readers never see a partial file
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.savez(f, p=pat.p, **({} if pat.validation_error is None else
+                                        {"validation_error": pat.validation_error}))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as e:
+        raise CacheError(f"cannot store the pattern in {path.parent}: "
+                         f"{e.strerror or e}", pat) from e
     return pat

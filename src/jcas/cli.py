@@ -6,8 +6,8 @@ Verbs:
     calibrate <scenario.json>  build and cache the dual-window pattern
     selftest                   run the invariant suite
 
-Exit codes: 0 success, 1 selftest failure, 2 scenario validation error,
-3 unresolvable pattern bins.
+Exit codes: 0 success, 1 selftest failure, 2 scenario validation error (or
+a cache directory that calibrate cannot store in), 3 unresolvable pattern bins.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from . import comms, detect, receiver
 # perfbench wraps or looks up these by their names in this module, the
 # reader and the cache's path names included
 from .artifacts import read_rd_binary, write_rd_binary, write_rd_csv
-from .cache import cache_dir, load_or_build_pattern, pattern_cache_key, pattern_path
+from .cache import CacheError, cache_dir, load_or_build_pattern, pattern_cache_key, \
+    pattern_path
 from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
     target_to_delay_doppler
 from .scheduler import Scheme, grid_size, make_schedule, \
@@ -222,7 +223,11 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     flagged_bins = 0
 
     if scheme is Scheme.FSI_TAIL:
-        pat = load_or_build_pattern(scn, schedule)
+        try:
+            pat = load_or_build_pattern(scn, schedule)
+        except CacheError as e:   # the run needs the pattern, not its file
+            print(f"warning: {e}", file=sys.stderr)
+            pat = e.pattern
         flagged_bins = pat.flagged_bins
         std, shift, rd = receiver.receive_tail(
             rx, cfg, schedule, pat, scn.n_guard,
@@ -396,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     # thread or re-raised from the noise worker
     except (ScenarioError, MemoryError) as e:
         print(f"scenario error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except CacheError as e:   # calibrate's; simulate runs on without the file
+        print(f"cache error: {e}", file=sys.stderr)
         return 2
     return 3 if any(r["flagged_pattern_bins"] for r in reports) else 0
 

@@ -10,7 +10,6 @@ grid) so +f_D still peaks at the bin whose signed frequency is +f_D.
 
 from __future__ import annotations
 
-import collections
 import functools
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
-from .util import SPEED_OF_LIGHT, Pending, next_fast_len
+from .util import SPEED_OF_LIGHT, next_fast_len, share
 from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
     transmit_constants, unitary_dft
 
@@ -242,14 +241,9 @@ class PatternTensor:
         resolvable = np.empty(p.shape[:2], dtype=bool)
         p_sol = np.empty(p.shape, dtype=complex)
         half = len(p) // 2
-        helper = Pending(functools.partial(invert_cells, p[half:],
-                                           (resolvable[half:], p_sol[half:])))
-        try:
+        with share([lambda _: invert_cells(p[half:], (resolvable[half:],
+                                                     p_sol[half:]))]):
             invert_cells(p[:half], (resolvable[:half], p_sol[:half]))
-        except BaseException:
-            helper.drop()
-            raise
-        helper.result()
         resolvable[:n_guard] = False
         p_sol[:n_guard] = 0
         return cls(p, p_sol, resolvable, n_guard, validation_error)
@@ -335,17 +329,6 @@ def _pattern_slice(cfg: WaveformConfig, windows: list[tuple], f_b: np.ndarray,
                                  / k_full).T
 
 
-def _run_slices(tasks: collections.deque, bufs: tuple[np.ndarray, ...]) -> None:
-    """Take build_pattern's slices off the shared queue one at a time and
-    compute each in bufs, until none is left."""
-    while True:
-        try:
-            task = tasks.popleft()
-        except IndexError:
-            return
-        _pattern_slice(*task, bufs)
-
-
 def build_pattern(cfg: WaveformConfig, schedule: Schedule,
                   n_guard: int = 1, validate: bool = False) -> PatternTensor:
     """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
@@ -366,12 +349,11 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     So one reference transform per (window, symbol) serves all band columns.
 
     The band is computed in eighths, each for both windows. The caller and
-    the background worker (util.Pending) share the eight slices, each in
-    eighth-band buffers of its own; a worker that has not begun is taken
-    back. With ``validate``, the caller first computes the cells that
-    validate_pattern checks through the direct pipeline, while the worker
-    builds, and the pattern is checked against them as validate_pattern
-    does.
+    the background worker share the eight slices (util.share), each in
+    eighth-band buffers of its own. With ``validate``, the caller first
+    computes the cells that validate_pattern checks through the direct
+    pipeline, while the worker builds, and the pattern is checked against
+    them as validate_pattern does.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
@@ -412,27 +394,16 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
                         probe_f))
     p = np.empty((l, band, 2, 2), dtype=complex)
     h = (band + 7) // 8   # an eighth of the band, rounded up
-    tasks = collections.deque((cfg, windows, f_b, n_chirp, out_chirp, schedule.k, p,
-                               slice(c0, min(c0 + h, band)))
-                              for c0 in range(0, band, h))
-
-    def slice_bufs():
-        return (np.empty((h, n), dtype=complex), np.empty((h, size), dtype=complex),
-                np.empty((h, size), dtype=complex), np.empty((2, h, l), dtype=complex))
-    # the caller and the background worker take slices off the queue, each
-    # in buffers of its own, allocated here; the caller's only once its
-    # direct cells, which need far more memory, are done
-    helper = Pending(functools.partial(_run_slices, tasks, slice_bufs()))
-    try:
+    slices = [functools.partial(_pattern_slice, cfg, windows, f_b, n_chirp, out_chirp,
+                                schedule.k, p, slice(c0, min(c0 + h, band)))
+              for c0 in range(0, band, h)]
+    # each thread computes its slices in buffers of its own; the caller's are
+    # allocated only once its direct cells, which need far more memory, are done
+    with share(slices, lambda: (np.empty((h, n), dtype=complex),
+                                np.empty((h, size), dtype=complex),
+                                np.empty((h, size), dtype=complex),
+                                np.empty((2, h, l), dtype=complex))):
         cells = _direct_cells(cfg, schedule, n_guard, band) if validate else None
-        _run_slices(tasks, slice_bufs())
-    except BaseException:
-        tasks.clear()
-        helper.drop()   # its slice writes into p and its buffers
-        raise
-    helper.result()
-    del helper   # the worker's slice buffers go before the cells are inverted
-
     pat = PatternTensor.solve(p, n_guard)
     if validate:
         _check_cells(pat, cells)

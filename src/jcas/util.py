@@ -1,11 +1,14 @@
 """Small shared helpers: named random substreams, physical constants, FFT
 sizes and the background worker."""
 
+import collections
 import concurrent.futures
+import contextlib
+import functools
 import hashlib
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 import numpy as np
@@ -55,9 +58,9 @@ def mps_to_kmh(v_mps: float) -> float:
 
 
 # One worker thread, started by its first task, runs coarse numpy work that
-# releases the GIL (the noise fill, slices of the pattern build, half of the
-# pattern's 2x2 solve) beside the caller on a second CPU. It calls no function that perfbench wraps: the
-# tracer keeps one span stack, for the caller's thread.
+# releases the GIL beside the caller, on a second CPU if there is one. Work
+# reaches it only through Pending and share below, and never calls a function
+# that perfbench wraps: the tracer keeps one span stack, the caller's.
 _worker: concurrent.futures.ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
 
@@ -101,8 +104,32 @@ class Pending:
             return self._call()
         return self._future.result()
 
-    def drop(self) -> None:
-        """Cancel the call, or wait for it to end if it has begun; its
-        value or exception is discarded."""
-        if not self._future.cancel():
-            concurrent.futures.wait((self._future,))
+
+@contextlib.contextmanager
+def share(tasks: Iterable[Callable[[Any], None]],
+          scratch: Callable[[], Any] = lambda: None) -> Iterator[None]:
+    """Run tasks beside the with-block: the background worker takes them off
+    one queue from entry on, and the caller takes the rest after the block.
+    Each thread calls its tasks with its own scratch(), both made on the
+    caller: the worker's at entry, the caller's after the block. The exit
+    waits until the worker's part has ended or been taken back; a failure in
+    the block or in any task raises from there, and no task starts after it."""
+    queue = collections.deque(tasks)
+
+    def run(buf: Any) -> None:
+        try:
+            while True:
+                try:
+                    task = queue.popleft()
+                except IndexError:
+                    return
+                task(buf)
+        finally:
+            queue.clear()
+    helper = Pending(functools.partial(run, scratch()))
+    try:
+        yield
+        run(scratch())
+    finally:
+        queue.clear()
+        helper.result()

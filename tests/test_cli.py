@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import weakref
 from pathlib import Path
@@ -57,6 +60,11 @@ VALID_FIELDS = {
     "rtd_one_per_group": st.booleans(), "seed": st.integers(0, 2**32),
     "tag": st.one_of(st.none(), st.text(st.characters(categories=["L"]), max_size=4)),
 }
+
+# a valid value 19 times in 20, else junk
+MOSTLY_VALID = {name: st.integers(0, 19).flatmap(lambda i, v=valid: JUNK if i == 0 else v)
+                for name, valid in VALID_FIELDS.items()}
+GRID = ("n_fft", "m_codes", "n_cp")
 
 
 class TestScenario:
@@ -386,6 +394,42 @@ class TestCalibrationCache:
         assert (tmp_path / "damaged" / name).read_bytes() == \
             (tmp_path / "good" / name).read_bytes()
 
+    @pytest.mark.parametrize("verb", ["simulate", "preset"])
+    def test_unusable_cache_dir_warns_and_runs(self, tmp_path, monkeypatch, capsys,
+                                               verb):
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(TAIL_SMALL))
+        (tmp_path / "file").write_text("")
+        unusable = tmp_path / "file" / "sub"   # below a regular file
+        out = {}
+        for cache in (tmp_path / "cache", unusable):
+            monkeypatch.setenv("JCAS_CACHE_DIR", str(cache))
+            out[cache] = tmp_path / cache.name / "out"
+            assert cli.main(["--out-dir", str(out[cache]), verb,
+                             str(scn_file) if verb == "simulate" else "fig7"]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: cannot store the pattern in {unusable}: Not a directory\n"
+        want, got = (sorted(o.iterdir()) for o in out.values())
+        assert [f.name for f in got] == [f.name for f in want]
+        for a, b in zip(want, got):
+            if a.suffix == ".json":
+                assert {**json.loads(a.read_text()), "elapsed_s": 0} == \
+                    {**json.loads(b.read_text()), "elapsed_s": 0}
+            else:
+                assert a.read_bytes() == b.read_bytes()
+
+    def test_calibrate_into_an_unusable_cache_dir_exits_2(self, tmp_path,
+                                                          monkeypatch, capsys):
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(TAIL_SMALL))
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "file" / "sub"))
+        assert cli.main(["calibrate", str(scn_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"cache error: cannot store the pattern in "
+                                f"{tmp_path / 'file' / 'sub'}: Not a directory\n")
+
 
 class TestPatternMemo:
     """The last pattern loaded stays in memory while its file is unchanged."""
@@ -635,6 +679,25 @@ class TestCliMain:
         assert proc.returncode == 0, proc.stderr
         # glibc's adaptive defaults fault ~5,400 pages back in on every run
         assert int(proc.stdout) < 500
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries(
+        {name: MOSTLY_VALID[name] for name in GRID},
+        optional={name: f for name, f in MOSTLY_VALID.items() if name not in GRID}))
+    def test_simulate_keeps_the_exit_contract(self, d):
+        # mostly valid fields, now and then a junk one: every run ends in 0, 2
+        # or 3, and an exit 2 in one line on stderr; the grid is always drawn,
+        # so no run takes the paper's 2048-point default
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            scn_file = Path(tmp) / "scn.json"
+            scn_file.write_text(json.dumps(d))
+            rc = cli.main(["--out-dir", str(Path(tmp) / "out"), "simulate",
+                           str(scn_file)])
+        assert rc in (0, 2, 3)
+        if rc == 2:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("scenario error: ")
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

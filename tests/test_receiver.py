@@ -1,6 +1,4 @@
-import sys
 import threading
-import time
 import tracemalloc
 from unittest import mock
 
@@ -511,25 +509,6 @@ class TestPattern:
         assert pat.p_sol.tobytes() == p_sol.tobytes()
         assert pat.p is p and pat.n_guard == n_guard
 
-    def test_solve_halves_run_on_both_threads(self, monkeypatch):
-        real, threads, caller = invert_cells, [], threading.get_ident()
-        started = threading.Event()
-
-        def invert(p, out=None):
-            threads.append(threading.get_ident())
-            if threads[-1] == caller:   # wait until the worker has its half
-                assert started.wait(20)
-            else:
-                started.set()
-            return real(p, out)
-        monkeypatch.setattr(receiver, "invert_cells", invert)
-        p = oracle_cells(np.random.default_rng(3), 1.0)[:20].reshape(10, 2, 2, 2)
-        pat = receiver.PatternTensor.solve(p, 1)
-        assert len(threads) == 2 and len(set(threads)) == 2
-        monkeypatch.undo()
-        want = receiver.invert_cells(p)
-        assert pat.p_sol[1:].tobytes() == want[1][1:].tobytes()
-
     def test_wrong_scheme_rejected(self, cfg_small):
         sched = make_schedule(Scheme.PERIODIC_TD, cfg_small.m_codes, 4)
         with pytest.raises(ValueError):
@@ -537,122 +516,38 @@ class TestPattern:
 
 
 class TestPatternWorker:
-    """build_pattern shares its slices with the background worker."""
+    """What build_pattern adds to the slices it shares through util.share
+    (tested in test_util.TestShare): the bits, the checks and the memory."""
 
-    def _spy(self, monkeypatch, before):
-        """Record the thread of each slice; before(on_caller, args) runs
-        first and gives the args the slice is computed from."""
-        real, threads, caller = receiver._pattern_slice, [], threading.get_ident()
-
-        def pattern_slice(*args):
-            threads.append(threading.get_ident())
-            return real(*before(threads[-1] == caller, args))
-        monkeypatch.setattr(receiver, "_pattern_slice", pattern_slice)
-        return threads
-
-    def _sync(self, on_worker=lambda args: args):
-        """A before() under which the caller's slices wait until the worker
-        has begun one, and the worker's go through on_worker."""
-        started = threading.Event()
-
-        def before(on_caller, args):
-            if on_caller:
-                assert started.wait(20)
-                return args
-            started.set()
-            return on_worker(args)
-        return before
-
-    def test_slices_taken_back_from_a_busy_worker(self, cfg_small, monkeypatch,
-                                                  block_worker):
+    def test_busy_worker_leaves_every_task_to_the_caller(self, cfg_small,
+                                                         block_worker):
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-        threads = self._spy(monkeypatch, self._sync())
-        free = build_pattern(cfg_small, sched)
-        assert len(threads) == 8 and set(threads) != {threading.get_ident()}
-        monkeypatch.undo()
-        threads = self._spy(monkeypatch, lambda on_caller, args: args)
+        want = build_pattern(cfg_small, sched, validate=True)
         blocker = block_worker()
-        pat = build_pattern(cfg_small, sched)
+        got = build_pattern(cfg_small, sched, validate=True)
         assert not blocker.done()   # not waited for behind the blocker
-        assert threads == [threading.get_ident()] * 8
         for name in ("p", "p_sol", "resolvable"):
-            assert getattr(pat, name).tobytes() == getattr(free, name).tobytes()
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.validation_error == want.validation_error
 
     def test_worker_slice_failure_raises(self, cfg_small, monkeypatch):
-        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        # the caller waits in its direct cells until a slice, which only the
+        # worker can have begun, fails: symbol 2 no longer repeats symbol 1
+        real, failed = receiver._pattern_slice, threading.Event()
 
-        def broken(args):
-            (refs, *rest), shifted = args[1]
+        def broken(cfg, windows, *rest):
+            (refs, *more), shifted = windows
             refs = refs.copy()
-            refs[2] *= 2   # symbol 2 no longer repeats symbol 1
-            return (args[0], [(refs, *rest), shifted]) + args[2:]
-        threads = self._spy(monkeypatch, self._sync(broken))
+            refs[2] *= 2
+            try:
+                real(cfg, [(refs, *more), shifted], *rest)
+            finally:
+                failed.set()
+        monkeypatch.setattr(receiver, "_pattern_slice", broken)
+        monkeypatch.setattr(receiver, "_direct_cells", lambda *args: failed.wait(20))
         with pytest.raises(RuntimeError, match="steady-state"):
-            build_pattern(cfg_small, sched)
-        assert set(threads) != {threading.get_ident()}
-
-    def test_caller_slice_failure_waits_for_the_worker(self, cfg_small,
-                                                       monkeypatch):
-        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-        real, caller = receiver._pattern_slice, threading.get_ident()
-        started, ended, threads = threading.Event(), threading.Event(), []
-
-        def pattern_slice(*args):
-            threads.append(threading.get_ident())
-            if threads[-1] == caller:
-                assert started.wait(20)
-                raise RuntimeError("caller slice failed")
-            started.set()
-            time.sleep(0.2)
-            real(*args)
-            ended.set()
-        monkeypatch.setattr(receiver, "_pattern_slice", pattern_slice)
-        with pytest.raises(RuntimeError, match="caller slice failed"):
-            build_pattern(cfg_small, sched)
-        assert ended.is_set()
-        # the queue was dropped: the worker took no slice after its first
-        assert len(threads) == 2
-
-    def test_caller_slice_failure_takes_the_queued_helper_back(
-            self, cfg_small, monkeypatch, block_worker):
-        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-
-        def fail(on_caller, args):
-            raise RuntimeError("caller slice failed")
-        threads = self._spy(monkeypatch, fail)
-        blocker = block_worker()
-        with pytest.raises(RuntimeError, match="caller slice failed"):
-            build_pattern(cfg_small, sched)
-        assert not blocker.done()
-        assert threads == [threading.get_ident()]   # the helper never ran
-
-    def test_concurrent_builds_compute_each_slice_once(self, cfg_small,
-                                                       monkeypatch):
-        # callers on more threads than cores share the one worker and each
-        # one's queue; a slice lost or taken twice shows in the count
-        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-        want = build_pattern(cfg_small, sched)
-        slices = self._spy(monkeypatch, lambda on_caller, args: args)
-        results = []
-
-        def run():
-            for _ in range(5):
-                results.append(build_pattern(cfg_small, sched))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=run) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 20 and len(slices) == 8 * 20
-        for pat in results:
-            assert pat.p.tobytes() == want.p.tobytes()
-            assert pat.p_sol.tobytes() == want.p_sol.tobytes()
+            build_pattern(cfg_small, make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16),
+                          validate=True)
 
     @pytest.mark.parametrize("grid", ["small", "fig7"])
     def test_validated_build_equals_build_then_validate(self, cfg_small, grid):
@@ -665,72 +560,14 @@ class TestPatternWorker:
         assert plain.validation_error is None
         assert checked.validation_error == validate_pattern(plain, cfg, sched)
 
-    def _slow_worker_slice(self, monkeypatch):
-        """Slices on the worker start an Event and take 0.2 s longer; gives
-        the Event, the list of slice threads and the list of slices running."""
-        real, started, threads, running = receiver._pattern_slice, \
-            threading.Event(), [], []
-        caller = threading.get_ident()
-
-        def pattern_slice(*args):
-            threads.append(threading.get_ident())
-            running.append(args[7])
-            try:
-                if threads[-1] != caller:
-                    started.set()
-                    time.sleep(0.2)
-                real(*args)
-            finally:
-                running.remove(args[7])
-        monkeypatch.setattr(receiver, "_pattern_slice", pattern_slice)
-        return started, threads, running
-
-    def test_failing_direct_cell_waits_for_the_worker(self, cfg_small,
-                                                      monkeypatch):
-        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-        started, threads, running = self._slow_worker_slice(monkeypatch)
-
-        def failing_cell(*args, **kwargs):
-            assert started.wait(20)
-            raise RuntimeError("direct cell failed")
-        monkeypatch.setattr(receiver, "pattern_cell_direct", failing_cell)
-        with pytest.raises(RuntimeError, match="direct cell failed"):
-            build_pattern(cfg_small, sched, validate=True)
-        assert running == []
-        # the queue was dropped: the worker took no slice after its first,
-        # and the caller none
-        assert len(threads) == 1 and threads[0] != threading.get_ident()
-
     @pytest.mark.parametrize("factor", [1 + 1e-3, np.nan])
     def test_deviating_direct_cell_raises(self, cfg_small, monkeypatch, factor):
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-        _, threads, running = self._slow_worker_slice(monkeypatch)
         real = pattern_cell_direct
         monkeypatch.setattr(receiver, "pattern_cell_direct",
                             lambda *args: factor * real(*args))
         with pytest.raises(RuntimeError, match="pattern validation failed"):
             build_pattern(cfg_small, sched, validate=True)
-        assert running == [] and len(threads) == 8
-
-    def test_busy_worker_leaves_every_task_to_the_caller(self, cfg_small,
-                                                         monkeypatch, block_worker):
-        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
-        want = build_pattern(cfg_small, sched, validate=True)
-        slices = self._spy(monkeypatch, lambda on_caller, args: args)
-        real, inverts = invert_cells, []
-
-        def invert(*args):
-            inverts.append(threading.get_ident())
-            return real(*args)
-        monkeypatch.setattr(receiver, "invert_cells", invert)
-        blocker = block_worker()
-        got = build_pattern(cfg_small, sched, validate=True)
-        assert not blocker.done()   # not waited for behind the blocker
-        assert slices == [threading.get_ident()] * 8
-        assert inverts == [threading.get_ident()] * 2   # both solve halves
-        for name in ("p", "p_sol", "resolvable"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.validation_error == want.validation_error
 
     def test_fig7_build_peak_memory(self):
         # both windows in flight, each in eighth-band buffers; building the

@@ -1,4 +1,5 @@
-"""The names the benchmark in perfbench/ looks up in jcas exist.
+"""The names the benchmark in perfbench/ looks up in jcas exist, and the
+background worker is reached only through jcas.util.
 
 perfbench wraps layers and calls entry points by module attribute, so a
 name moved or renamed in jcas breaks it only when it runs. These tests read
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "jcas"
 
 
 def _tree(name: str) -> ast.Module:
@@ -61,3 +63,13 @@ def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):
     cli.load_or_build_pattern(scn, cli.make_schedule(scn.scheme_enum,
                                                      scn.m_codes, scn.k))
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_the_worker_is_reached_through_pending_and_share_only():
+    # util.Pending for one deferred call (the noise draw), util.share for a
+    # queue of tasks run beside a block; everything else stays in util
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    users = {call: sorted(name for name, text in sources.items() if call in text)
+             for call in ("background_worker(", ".submit(", "Pending(")}
+    assert users == {"background_worker(": ["util.py"], ".submit(": ["util.py"],
+                     "Pending(": ["channel.py", "util.py"]}

@@ -1,10 +1,13 @@
+import contextlib
 import math
+import sys
 import threading
+import time
 
 import pytest
 
 from jcas import WaveformConfig
-from jcas.util import Pending, background_worker, next_fast_len
+from jcas.util import Pending, background_worker, next_fast_len, share
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +64,108 @@ class TestPending:
         with pytest.raises(KeyError, match="task failed"):
             Pending(fail).result()
 
-    def test_drop_waits_for_a_begun_call(self):
-        started, release, ended = (threading.Event() for _ in range(3))
 
-        def task():
-            started.set()
-            release.wait(20)
-            ended.set()
-        pending = Pending(task)
-        assert started.wait(20)
-        threading.Timer(0.1, release.set).start()
-        pending.drop()
-        assert ended.is_set()
-
-    def test_drop_cancels_a_queued_call(self, block_worker):
+class TestShare:
+    def test_busy_worker_leaves_every_task_to_the_caller(self, block_worker):
         blocker, ran = block_worker(), []
-        Pending(lambda: ran.append(1)).drop()
+        with share([lambda _, i=i: ran.append((i, threading.get_ident()))
+                    for i in range(5)]):
+            pass
+        assert not blocker.done()   # not waited for behind the blocker
+        assert ran == [(i, threading.get_ident()) for i in range(5)]
+
+    def test_failing_worker_task_raises_once_the_worker_stopped(self):
+        ran = []
+
+        def fail(_):
+            ran.append(threading.get_ident())
+            raise KeyError("task failed")
+        with pytest.raises(KeyError, match="task failed"):
+            with share([fail, lambda _: ran.append("after")]):
+                background_worker().submit(int).result()   # queued behind fail
+        assert len(ran) == 1 and ran[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("in_block", [True, False])
+    def test_failure_on_the_caller_waits_for_the_running_task(self, in_block):
+        started, ran = threading.Event(), []
+
+        def slow(_):
+            started.set()
+            time.sleep(0.2)
+            ran.append("slow")
+
+        def fail(_=None):
+            ran.append("fail")
+            raise KeyError("caller failed")
+        with pytest.raises(KeyError, match="caller failed"):
+            with share([slow, fail, lambda _: ran.append("after")]):
+                assert started.wait(20)
+                if in_block:
+                    raise KeyError("caller failed")
+        assert sorted(ran) == (["slow"] if in_block else ["fail", "slow"])
+
+    @pytest.mark.parametrize("in_block", [True, False])
+    def test_queued_helper_is_taken_back_on_a_failure(self, block_worker, in_block):
+        blocker, ran = block_worker(), []
+
+        def fail(_=None):
+            ran.append("fail")
+            raise KeyError
+        with pytest.raises(KeyError):
+            with share([fail, ran.append]):
+                if in_block:
+                    raise KeyError
         assert not blocker.done()
-        assert ran == []
+        assert ran == ([] if in_block else ["fail"])
+
+    def test_concurrent_callers_run_each_task_once(self):
+        # four callers, more threads than cores, share the one worker; a task
+        # lost or run twice shows in the list
+        ran = []
+
+        def caller(c):
+            for r in range(20):
+                with share([lambda _, i=i: ran.append((c, r, i)) for i in range(8)]):
+                    pass
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(ran) == [(c, r, i) for c in range(4) for r in range(20)
+                               for i in range(8)]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_worker_is_idle_on_exit(self, fail):
+        started, running = threading.Event(), []
+
+        def task(_):
+            running.append(1)
+            started.set()
+            time.sleep(0.05)
+            running.pop()
+        with pytest.raises(KeyError) if fail else contextlib.nullcontext():
+            with share([task] * 3):
+                assert started.wait(20)
+                if fail:
+                    raise KeyError
+        assert running == []
+
+    def test_scratches_are_made_on_the_caller(self):
+        caller, made, used = threading.get_ident(), [], []
+
+        def scratch():
+            made.append(threading.get_ident())
+            return len(made)
+        with share([lambda buf: used.append((buf, threading.get_ident()))] * 4,
+                   scratch):
+            assert made == [caller]   # the worker's
+        assert made == [caller, caller]
+        assert len(used) == 4
+        assert all((buf == 2) == (ident == caller) for buf, ident in used)
