@@ -1,10 +1,10 @@
 """The on-disk cache of tail-mode calibration patterns.
 
 One ``.npz`` file per pattern, named by a hash of the scenario fields the
-pattern depends on. A file stores only ``p``, plus ``validation_error``
-once the pattern is validated; ``receiver.PatternTensor.solve`` derives
-the rest on load, so no stored solve can disagree with the ``p`` that
-validation checks.
+pattern depends on. A file stores only ``p``; ``receiver.PatternTensor.solve``
+derives the rest on load, so no stored solve can disagree with it. There is
+one write path: a file is written only after a build, and ``jcas calibrate``
+always builds, so it replaces whatever file the cache held.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def pattern_path(scn) -> Path:
 
 class CacheError(OSError):
     """A pattern could not be stored in the cache directory; ``pattern`` is
-    the pattern all the same, built or validated."""
+    the built pattern all the same."""
 
     def __init__(self, message: str, pattern: receiver.PatternTensor):
         super().__init__(message)
@@ -71,10 +71,9 @@ def _read_pattern(path: Path, shape: tuple, n_guard: int) -> receiver.PatternTen
         _pattern_memo = None
         with np.load(f) as z:
             p = z["p"]
-            err = float(z["validation_error"]) if "validation_error" in z else None
     if p.dtype != complex or p.shape != shape:
         raise ValueError("the cached pattern does not fit the scenario")
-    pat = receiver.PatternTensor.solve(p, n_guard, err)
+    pat = receiver.PatternTensor.solve(p, n_guard)
     for a in (pat.p, pat.p_sol, pat.resolvable):
         a.flags.writeable = False
     _pattern_memo = (key, replace(pat))
@@ -83,42 +82,34 @@ def _read_pattern(path: Path, shape: tuple, n_guard: int) -> receiver.PatternTen
 
 def load_or_build_pattern(scn, schedule: Schedule,
                           validate: bool = False) -> receiver.PatternTensor:
-    """The cached pattern of scn. A file that is missing, unreadable, lacks
-    p or whose p does not fit scn's (range bins, band) shape is rebuilt.
-    With ``validate``, a cached pattern without a passing validation error
-    is validated, and rebuilt if it fails; a pattern is validated while it
-    is built, and the validated pattern is stored. The last pattern loaded
-    stays in memory, with read-only arrays, while its file is unchanged; a
-    built pattern is the caller's own. A store that fails raises CacheError,
-    which holds the pattern."""
+    """The pattern of scn. Without ``validate`` (simulate, preset): the
+    cached one if its file is readable and holds a complex p of scn's
+    (range bins, band) shape, else built and stored. With ``validate``
+    (calibrate): built afresh and validated while it is built, then stored;
+    the cache is not read. The last pattern loaded stays in memory, with
+    read-only arrays, while its file is unchanged; a built pattern is the
+    caller's own. A failed store raises CacheError, which holds the pattern."""
     global _pattern_memo
     cfg = scn.waveform_config()
     path = pattern_path(scn)
-    try:
-        pat = _read_pattern(path, (cfg.l_occ, unambiguous_band(schedule, cfg), 2, 2),
-                            scn.n_guard)
-        err = pat.validation_error
-        if not validate or err is not None and err <= receiver.VALIDATION_TOL:
-            return pat
-        receiver.validate_pattern(pat, cfg, schedule)
-    except (OSError, KeyError, ValueError, TypeError, EOFError, RuntimeError,
-            zipfile.BadZipFile):
-        pat = None
-    # the pattern is rebuilt or rewritten from here on, so the entry goes
-    # first; the build runs outside the handler, whose traceback would keep
-    # the failed load's frames, and through them the entry, alive
+    if not validate:
+        try:
+            return _read_pattern(path, (cfg.l_occ, unambiguous_band(schedule, cfg), 2, 2),
+                                 scn.n_guard)
+        except (OSError, KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile):
+            pass
+    # the file is rewritten from here on, so the entry goes first; the build
+    # runs outside the handler, whose traceback would keep the failed load's
+    # frames, and through them the entry, alive
     _pattern_memo = None
-    if pat is None:
-        pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard,
-                                     validate=validate)
+    pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard, validate=validate)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         # write beside the target and rename, so readers never see a partial file
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                np.savez(f, p=pat.p, **({} if pat.validation_error is None else
-                                        {"validation_error": pat.validation_error}))
+                np.savez(f, p=pat.p)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -131,8 +131,8 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     """Receive samples of the transmit samples tx: scaled SI + echoes +
     circular Gaussian noise.
 
-    The SI and noise levels are referenced to the strongest target
-    amplitude (1.0 when no targets): SI amplitude is
+    The SI and noise levels are referenced to the largest target |amplitude|
+    (1.0 when no targets): SI amplitude is
     10^(si_over_echo_db/20) times it, and the noise variance makes the
     per-sample echo power of a reference-amplitude target sit
     echo_snr_db above the noise. The echoes are added into the frame in
@@ -145,7 +145,7 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     """
     if len(tx) == 0:
         raise ValueError("empty frame")
-    ref_amp = max((t.amplitude for t in targets), default=1.0)
+    ref_amp = max((abs(t.amplitude) for t in targets), default=1.0)
     if cc.noise_enabled:   # before rx exists: |tx|^2 is a frame-size temporary
         if rng is None:
             raise ValueError("noise requires a random source")

@@ -3,11 +3,12 @@
 Verbs:
     simulate <scenario.json>   run one scenario, write RD artifacts + report
     preset fig6|fig7           run the bundled reproduction scenarios
-    calibrate <scenario.json>  build and cache the dual-window pattern
+    calibrate <scenario.json>  build, validate and cache the pattern afresh
     selftest                   run the invariant suite
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario validation error (or
-a cache directory that calibrate cannot store in), 3 unresolvable pattern bins.
+a --threads below 1, or a cache directory that calibrate cannot store in),
+3 unresolvable pattern bins.
 """
 
 from __future__ import annotations
@@ -375,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("scenario")
     p_pre = sub.add_parser("preset", help="run a bundled reproduction")
     p_pre.add_argument("name", choices=["fig6", "fig7", "fig7_offgrid"])
-    p_cal = sub.add_parser("calibrate", help="build the dual-window pattern cache")
+    p_cal = sub.add_parser("calibrate", help="build, validate and cache the "
+                           "dual-window pattern (always afresh)")
     p_cal.add_argument("scenario")
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--inject-fault", default=None,
@@ -383,6 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ScenarioError("--threads must be >= 1")
         if args.verb == "selftest":
             return 1 if run_selftest(args.inject_fault) else 0
         if args.verb == "preset":

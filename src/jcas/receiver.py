@@ -232,8 +232,7 @@ class PatternTensor:
     validation_error: float | None = None
 
     @classmethod
-    def solve(cls, p: np.ndarray, n_guard: int,
-              validation_error: float | None = None) -> "PatternTensor":
+    def solve(cls, p: np.ndarray, n_guard: int) -> "PatternTensor":
         """The pattern of the responses p: every cell inverted by
         invert_cells, the n_guard notched range bins unresolvable. The
         caller inverts the first half of the range bins and the background
@@ -246,7 +245,7 @@ class PatternTensor:
             invert_cells(p[:half], (resolvable[:half], p_sol[:half]))
         resolvable[:n_guard] = False
         p_sol[:n_guard] = 0
-        return cls(p, p_sol, resolvable, n_guard, validation_error)
+        return cls(p, p_sol, resolvable, n_guard)
 
     @property
     def band(self) -> int:

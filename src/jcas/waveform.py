@@ -246,8 +246,7 @@ def frame_len(cfg: WaveformConfig, schedule: Schedule) -> int:
 
 def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
                    payload: np.ndarray | None = None,
-                   rng: np.random.Generator | None = None,
-                   sensing_scale: float = 1.0) -> np.ndarray:
+                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Build the full transmit frame for any scheme: its complex128 samples.
 
     Chirp-implanted symbols carry the sensing chirp on code alpha_k and
@@ -258,8 +257,6 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     payload : optional pre-modulated data symbols; drawn from rng when
         omitted. Shape (K, M-1, L) for the implanted scheme, or
         (n_data_slots, L) for slotted schemes.
-    sensing_scale : extra amplitude on the sensing term (default 1,
-        i.e. the implanted chirp carries sqrt(M) per occupied subcarrier).
     """
     if schedule.m_codes != cfg.m_codes:
         raise ValueError("schedule and config disagree on M")
@@ -279,7 +276,7 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
         frame = out.reshape(k_syms, -1)
         body = frame[:, cfg.n_cp:]
         _spread(body, codes, np.asarray(schedule.alpha),
-                sensing_scale * unitary_dft(chirp), payload)
+                unitary_dft(chirp), payload)
         # in place: IDFT, the per-symbol rotation, then the CP
         np.fft.ifft(body, axis=-1, out=body)
         body *= np.sqrt(cfg.n_fft)

@@ -110,6 +110,24 @@ class TestSynthesizeRx:
                           rng=substream(7, "noise"))
         assert a.tobytes() == b.tobytes()
 
+    def test_levels_follow_the_largest_magnitude(self, cfg_small):
+        # SI and noise are referenced to the largest |amplitude|: negating
+        # every amplitude turns each echo over and leaves both levels
+        tx = _frame(cfg_small)
+        targets = [Target(50.0, 30.0, -10.0), Target(120.0, -80.0, 1.0)]
+        noisy = ChannelConfig(si_enabled=False, echo_snr_db=0.0)
+        noise = []
+        for sign in (1, -1):
+            ts = [Target(t.range_m, t.velocity_mps, sign * t.amplitude) for t in targets]
+            echoes = synthesize_rx(tx, ts, ECHO_ONLY, cfg_small)
+            si = synthesize_rx(tx, ts, NO_NOISE, cfg_small) - echoes
+            np.testing.assert_allclose(si, 1e6 * tx, rtol=0, atol=1e-6)   # 100 dB over 10
+            noise.append(synthesize_rx(tx, ts, noisy, cfg_small,
+                                       rng=substream(9, "noise")) - echoes)
+        np.testing.assert_allclose(noise[1], noise[0], rtol=0, atol=1e-9)
+        ratio = np.mean(np.abs(noise[0]) ** 2) / np.mean(np.abs(tx) ** 2)
+        assert abs(ratio / 100 - 1) < 0.1   # 0 dB below an echo of amplitude 10
+
     def test_empty_frame_rejected(self, cfg_small):
         with pytest.raises(ValueError):
             synthesize_rx(np.array([], dtype=complex), [], NO_NOISE, cfg_small)

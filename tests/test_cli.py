@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -65,6 +64,19 @@ VALID_FIELDS = {
 MOSTLY_VALID = {name: st.integers(0, 19).flatmap(lambda i, v=valid: JUNK if i == 0 else v)
                 for name, valid in VALID_FIELDS.items()}
 GRID = ("n_fft", "m_codes", "n_cp")
+
+
+def _assert_same_outputs(want: Path, got: Path) -> None:
+    """The two run directories hold the same files: RD artifacts byte-equal,
+    reports equal apart from their elapsed time."""
+    want, got = sorted(want.iterdir()), sorted(got.iterdir())
+    assert [f.name for f in got] == [f.name for f in want]
+    for a, b in zip(want, got):
+        if a.suffix == ".json":
+            assert {**json.loads(a.read_text()), "elapsed_s": 0} == \
+                {**json.loads(b.read_text()), "elapsed_s": 0}
+        else:
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 class TestScenario:
@@ -162,15 +174,11 @@ class TestRunSimulate:
                     (receiver, "process_sensing"): 2, (receiver, "peak_cleanup"): 2,
                     (receiver, "solve_windows"): 1, (detect, "find_peaks"): 3,
                     (detect, "evaluate"): 1}
-        # a cold calibrate validates while it builds: three cells, each
-        # through both windows of an echo of the one zero-data frame
+        # calibrate validates while it builds: three cells, each through
+        # both windows of an echo of the one zero-data frame
         calibrate = {(receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 2,
                      (receiver, "validate_pattern"): 0,
                      (receiver, "process_sensing"): 6, (channel, "echo_component"): 3}
-        # calibrate on the pattern simulate stored unvalidated: a disk load,
-        # solved in two halves, then the same three cells
-        stored = {**calibrate, (receiver, "build_pattern"): 0,
-                  (receiver, "assemble_frame"): 1, (receiver, "validate_pattern"): 1}
         threads = set()
 
         def spy(fn):
@@ -197,11 +205,12 @@ class TestRunSimulate:
         cli.load_or_build_pattern(scn, schedule, validate=True)
         assert counts(calibrate) == calibrate
         reset()
+        # on the pattern simulate stored it does the same: it never reads
         invert = mock.Mock(wraps=receiver.invert_cells)
         monkeypatch.setattr(receiver, "invert_cells", invert)
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         pat = cli.load_or_build_pattern(scn, schedule, validate=True)
-        assert counts(stored) == stored
+        assert counts(calibrate) == calibrate
         assert invert.call_count == 2 and pat.validation_error is not None
         assert threads == {threading.get_ident()}
 
@@ -277,74 +286,75 @@ class TestCalibrationCache:
     def test_cache_hit_and_invalidation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path))
         scn = Scenario(**TAIL_SMALL)
-        path = cli.run_calibrate(scn)
-        assert path.exists()
-        stamp = path.stat().st_mtime_ns
-        cli.run_calibrate(scn)   # hit: no rebuild
-        assert path.stat().st_mtime_ns == stamp
+        run_simulate(scn, tmp_path / "out")
+        path = cli.pattern_path(scn)
+        st, p = path.stat(), path.read_bytes()
+        run_simulate(scn, tmp_path / "out")   # hit: no rebuild
+        assert path.stat().st_mtime_ns == st.st_mtime_ns
+        assert cli.run_calibrate(scn) == path   # calibrate replaces the file
+        assert path.stat().st_ino != st.st_ino and path.read_bytes() == p
         path2 = cli.run_calibrate(Scenario(**{**TAIL_SMALL, "k": 12}))
         assert path2 != path
 
     def test_truncated_cache_is_rebuilt(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         scn = Scenario(**TAIL_SMALL)
         path = cli.run_calibrate(scn)
         with np.load(path) as z:
             p = z["p"]
         path.write_bytes(path.read_bytes()[:1000])
-        assert cli.run_calibrate(scn) == path
+        run_simulate(scn, tmp_path / "out")
         with np.load(path) as z:
             np.testing.assert_array_equal(z["p"], p)
-        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+        assert [f.name for f in path.parent.iterdir()] == [path.name]
+
+    @staticmethod
+    def _calibrate_over(tmp_path, monkeypatch, capsys, state):
+        # calibrate never reads the cache: whatever file it holds, even one
+        # that a 3-cell check would pass (swapped_row), is replaced by a fresh
+        # build, and the next run reads that
+        scn = Scenario(**TAIL_SMALL)
+        schedule = cli.make_schedule(scn.scheme_enum, scn.m_codes, scn.k, seed=scn.seed)
+        fresh = receiver.build_pattern(scn.waveform_config(), schedule, scn.n_guard,
+                                       validate=True)
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "clean"))
+        run_simulate(scn, tmp_path / "want")
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        path = cli.pattern_path(scn)
+        if state != "no_file":
+            for _ in range(2):   # stored, then memoized
+                run_simulate(scn, tmp_path / "got")
+        p = fresh.p.copy()
+        if state == "truncated":
+            path.write_bytes(path.read_bytes()[:1000])
+        elif state == "nan_p":
+            p[1, 0, 0, 0] = np.nan
+            np.savez(path, p=p, validation_error=np.nan)
+        elif state == "doubled_p":   # a file that claims to have passed
+            np.savez(path, p=2 * p, validation_error=0.0)
+        elif state == "swapped_row":
+            p[len(p) // 2] = p[len(p) // 2, ..., ::-1]
+            np.savez(path, p=p)
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(TAIL_SMALL))
+        capsys.readouterr()
+        assert cli.main(["calibrate", str(scn_file)]) == 0
+        assert f"validation error: {fresh.validation_error}\n" in capsys.readouterr().out
+        with np.load(path) as z:
+            assert z.files == ["p"] and z["p"].tobytes() == fresh.p.tobytes()
+        run_simulate(scn, tmp_path / "got")
+        _assert_same_outputs(tmp_path / "want", tmp_path / "got")
+
+    @pytest.mark.parametrize("state", ["no_file", "truncated", "nan_p", "doubled_p",
+                                       "swapped_row"])
+    def test_calibrate_builds_afresh(self, tmp_path, monkeypatch, capsys, state):
+        self._calibrate_over(tmp_path, monkeypatch, capsys, state)
 
     def test_calibrate_validates_a_pattern_cached_by_simulate(
             self, tmp_path, monkeypatch, capsys):
         # simulate caches the pattern unvalidated; calibrate must not just
         # hand that back
-        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
-        scn_file = tmp_path / "tail.json"
-        scn_file.write_text(json.dumps(TAIL_SMALL))
-        assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate",
-                         str(scn_file)]) == 0
-        capsys.readouterr()
-        assert cli.main(["calibrate", str(scn_file)]) == 0
-        (line,) = [s for s in capsys.readouterr().out.splitlines()
-                   if s.startswith("validation error: ")]
-        err = float(line.split(": ")[1])
-        assert math.isfinite(err) and err <= 1e-6
-        path = cli.pattern_path(Scenario(**TAIL_SMALL))
-        stamp = path.stat().st_mtime_ns
-        assert cli.main(["calibrate", str(scn_file)]) == 0   # stored validated
-        assert path.stat().st_mtime_ns == stamp
-
-    def test_calibrate_rebuilds_a_cached_pattern_that_fails_validation(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
-        scn = Scenario(**TAIL_SMALL)
-        run_simulate(scn, tmp_path / "out")
-        path = cli.pattern_path(scn)
-        with np.load(path) as z:
-            good = dict(z)
-        np.savez(path, **dict(good, p=2 * good["p"]))
-        cli.run_calibrate(scn)
-        assert "validation error: None" not in capsys.readouterr().out
-        with np.load(path) as z:
-            np.testing.assert_array_equal(z["p"], good["p"])
-            assert z["validation_error"] <= 1e-6
-
-    def test_calibrate_validates_a_pattern_whose_stored_error_fails(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
-        scn = Scenario(**TAIL_SMALL)
-        path = cli.run_calibrate(scn)
-        with np.load(path) as z:
-            p = z["p"]
-        np.savez(path, p=2 * p, validation_error=np.nan)
-        cli.run_calibrate(scn)
-        assert "validation error: nan" not in capsys.readouterr().out
-        with np.load(path) as z:
-            np.testing.assert_array_equal(z["p"], p)
-            assert z["validation_error"] <= 1e-6
+        self._calibrate_over(tmp_path, monkeypatch, capsys, "simulated")
 
     @pytest.mark.parametrize("damage", ["half_band_p", "no_p", "real_p"])
     def test_misfit_cache_is_rebuilt(self, tmp_path, monkeypatch, damage):
@@ -368,15 +378,16 @@ class TestCalibrationCache:
             assert z.files == ["p"]
             np.testing.assert_array_equal(z["p"], good["p"])
 
-    def test_file_holds_p_and_validation_error_only(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("verb", ["simulate", "calibrate"])
+    def test_file_holds_p_only(self, tmp_path, monkeypatch, verb):
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         scn = Scenario(**TAIL_SMALL)
-        run_simulate(scn, tmp_path / "out")
+        if verb == "simulate":
+            run_simulate(scn, tmp_path / "out")
+        else:
+            cli.run_calibrate(scn)
         with np.load(cli.pattern_path(scn)) as z:
-            assert set(z.files) == {"p"}
-        cli.run_calibrate(scn)
-        with np.load(cli.pattern_path(scn)) as z:
-            assert set(z.files) == {"p", "validation_error"}
+            assert z.files == ["p"]
 
     def test_stored_solve_is_not_trusted(self, tmp_path, monkeypatch):
         # a file that carries a solve beside p, with the near and far rows
@@ -409,14 +420,7 @@ class TestCalibrationCache:
                              str(scn_file) if verb == "simulate" else "fig7"]) == 0
         err = capsys.readouterr().err
         assert err == f"warning: cannot store the pattern in {unusable}: Not a directory\n"
-        want, got = (sorted(o.iterdir()) for o in out.values())
-        assert [f.name for f in got] == [f.name for f in want]
-        for a, b in zip(want, got):
-            if a.suffix == ".json":
-                assert {**json.loads(a.read_text()), "elapsed_s": 0} == \
-                    {**json.loads(b.read_text()), "elapsed_s": 0}
-            else:
-                assert a.read_bytes() == b.read_bytes()
+        _assert_same_outputs(*out.values())
 
     def test_calibrate_into_an_unusable_cache_dir_exits_2(self, tmp_path,
                                                           monkeypatch, capsys):
@@ -467,12 +471,11 @@ class TestPatternMemo:
         pat = self._pattern(scn)
         path = cli.pattern_path(scn)
         tmp = path.with_suffix(".new.npz")
-        np.savez(tmp, p=2 * pat.p, validation_error=0.5)
+        np.savez(tmp, p=2 * pat.p)
         os.replace(tmp, path)
         again = self._pattern(scn)
         assert len(loads) == 2
         np.testing.assert_array_equal(again.p, 2 * pat.p)
-        assert again.validation_error == 0.5
 
     def test_deleted_file_is_rebuilt_without_the_old_entry(self, tmp_path,
                                                            loads, monkeypatch):
@@ -539,9 +542,13 @@ class TestPatternMemo:
         (line,) = [s for s in capsys.readouterr().out.splitlines()
                    if s.startswith("validation error: ")]
         assert float(line.split(": ")[1]) <= 1e-6
-        assert len(loads) == 1
-        assert self._pattern(scn).validation_error <= 1e-6
-        assert len(loads) == 2   # the stored, validated file
+        assert len(loads) == 1   # calibrate builds; it neither loads nor uses the memo
+        assert cache._pattern_memo is None
+        schedule = cli.make_schedule(scn.scheme_enum, scn.m_codes, scn.k, seed=scn.seed)
+        fresh = receiver.build_pattern(scn.waveform_config(), schedule, scn.n_guard,
+                                       validate=True)
+        assert self._pattern(scn).p.tobytes() == fresh.p.tobytes()
+        assert len(loads) == 2   # the file calibrate stored
 
 
 class TestCliMain:
@@ -609,6 +616,13 @@ class TestCliMain:
         scn_file = tmp_path / "scn.json"
         scn_file.write_text(json.dumps(small_scenario.to_dict()))
         assert cli.main(["--seed", "-1", "simulate", str(scn_file)]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_flag_is_validated(self, tmp_path, capsys, threads):
+        assert cli.main(["--out-dir", str(tmp_path), "--threads", threads,
+                         "preset", "fig6"]) == 2
+        assert capsys.readouterr().err == "scenario error: --threads must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_entry_point_exit_2(self, tmp_path):
         # what a user sees: the module run as a program, not cli.main

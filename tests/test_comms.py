@@ -85,7 +85,9 @@ class TestRunLink:
         assert abs(ber - ref) <= 0.3 * ref
 
     def test_sensing_presence_does_not_perturb_data(self, cfg_small):
-        # same despread output whether the chirp term is present or scaled away
+        # same despread output whether the chirp term is present or not; the
+        # frame is linear in the payload, so the chirp-free frame is the
+        # difference from the frame of a zero payload
         from jcas import assemble_frame, unitary_dft
         from jcas.comms import modulate
         k = 2
@@ -94,8 +96,8 @@ class TestRunLink:
         bits = substream(54, "bits").integers(0, 2, k * 2 * 3 * cfg_small.l_occ)
         payload = modulate(bits).reshape(k, 3, cfg_small.l_occ)
         tx_with = assemble_frame(cfg_small, sched, payload=payload)
-        tx_wo = assemble_frame(cfg_small, sched, payload=payload,
-                               sensing_scale=0.0)
+        tx_wo = tx_with - assemble_frame(cfg_small, sched,
+                                         payload=np.zeros_like(payload))
         codes = make_code_matrix(cfg_small.m_codes)
         s_len = cfg_small.symbol_len
         for ks in range(k):

@@ -1,13 +1,15 @@
 """The names the benchmark in perfbench/ looks up in jcas exist, and the
 background worker is reached only through jcas.util.
 
-perfbench wraps layers and calls entry points by module attribute, so a
-name moved or renamed in jcas breaks it only when it runs. These tests read
-its sources (they import nothing from it) and look each name up.
+perfbench wraps layers and calls entry points by module attribute, and its
+probes read the wrapped calls' arguments by name, so a name moved or
+renamed in jcas breaks it only when it runs. These tests read its sources
+(they import nothing from it) and look each name up.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -23,13 +25,29 @@ def _tree(name: str) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _probes(tree: ast.Module) -> list[ast.Tuple]:
+    """The entries of tracing.PROBES: (module, attribute, metric, counter)."""
+    return next(node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                == ["PROBES"]).elts
+
+
+def _is_cli(node: ast.expr) -> bool:   # cli or something.cli
+    return (isinstance(node, ast.Name) and node.id == "cli"
+            or isinstance(node, ast.Attribute) and node.attr == "cli")
+
+
+def _keys(node: ast.AST, name: str) -> set[str]:
+    """The string keys of every name["..."] inside node."""
+    return {sub.slice.value for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+            and sub.value.id == name and isinstance(sub.slice, ast.Constant)}
+
+
 def test_every_probe_target_exists():
-    probes = next(node.value for node in ast.walk(_tree("tracing.py"))
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets if isinstance(t, ast.Name)]
-                  == ["PROBES"])
     targets = [tuple(ast.literal_eval(e) for e in entry.elts[:2])
-               for entry in probes.elts]
+               for entry in _probes(_tree("tracing.py"))]
     assert ("receiver", "build_pattern") in targets
     missing = [(mod, attr) for mod, attr in targets
                if not hasattr(importlib.import_module(f"jcas.{mod}"), attr)]
@@ -40,13 +58,47 @@ def test_every_cli_name_the_runner_looks_up_exists():
     from jcas import cli
     names = {node.attr for name in ("workloads.py", "run.py")
              for node in ast.walk(_tree(name))
-             if isinstance(node, ast.Attribute) and (
-                 isinstance(node.value, ast.Name) and node.value.id == "cli"
-                 or isinstance(node.value, ast.Attribute)
-                 and node.value.attr == "cli")}
+             if isinstance(node, ast.Attribute) and _is_cli(node.value)}
     assert {"cache_dir", "pattern_cache_key", "read_rd_binary", "Scenario",
             "run_preset", "run_simulate", "load_or_build_pattern"} <= names
     assert sorted(n for n in names if not hasattr(cli, n)) == []
+
+
+def test_every_argument_a_probe_reads_is_a_parameter():
+    # a counter reads the wrapped call's arguments by name, bound to the
+    # wrapped function's signature; the pattern cache's wrapper (the probe
+    # without a time metric) also reads bound["scn"] to tell a hit from a miss
+    tree = _tree("tracing.py")
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+    read, missing = set(), []
+    for entry in _probes(tree):
+        mod, attr = (ast.literal_eval(e) for e in entry.elts[:2])
+        metric, counter = entry.elts[2:4]
+        if isinstance(counter, ast.Call):   # a counter factory: its inner function
+            counter = counter.func
+        keys = _keys(defs[counter.id], "args") if isinstance(counter, ast.Name) else set()
+        if ast.literal_eval(metric) is None:
+            keys |= _keys(defs["wrap"], "bound")
+        params = inspect.signature(
+            getattr(importlib.import_module(f"jcas.{mod}"), attr)).parameters
+        read |= keys
+        missing += [(mod, attr, k) for k in sorted(keys) if k not in params]
+    assert {"path", "rx", "scn", "truth", "bits"} <= read
+    assert missing == []
+
+
+def test_every_keyword_the_runner_passes_to_cli_is_a_parameter():
+    from jcas import cli
+    passed = {(node.func.attr, kw.arg) for name in ("workloads.py", "run.py")
+              for node in ast.walk(_tree(name))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and _is_cli(node.func.value)
+              for kw in node.keywords if kw.arg is not None}
+    assert {("load_or_build_pattern", "validate"), ("run_preset", "seed"),
+            ("run_preset", "threads")} <= passed
+    assert sorted((fn, kw) for fn, kw in passed
+                  if kw not in inspect.signature(getattr(cli, fn)).parameters) == []
 
 
 def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):

@@ -227,9 +227,9 @@ class TestAssembleFrame:
         rng = substream(11, "p")
         payload = rng.normal(size=(6, m - 1, cfg.l_occ)) \
             + 1j * rng.normal(size=(6, m - 1, cfg.l_occ))
-        frame = assemble_frame(cfg, sched, payload=payload, sensing_scale=0.5)
+        frame = assemble_frame(cfg, sched, payload=payload)
         u = make_code_matrix(m)
-        spec = 0.5 * unitary_dft(make_chirp(cfg))
+        spec = unitary_dft(make_chirp(cfg))
         s = cfg.symbol_len
         for k, a in enumerate(sched.alpha):
             grid = np.sqrt(m) * spec[:, None] * u[a]
