@@ -8,7 +8,7 @@ Verbs:
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario validation error (or
 a --threads below 1, or a cache directory that calibrate cannot store in),
-3 unresolvable pattern bins.
+3 unresolvable pattern bins (simulate, preset and calibrate alike).
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class Scenario:
             self.channel_config()
             if self.comms_snr_db is not None:
                 check_db(self.comms_snr_db, "comms_snr_db")
-            receiver.si_filter(np.zeros(cfg.l_occ), self.n_guard)   # its bounds
+            receiver.check_n_guard(self.n_guard, cfg.l_occ)
             receiver.check_cleanup_radius(self.cleanup_radius)
             detect.check_peak_args(self.rel_threshold, self.max_peaks, self.guard)
         # MemoryError: a size whose buffers cannot be allocated
@@ -231,7 +231,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             pat = e.pattern
         flagged_bins = pat.flagged_bins
         std, shift, rd = receiver.receive_tail(
-            rx, cfg, schedule, pat, scn.n_guard,
+            rx, cfg, schedule, pat,
             scn.cleanup_radius if scn.peak_cleanup else None,
             scn.rel_threshold, scn.max_peaks, scn.guard)
         # near and far rows share one extended range axis, so detection
@@ -350,7 +350,8 @@ def run_selftest(inject_fault: str | None = None) -> int:
     return failures
 
 
-def run_calibrate(scn: Scenario) -> Path:
+def run_calibrate(scn: Scenario) -> dict:
+    """Build, validate and store the pattern; returns its path and flagged bins."""
     if scn.scheme_enum is not Scheme.FSI_TAIL:
         raise ScenarioError("calibration applies to the fsi_tail scheme")
     schedule = make_schedule(scn.scheme_enum, scn.m_codes, scn.k, seed=scn.seed)
@@ -360,7 +361,7 @@ def run_calibrate(scn: Scenario) -> Path:
     print(f"validation error: {pat.validation_error}")
     if pat.flagged_bins:
         print(f"unresolvable bins: {pat.flagged_bins}")
-    return path
+    return {"pattern_path": path, "flagged_pattern_bins": pat.flagged_bins}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -397,10 +398,8 @@ def main(argv: list[str] | None = None) -> int:
             scn = load_scenario(args.scenario)
             if args.seed is not None:
                 scn = replace(scn, seed=args.seed)
-            if args.verb == "calibrate":
-                run_calibrate(scn)
-                return 0
-            reports = [run_simulate(scn, args.out_dir)]
+            reports = [run_calibrate(scn) if args.verb == "calibrate"
+                       else run_simulate(scn, args.out_dir)]
     # MemoryError: an allocation refused for the scenario's sizes, in this
     # thread or re-raised from the noise worker
     except (ScenarioError, MemoryError) as e:

@@ -12,10 +12,8 @@ import numpy as np
 
 from .scheduler import Schedule
 from .util import check_db
-from .waveform import WaveformConfig, assemble_frame, data_codes, \
+from .waveform import _QPSK, WaveformConfig, assemble_frame, data_codes, \
     symbol_rotation, transmit_constants, unitary_dft
-
-QPSK_SCALE = 1 / np.sqrt(2)
 
 
 def modulate(bits: np.ndarray) -> np.ndarray:
@@ -23,8 +21,7 @@ def modulate(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits).ravel()
     if bits.size % 2:
         raise ValueError("bit count must be even")
-    b = bits.reshape(-1, 2)
-    return ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) * QPSK_SCALE
+    return _QPSK[::-1].take(2 * bits[0::2] + bits[1::2])
 
 
 def demodulate(symbols: np.ndarray) -> np.ndarray:

@@ -128,11 +128,6 @@ class EvalReport:
                 "peak_to_interference_db": self.peak_to_interference_db}
 
 
-def _circ_dist(a: int, b: int, n: int) -> int:
-    d = (a - b) % n
-    return min(d, n - d)
-
-
 def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
              n_grid: int, tol_bins: tuple[int, int] = (1, 1),
              rd: RdMatrix | None = None) -> EvalReport:
@@ -153,7 +148,8 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
             if taken[i]:
                 continue
             dd = abs(det.range_bin - td)
-            dv = _circ_dist(det.doppler_bin % n_grid, tv % n_grid, n_grid)
+            dv = (det.doppler_bin - tv) % n_grid
+            dv = min(dv, n_grid - dv)   # circular
             if dd <= tol_d and dv <= tol_v:
                 cost = (dd + dv, dd, dv)   # dv follows from the first two: same order
                 if best_cost is None or cost < best_cost:
@@ -170,16 +166,10 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
 
     if rd is not None and report.matched:
         power = np.abs(rd.values) ** 2
-        mask = np.ones_like(power, dtype=bool)
-        peak_powers = []
-        for i, (td, tv) in enumerate(cells):
-            rows, cols = rd.neighborhood(td, tv, tol_d, tol_v)
-            if rows.start < rows.stop:
-                mask[rows, cols] = False
-                if i not in report.misses:
-                    peak_powers.append(power[rows, cols].max())
-        interference = power[mask].max() if mask.any() else 0.0
-        if peak_powers and interference > 0:
-            report.peak_to_interference_db = float(
-                10 * np.log10(min(peak_powers) / interference))
+        # a matched truth's neighborhood holds its detection's cell
+        peak = min(power[rd.neighborhood(*cells[m["truth_index"]], tol_d, tol_v)].max()
+                   for m in report.matched)
+        interference = power[~rd.neighborhoods(cells, tol_d, tol_v)].max(initial=0.0)
+        if interference > 0:
+            report.peak_to_interference_db = float(10 * np.log10(peak / interference))
     return report

@@ -63,15 +63,22 @@ class RdMatrix:
         return d * SPEED_OF_LIGHT * self.cfg.t_s / 2
 
     def velocity_mps_of(self, col: int) -> float:
-        freq = self.signed_bin(col) / (self.grid_size * self.cfg.t_chirp)
+        freq = self.cfg.doppler_hz(self.signed_bin(col), self.grid_size)
         return freq * self.cfg.wavelength_m / 2
 
     def neighborhood(self, d: int, col: int, rows: int, cols: int
                      ) -> tuple[slice, list[int]]:
         """Index of the cells within rows range bins and cols Doppler columns
         of (d, col): rows clip at the map's edges, columns wrap."""
-        return (slice(max(0, d - rows), min(self.values.shape[0], d + rows + 1)),
+        return (slice(max(0, d - rows), d + rows + 1),
                 [(col + t) % self.n_doppler for t in range(-cols, cols + 1)])
+
+    def neighborhoods(self, cells, rows: int, cols: int) -> np.ndarray:
+        """Mask of the union of the (d, col) cells' neighborhoods."""
+        mask = np.zeros(self.values.shape, dtype=bool)
+        for d, col in cells:
+            mask[self.neighborhood(d, col, rows, cols)] = True
+        return mask
 
 
 def capture_windows(rx: np.ndarray, cfg: WaveformConfig, k: int,
@@ -108,6 +115,14 @@ def delay_and_sum(beat: np.ndarray, m: int) -> np.ndarray:
     return beat.reshape(*beat.shape[:-1], m, n // m).sum(axis=-2)
 
 
+def check_n_guard(n_guard: int, length: int) -> None:
+    """The bounds si_filter puts on its notch for a profile of length bins."""
+    if n_guard < 1:
+        raise ValueError("n_guard must be >= 1")
+    if n_guard >= length:
+        raise ValueError("n_guard must be smaller than the profile length")
+
+
 def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
     """Unitary fast-time DFT, lowest bins notched; an echo at delay d peaks at bin d.
 
@@ -115,10 +130,7 @@ def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
     ideal DC notch (the discrete stand-in for the receiver's analog
     high-pass) removes it exactly. Returns the frequency-domain profile.
     """
-    if n_guard < 1:
-        raise ValueError("n_guard must be >= 1")
-    if n_guard >= y.shape[-1]:
-        raise ValueError("n_guard must be smaller than the profile length")
+    check_n_guard(n_guard, y.shape[-1])
     prof = unitary_dft(y)
     prof[..., :n_guard] = 0
     return prof
@@ -209,7 +221,14 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
 # ---------------------------------------------------------------------------
 
 COND_MAX = 1e6   # a 2x2 cell with a larger condition number is unresolvable
-VALIDATION_TOL = 1e-6   # the largest deviation validate_pattern passes by default
+VALIDATION_TOL = 1e-6   # the largest deviation the pattern's self-checks pass
+
+
+def deviation(fast: np.ndarray, ref: np.ndarray, axis=None):
+    """max|fast - ref| over axis, relative to the larger of max|ref| and 1, the
+    calibration echo's unit amplitude: the rounding of both paths scales with
+    the echo, not with a response that cancels. A NaN in either gives NaN."""
+    return np.max(np.abs(fast - ref), axis) / np.maximum(np.max(np.abs(ref), axis), 1)
 
 
 @dataclass
@@ -318,11 +337,8 @@ def _pattern_slice(cfg: WaveformConfig, windows: list[tuple], f_b: np.ndarray,
                     out[:, cols, hyp] = z.T
                 elif k == 1:
                     z_1[hyp] = z
-                else:
-                    dev = np.max(np.abs(z_1[hyp] - z), axis=-1)
-                    scale = np.max(np.abs(z_1[hyp]), axis=-1)
-                    if np.any(dev > 1e-6 * np.maximum(scale, 1e-30)):
-                        raise RuntimeError("steady-state calibration assumption broken")
+                elif not np.all(deviation(z, z_1[hyp], axis=-1) <= VALIDATION_TOL):
+                    raise RuntimeError("steady-state calibration assumption broken")
         for hyp in (0, 1):
             out[:, cols, hyp] = ((out[:, cols, hyp].T + (k_full - 1) * z_1[hyp])
                                  / k_full).T
@@ -368,7 +384,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     g3 = occasion_grid_indices(cal_sched, cfg)
 
     bs = signed_bin(np.arange(band), band)
-    f_b = bs / (n_grid * cfg.t_chirp)
+    f_b = cfg.doppler_hz(bs, n_grid)
     steer = np.exp(2j * np.pi * np.outer(g3, bs % n_grid) / n_grid)   # (3, band)
     nn = np.arange(n)
     n_chirp = np.exp(-1j * np.pi * nn * nn / l)
@@ -420,8 +436,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     calibration path.
     """
     from .channel import echo_component
-    n_grid = grid_size(schedule, cfg)
-    f_b = signed_bin / (n_grid * cfg.t_chirp)
+    f_b = cfg.doppler_hz(signed_bin, grid_size(schedule, cfg))
     if tx is None:
         tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
@@ -453,13 +468,10 @@ def _direct_cells(cfg: WaveformConfig, schedule: Schedule, n_guard: int,
 
 def _check_cells(pat: PatternTensor, cells: list[tuple],
                  tol: float = VALIDATION_TOL) -> float:
-    """The worst relative deviation of pat.p from the direct cells, recorded
-    on pat; a RuntimeError if it is above tol or NaN."""
-    worst = 0.0
-    for d_bin, col, hyp, direct in cells:
-        fast = pat.p[d_bin, col, :, hyp]
-        worst = float(np.maximum(worst, np.max(np.abs(direct - fast))
-                                 / max(np.max(np.abs(direct)), 1e-30)))
+    """The worst deviation of pat.p from the direct cells, recorded on pat;
+    a RuntimeError if it is above tol or NaN."""
+    worst = float(np.max([deviation(pat.p[d_bin, col, :, hyp], direct)
+                          for d_bin, col, hyp, direct in cells], initial=0.0))
     pat.validation_error = worst
     if not worst <= tol:   # a NaN deviation fails too
         raise RuntimeError(f"pattern validation failed: deviation {worst:.2e}")
@@ -470,11 +482,8 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
                      schedule: Schedule, n_cells: int = 3,
                      rng: np.random.Generator | None = None,
                      tol: float = VALIDATION_TOL) -> float:
-    """Spot-check the fast calibration against the direct pipeline.
-
-    Returns the worst relative deviation over the sampled cells and
-    records it on the tensor.
-    """
+    """Spot-check the fast calibration against the direct pipeline: the worst
+    deviation over the sampled cells, recorded on the tensor."""
     return _check_cells(pat, _direct_cells(cfg, schedule, pat.n_guard, pat.band,
                                            n_cells, rng), tol)
 
@@ -507,29 +516,28 @@ def check_cleanup_radius(radius: int) -> None:
 
 
 def peak_cleanup(rd: RdMatrix, cells, radius: int = 2) -> RdMatrix:
-    """Zero the neighborhood of each detected peak, keeping the peak cell.
+    """Zero the union of the peaks' neighborhoods, then restore every peak cell.
 
     Mops up the straddle shoulders that the per-cell 2x2 solve cannot
     combine for off-grid targets. ``cells`` lists the (d, col) peak cells.
     """
     check_cleanup_radius(radius)
     vals = rd.values.copy()
-    for d0, c0 in cells:
-        keep = vals[d0, c0]
-        vals[rd.neighborhood(d0, c0, radius, radius)] = 0
-        vals[d0, c0] = keep
+    vals[rd.neighborhoods(cells, radius, radius)] = 0
+    for d, col in cells:
+        vals[d, col] = rd.values[d, col]
     return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
 
 
 def receive_tail(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
-                 pat: PatternTensor, n_guard: int = 1, cleanup_radius: int | None = None,
+                 pat: PatternTensor, cleanup_radius: int | None = None,
                  rel_threshold: float = 0.05, max_peaks: int | None = None,
                  guard: int = 2) -> tuple[RdMatrix, RdMatrix, RdMatrix]:
-    """Both tail-mode window maps, as captured, and their 2x2 solve: (std,
-    shift, solved). With a cleanup_radius, the solve takes each window map
-    cleaned around its own find_peaks cells."""
+    """Both tail-mode window maps, as captured with the pattern's n_guard,
+    and their 2x2 solve: (std, shift, solved). With a cleanup_radius, the
+    solve takes each window map cleaned around its own find_peaks cells."""
     from . import detect   # detect imports this module
-    std, shift = (process_sensing(rx, cfg, schedule, kind, n_guard)
+    std, shift = (process_sensing(rx, cfg, schedule, kind, pat.n_guard)
                   for kind in (WindowKind.STANDARD, WindowKind.SHIFTED))
     if cleanup_radius is None:
         return std, shift, solve_windows(std, shift, pat)

@@ -138,9 +138,8 @@ def check_grid_exactness():
     cfg = SMALL
     sched = make_schedule(Scheme.SENSING_ONLY, cfg.m_codes, 16)
     tx = assemble_frame(cfg, sched)
-    n_grid = grid_size(sched, cfg)
     d, nu = 10, 5
-    f_d = nu / (n_grid * cfg.t_chirp)
+    f_d = cfg.doppler_hz(nu, grid_size(sched, cfg))
     rx = echo_component(tx, d, f_d, 1.0, cfg.t_s)
     rd = process_sensing(rx, cfg, sched)
     cell = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
@@ -164,9 +163,11 @@ def check_determinism():
 
 
 def check_pattern_calibration():
-    sched = make_schedule(Scheme.FSI_TAIL, SMALL.m_codes, 6)
-    pat = build_pattern(SMALL, sched)
-    validate_pattern(pat, SMALL, sched, n_cells=4, tol=1e-9)
+    # SMALL, and a grid whose pattern has a band column that cancels to zero
+    for cfg, k in ((SMALL, 6), (WaveformConfig(n_fft=6, m_codes=3, n_cp=2), 4)):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, k)
+        pat = build_pattern(cfg, sched)
+        validate_pattern(pat, cfg, sched, n_cells=4, tol=1e-9)
 
 
 def all_checks(inject_fault: str | None = None):

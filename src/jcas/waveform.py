@@ -78,6 +78,10 @@ class WaveformConfig:
         """Duration of one chirp / occasion in seconds."""
         return self.l_occ * self.t_s
 
+    def doppler_hz(self, bins, n_grid: int):
+        """Doppler frequency of signed bin(s) on an n_grid-occasion grid."""
+        return bins / (n_grid * self.t_chirp)
+
     @property
     def cp_occasions(self) -> int:
         """How many occasions the cyclic prefix spans."""
@@ -224,7 +228,7 @@ def spread_and_assemble(cfg: WaveformConfig, sensing_code: int,
     return s[0]
 
 
-# the QPSK points of random_qpsk, indexed by 2 * b_re + b_im
+# QPSK points by 2 * b_re + b_im (random_qpsk); reversed, Gray-coded (comms.modulate)
 _QPSK = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]) / np.sqrt(2)
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcas import cache, channel, cli, detect, receiver
@@ -37,7 +37,7 @@ def small_scenario():
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
                  st.integers(-3, 3), st.lists(st.integers(), max_size=2),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
-# valid values, kept small: validation allocates one occasion (n_fft/m_codes)
+# valid values, kept small
 _TARGET = st.fixed_dictionaries(
     {"range_m": st.floats(0, 1e3), "velocity_kmh": st.floats(-500, 500)},
     optional={"amplitude": st.floats(0.1, 2)})
@@ -60,10 +60,30 @@ VALID_FIELDS = {
     "tag": st.one_of(st.none(), st.text(st.characters(categories=["L"]), max_size=4)),
 }
 
-# a valid value 19 times in 20, else junk
-MOSTLY_VALID = {name: st.integers(0, 19).flatmap(lambda i, v=valid: JUNK if i == 0 else v)
-                for name, valid in VALID_FIELDS.items()}
+def _mostly(valid):
+    """A valid value 19 times in 20, else junk."""
+    return st.integers(0, 19).flatmap(lambda i: JUNK if i == 0 else valid)
+
+
+MOSTLY_VALID = {name: _mostly(valid) for name, valid in VALID_FIELDS.items()}
 GRID = ("n_fft", "m_codes", "n_cp")
+
+
+@st.composite
+def _grids(draw):
+    """n_fft = M L and n_cp = j L for j in [0, M], odd M and L = 1 included;
+    each field now and then junk."""
+    m, l = draw(st.sampled_from([2, 3, 4, 8])), draw(st.integers(1, 32))
+    return {"m_codes": draw(_mostly(st.just(m))), "n_fft": draw(_mostly(st.just(m * l))),
+            "n_cp": draw(_mostly(st.integers(0, m).map(lambda j: j * l)))}
+
+
+# fsi_tail grids whose pattern has a band column that cancels to zero (M 3,
+# L 2, N_CP L), or flagged bins (N_CP 0)
+DEGENERATE_TAILS = [{"scheme": "fsi_tail", "m_codes": 3, "n_fft": 6, "n_cp": 2, "k": k}
+                    for k in (1, 2, 4)] + \
+    [{"scheme": "fsi_tail", "m_codes": 2, "n_fft": 8, "n_cp": 0, "k": 2},
+     {"scheme": "fsi_tail", "m_codes": 8, "n_fft": 16, "n_cp": 0, "k": 1}]
 
 
 def _assert_same_outputs(want: Path, got: Path) -> None:
@@ -291,15 +311,15 @@ class TestCalibrationCache:
         st, p = path.stat(), path.read_bytes()
         run_simulate(scn, tmp_path / "out")   # hit: no rebuild
         assert path.stat().st_mtime_ns == st.st_mtime_ns
-        assert cli.run_calibrate(scn) == path   # calibrate replaces the file
+        assert cli.run_calibrate(scn)["pattern_path"] == path   # replaces the file
         assert path.stat().st_ino != st.st_ino and path.read_bytes() == p
-        path2 = cli.run_calibrate(Scenario(**{**TAIL_SMALL, "k": 12}))
+        path2 = cli.run_calibrate(Scenario(**{**TAIL_SMALL, "k": 12}))["pattern_path"]
         assert path2 != path
 
     def test_truncated_cache_is_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         scn = Scenario(**TAIL_SMALL)
-        path = cli.run_calibrate(scn)
+        path = cli.run_calibrate(scn)["pattern_path"]
         with np.load(path) as z:
             p = z["p"]
         path.write_bytes(path.read_bytes()[:1000])
@@ -361,7 +381,7 @@ class TestCalibrationCache:
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         scn_file = tmp_path / "tail.json"
         scn_file.write_text(json.dumps(TAIL_SMALL))
-        path = cli.run_calibrate(Scenario(**TAIL_SMALL))
+        path = cli.run_calibrate(Scenario(**TAIL_SMALL))["pattern_path"]
         with np.load(path) as z:
             good = dict(z)
         bad = dict(good)
@@ -573,6 +593,36 @@ class TestCliMain:
             {"flagged_pattern_bins": 0}, {"flagged_pattern_bins": 1}])
         assert cli.main(["preset", "fig6"]) == 3
 
+    def test_calibrate_with_flagged_bins_exits_3(self, tmp_path, capsys):
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(DEGENERATE_TAILS[3]))   # M 2, N_CP 0
+        for verb in ("simulate", "calibrate"):
+            assert cli.main(["--out-dir", str(tmp_path / "out"), verb,
+                             str(scn_file)]) == 3
+        assert "unresolvable bins: 6\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scn", DEGENERATE_TAILS,
+                             ids=lambda d: "m{m_codes}_n{n_fft}_cp{n_cp}_k{k}".format(**d))
+    def test_degenerate_tail_grids_keep_the_exit_contract(self, tmp_path, capsys, scn):
+        # the pattern's self-checks scale with the unit calibration echo: a
+        # response that cancels to zero in both symbols passes them
+        scn_file = tmp_path / "tail.json"
+        scn_file.write_text(json.dumps(scn))
+        for verb in ("simulate", "calibrate"):
+            assert cli.main(["--out-dir", str(tmp_path / "out"), verb,
+                             str(scn_file)]) in (0, 3)
+        assert capsys.readouterr().err == ""
+
+    def test_close_targets_survive_a_wide_cleanup(self, tmp_path):
+        # 3 range bins apart, within each other's cleanup radius: the union
+        # of the neighborhoods is zeroed and both peak cells kept
+        scn = Scenario(scheme="fsi_tail", peak_cleanup=True, cleanup_radius=3,
+                       targets=[{"range_m": 400.390625, "velocity_kmh": 100.0},
+                                {"range_m": 404.052734375, "velocity_kmh": 100.0}])
+        ev = run_simulate(scn, tmp_path)["evaluation"]["combined"]
+        assert len(ev["matched"]) == 2
+        assert ev["misses"] == [] and ev["false_alarms"] == []
+
     def test_invalid_scenario_exit_2(self, tmp_path):
         scn_file = tmp_path / "bad.json"
         scn_file.write_text(json.dumps({"scheme": "nope"}))
@@ -695,9 +745,9 @@ class TestCliMain:
         assert int(proc.stdout) < 500
 
     @settings(max_examples=100, deadline=None)
-    @given(st.fixed_dictionaries(
-        {name: MOSTLY_VALID[name] for name in GRID},
-        optional={name: f for name, f in MOSTLY_VALID.items() if name not in GRID}))
+    @given(st.builds(lambda grid, rest: {**grid, **rest}, _grids(), st.fixed_dictionaries(
+        {}, optional={name: f for name, f in MOSTLY_VALID.items() if name not in GRID})))
+    @example(DEGENERATE_TAILS[2])
     def test_simulate_keeps_the_exit_contract(self, d):
         # mostly valid fields, now and then a junk one: every run ends in 0, 2
         # or 3, and an exit 2 in one line on stderr; the grid is always drawn,

@@ -456,6 +456,38 @@ class TestPattern:
             validate_pattern(pat, cfg_small, sched)
         assert np.isnan(pat.validation_error)
 
+    def test_deviation_is_relative_to_the_unit_echo(self):
+        # a column that cancels to zero in both symbols: its rounding is
+        # measured against the echo's unit amplitude, not against itself
+        ref = np.array([[1.8e-15, 0.0], [4.0, 2.0]])
+        fast = ref + np.array([[5.7e-16, 0.0], [4e-7, 0.0]])
+        dev = receiver.deviation(fast, ref, axis=-1)
+        np.testing.assert_allclose(dev, [5.7e-16, 1e-7], rtol=1e-6)
+        assert np.all(dev <= receiver.VALIDATION_TOL)
+        ref[1, 1] = np.nan
+        assert np.isnan(receiver.deviation(fast, ref, axis=-1)[1])
+
+    def test_band_column_that_cancels_builds(self):
+        # M 3, L 2, N_CP L: in one band column a far response cancels to
+        # ~1e-15 in both interior symbols, and their rounding differs by 6e-16
+        cfg = WaveformConfig(n_fft=6, m_codes=3, n_cp=2)
+        sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 4)
+        pat = build_pattern(cfg, sched, validate=True)
+        assert pat.validation_error <= 1e-12
+
+    def test_steady_state_check_fails_on_nan(self, cfg_small, monkeypatch):
+        # symbol 2 feeds the check alone, so the pattern would be finite
+        real = receiver._pattern_slice
+
+        def nan_symbol_2(cfg, windows, *rest):
+            (refs, *more), shifted = windows
+            refs = refs.copy()
+            refs[2] = np.nan
+            real(cfg, [(refs, *more), shifted], *rest)
+        monkeypatch.setattr(receiver, "_pattern_slice", nan_symbol_2)
+        with pytest.raises(RuntimeError, match="steady-state"):
+            build_pattern(cfg_small, make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16))
+
     @pytest.mark.parametrize("m", [2, 4, 8])
     @pytest.mark.parametrize("cp_occasions", [0, 1, 2])
     @pytest.mark.parametrize("k", [3, 7])
@@ -716,6 +748,28 @@ class TestPeakCleanup:
         rd.values[4, 15] = 0.4
         out = peak_cleanup(rd, [(4, 0)], radius=1)
         assert out.values[4, 15] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 16), radius=st.integers(1, 5),
+           cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=4, cols=16, radius=3, cells=[(2, 5), (2, 8)], seed=0)
+    def test_union_zeroed_and_every_kept_cell_restored(self, rows, cols, radius, cells,
+                                                       seed):
+        # kept cells may lie in each other's neighborhoods, as find_peaks
+        # cells do for a radius above its guard
+        cells = [(d % rows, c % cols) for d, c in cells]
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        out = peak_cleanup(RdMatrix(vals.copy(), 80, WaveformConfig()), cells,
+                           radius).values
+        for r in range(rows):
+            for c in range(cols):
+                near = any(abs(r - d0) <= radius
+                           and min((c - c0) % cols, (c0 - c) % cols) <= radius
+                           for d0, c0 in cells)
+                unchanged = (r, c) in cells or not near
+                assert out[r, c] == (vals[r, c] if unchanged else 0)
 
     def test_radius_below_one_rejected(self, cfg_small):
         with pytest.raises(ValueError):
