@@ -246,13 +246,13 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
         maps = {name: rd.values}
 
     dets = detect.find_peaks(rd, scn.rel_threshold, scn.max_peaks, scn.guard)
-    evaluation = detect.evaluate(dets, scn.target_list(), cfg, n_grid, rd=rd)
+    evaluation = detect.evaluate(dets, scn.target_list(), rd)
 
     ber = evm = None
     if scn.comms_enabled and scheme.is_fsi:
         link_bits = substream(scn.seed, f"{tag}/bits").integers(
             0, 2, 2 * (cfg.m_codes - 1) * cfg.l_occ * scn.k)
-        ber, evm = comms.run_link(cfg, schedule, link_bits, gain=1.0,
+        ber, evm = comms.run_link(cfg, schedule, link_bits,
                                   snr_db=scn.comms_snr_db,
                                   rng=substream(scn.seed, f"{tag}/comms-noise"))
 
@@ -334,10 +334,10 @@ def run_preset(name: str, out_dir: str | Path, seed: int = 2026,
 # selftest
 # ---------------------------------------------------------------------------
 
-def run_selftest(inject_fault: str | None = None) -> int:
+def run_selftest() -> int:
     """Quick invariant sweep across the modules; returns failure count."""
     from . import selftest
-    checks = selftest.all_checks(inject_fault)
+    checks = selftest.all_checks()
     failures = 0
     for name, fn in checks:
         try:
@@ -380,16 +380,14 @@ def main(argv: list[str] | None = None) -> int:
     p_cal = sub.add_parser("calibrate", help="build, validate and cache the "
                            "dual-window pattern (always afresh)")
     p_cal.add_argument("scenario")
-    p_self = sub.add_parser("selftest", help="run the invariant suite")
-    p_self.add_argument("--inject-fault", default=None,
-                        help="test hook: corrupt a named invariant")
+    sub.add_parser("selftest", help="run the invariant suite")
     args = ap.parse_args(argv)
 
     try:
         if args.threads < 1:
             raise ScenarioError("--threads must be >= 1")
         if args.verb == "selftest":
-            return 1 if run_selftest(args.inject_fault) else 0
+            return 1 if run_selftest() else 0
         if args.verb == "preset":
             reports = run_preset(args.name, args.out_dir,
                                  seed=args.seed if args.seed is not None else 2026,

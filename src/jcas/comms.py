@@ -56,13 +56,12 @@ def _code_estimates(spectra: np.ndarray, codes: np.ndarray,
 
 
 def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
-             gain: complex = 1.0, snr_db: float | None = None,
+             snr_db: float | None = None,
              rng: np.random.Generator | None = None
              ) -> tuple[float, float]:
-    """Loopback BER/EVM through a flat known-gain channel.
+    """Loopback BER/EVM through a flat unit-gain channel.
 
-    Transmit frame -> gain + AWGN -> CP removal -> DFT -> single-tap
-    equalization with the known gain -> despread -> demodulate.
+    Transmit frame -> AWGN -> CP removal -> DFT -> despread -> demodulate.
     snr_db is Es/N0 per despread data symbol (noise is white in time, so
     the per-subcarrier variance equals the per-sample variance).
     """
@@ -77,17 +76,16 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
 
     payload = modulate(bits).reshape(k, m - 1, l)
     rx = assemble_frame(cfg, schedule, payload=payload)   # ours: receive in place
-    rx *= gain
     if snr_db is not None:
         check_db(snr_db, "snr_db")
         if rng is None:
             raise ValueError("noise requires a random source")
-        sigma2 = abs(gain) ** 2 * 10 ** (-snr_db / 10)
+        sigma2 = 10 ** (-snr_db / 10)
         rx += rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
         rx += 1j * rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
 
     bodies = rx.reshape(k, cfg.symbol_len)[:, cfg.n_cp:]
-    bodies[...] = unitary_dft(bodies) / gain
+    bodies[...] = unitary_dft(bodies)
     bodies *= np.conj(symbol_rotation(np.arange(k), m, schedule.scheme))[:, None]
     _, codes, _ = transmit_constants(cfg)
     data = _code_estimates(bodies, codes, data_codes(schedule.alpha, m))

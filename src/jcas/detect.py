@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import Target, target_to_delay_doppler
-from .receiver import RdMatrix
+from .channel import Target
+from .receiver import RdMatrix, signed_bin
 from .util import mps_to_kmh
-from .waveform import WaveformConfig
+
+TOL_BINS = (1, 1)   # (range, Doppler) bins within which a detection meets a truth
 
 
 @dataclass
@@ -98,7 +99,7 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     hits = hits[power[tuple(hits.T)] >= _neighborhood_max(power, hits, guard)]
     d, c = hits.T
     norm = power[d, c] / peak_max
-    bins = rd.signed_bin(c)
+    bins = signed_bin(c, rd.n_doppler)
     order = np.lexsort((bins, d, -norm))[:max_peaks]
     d, c, norm, bins = d[order], c[order], norm[order], bins[order]
     fields = (rd.range_m_of(d), mps_to_kmh(rd.velocity_mps_of(c)), norm, d, c,
@@ -106,13 +107,6 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     return [Detection(range_m=r, velocity_kmh=v, normalized_power=p,
                       cell=(di, ci), range_bin=di, doppler_bin=b)
             for r, v, p, di, ci, b in zip(*(a.tolist() for a in fields))]
-
-
-def truth_cell(t: Target, cfg: WaveformConfig, n_grid: int
-               ) -> tuple[int, int]:
-    """Expected (global range bin, signed Doppler bin) for a target."""
-    delay, doppler = target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
-    return int(round(delay)), int(round(doppler * n_grid * cfg.t_chirp))
 
 
 @dataclass
@@ -128,18 +122,14 @@ class EvalReport:
                 "peak_to_interference_db": self.peak_to_interference_db}
 
 
-def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
-             n_grid: int, tol_bins: tuple[int, int] = (1, 1),
-             rd: RdMatrix | None = None) -> EvalReport:
-    """Greedy nearest matching of detections to truth within a bin tolerance.
-
-    Unmatched truths are misses; unmatched detections are false alarms.
-    When the RD map is supplied, peak-to-interference compares the weakest
-    matched peak against the strongest cell outside every truth
-    neighborhood (tol_bins radius); without it the figure stays None.
-    """
-    tol_d, tol_v = tol_bins
-    cells = [truth_cell(t, cfg, n_grid) for t in truth]
+def evaluate(dets: list[Detection], truth: list[Target], rd: RdMatrix
+             ) -> EvalReport:
+    """Greedy nearest matching of detections on rd to the truth cells they
+    lie near by rd's one rule, at TOL_BINS: the rest are false alarms, the
+    unmatched truths misses. Peak-to-interference compares the weakest
+    matched peak with the strongest cell near no truth."""
+    tol_d, tol_v = TOL_BINS
+    cells = [rd.truth_cell(t) for t in truth]
     taken = [False] * len(truth)
     report = EvalReport()
     for det in sorted(dets, key=lambda p: -p.normalized_power):
@@ -148,8 +138,7 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
             if taken[i]:
                 continue
             dd = abs(det.range_bin - td)
-            dv = (det.doppler_bin - tv) % n_grid
-            dv = min(dv, n_grid - dv)   # circular
+            dv = rd.doppler_distance(det.doppler_bin, tv)
             if dd <= tol_d and dv <= tol_v:
                 cost = (dd + dv, dd, dv)   # dv follows from the first two: same order
                 if best_cost is None or cost < best_cost:
@@ -164,12 +153,15 @@ def evaluate(dets: list[Detection], truth: list[Target], cfg: WaveformConfig,
                 "doppler_bin_error": best_cost[2]})
     report.misses = [i for i, t in enumerate(taken) if not t]
 
-    if rd is not None and report.matched:
+    if report.matched:
         power = np.abs(rd.values) ** 2
+        near = [rd.truth_neighborhood(cell, tol_d, tol_v) for cell in cells]
         # a matched truth's neighborhood holds its detection's cell
-        peak = min(power[rd.neighborhood(*cells[m["truth_index"]], tol_d, tol_v)].max()
-                   for m in report.matched)
-        interference = power[~rd.neighborhoods(cells, tol_d, tol_v)].max(initial=0.0)
+        peak = min(power[near[m["truth_index"]]].max() for m in report.matched)
+        outside = np.ones(power.shape, dtype=bool)
+        for index in near:
+            outside[index] = False
+        interference = power[outside].max(initial=0.0)
         if interference > 0:
             report.peak_to_interference_db = float(10 * np.log10(peak / interference))
     return report

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .channel import Target, target_to_delay_doppler
 from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
     unambiguous_band
 from .util import SPEED_OF_LIGHT, next_fast_len, share
@@ -56,20 +57,17 @@ class RdMatrix:
         return self.values.shape[1]
 
     # the axis methods take an int or an int array (elementwise)
-    def signed_bin(self, col: int) -> int:
-        return signed_bin(col, self.n_doppler)
-
     def range_m_of(self, d: int) -> float:
         return d * SPEED_OF_LIGHT * self.cfg.t_s / 2
 
     def velocity_mps_of(self, col: int) -> float:
-        freq = self.cfg.doppler_hz(self.signed_bin(col), self.grid_size)
+        freq = self.cfg.doppler_hz(signed_bin(col, self.n_doppler), self.grid_size)
         return freq * self.cfg.wavelength_m / 2
 
     def neighborhood(self, d: int, col: int, rows: int, cols: int
                      ) -> tuple[slice, list[int]]:
         """Index of the cells within rows range bins and cols Doppler columns
-        of (d, col): rows clip at the map's edges, columns wrap."""
+        of (d, col): rows clip at the map's edges, columns wrap on its width."""
         return (slice(max(0, d - rows), d + rows + 1),
                 [(col + t) % self.n_doppler for t in range(-cols, cols + 1)])
 
@@ -79,6 +77,28 @@ class RdMatrix:
         for d, col in cells:
             mask[self.neighborhood(d, col, rows, cols)] = True
         return mask
+
+    def truth_cell(self, target: Target) -> tuple[int, int]:
+        """Where target sits on the map: (range row, signed Doppler bin)."""
+        cfg = self.cfg
+        delay, doppler = target_to_delay_doppler(target, cfg.carrier_hz, cfg.t_s)
+        return int(round(delay)), int(round(cfg.doppler_bin(doppler, self.grid_size)))
+
+    def doppler_distance(self, b: int, nu: int) -> int:
+        """Bins from signed Doppler bin b to nu on the circle of grid_size bins."""
+        off = (b - nu) % self.grid_size
+        return min(off, self.grid_size - off)
+
+    def truth_neighborhood(self, cell: tuple[int, int], rows: int, cols: int
+                           ) -> tuple[slice, list[int]]:
+        """Index of the cells near a truth_cell: those of its neighborhood
+        within cols of its bin by doppler_distance. A map's width divides
+        grid_size, so none is missed, and a band map holds none near an
+        out-of-band truth, not even the truth's alias."""
+        d, nu = cell
+        near_rows, cols_around = self.neighborhood(d, nu, rows, cols)
+        return near_rows, [c for c in cols_around if self.doppler_distance(
+            signed_bin(c, self.n_doppler), nu) <= cols]
 
 
 def capture_windows(rx: np.ndarray, cfg: WaveformConfig, k: int,
@@ -449,12 +469,11 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
 
 
 def _direct_cells(cfg: WaveformConfig, schedule: Schedule, n_guard: int,
-                  band: int, n_cells: int = 3,
-                  rng: np.random.Generator | None = None) -> list[tuple]:
-    """The cells validation checks, drawn by rng (default_rng(0) if None),
-    each as (range bin, band column, hypothesis, direct pipeline value of
-    both windows); every cell echoes the one zero-data frame."""
-    rng = rng or np.random.default_rng(0)
+                  band: int, n_cells: int = 3) -> list[tuple]:
+    """The cells validation checks, drawn by default_rng(0), each as (range
+    bin, band column, hypothesis, direct pipeline value of both windows);
+    every cell echoes the one zero-data frame."""
+    rng = np.random.default_rng(0)
     tx = assemble_frame(cfg, schedule)
     cells = []
     for _ in range(n_cells):
@@ -480,12 +499,11 @@ def _check_cells(pat: PatternTensor, cells: list[tuple],
 
 def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
                      schedule: Schedule, n_cells: int = 3,
-                     rng: np.random.Generator | None = None,
                      tol: float = VALIDATION_TOL) -> float:
     """Spot-check the fast calibration against the direct pipeline: the worst
     deviation over the sampled cells, recorded on the tensor."""
     return _check_cells(pat, _direct_cells(cfg, schedule, pat.n_guard, pat.band,
-                                           n_cells, rng), tol)
+                                           n_cells), tol)
 
 
 def solve_windows(rd_std: RdMatrix, rd_shift: RdMatrix, pat: PatternTensor

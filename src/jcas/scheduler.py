@@ -46,13 +46,6 @@ class Schedule:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        return cls(scheme=Scheme(d["scheme"]), m_codes=d["m_codes"], k=d["k"],
-                   alpha=tuple(d["alpha"]) if d.get("alpha") is not None else None,
-                   slots=tuple(d["slots"]) if d.get("slots") is not None else None,
-                   seed=d.get("seed"))
-
 
 def make_schedule(scheme: Scheme, m: int, k: int,
                   rng: np.random.Generator | None = None,

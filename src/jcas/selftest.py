@@ -1,7 +1,6 @@
 """In-process invariant suite behind the `jcas selftest` verb.
 
-Each check raises on violation. The fault-injection hook deliberately
-corrupts one check's input so CI can prove the checks have teeth.
+Each check raises on violation.
 """
 
 from __future__ import annotations
@@ -31,11 +30,9 @@ def check_dft_unitarity():
             raise AssertionError("roundtrip violated")
 
 
-def check_code_unitarity(corrupt: bool = False):
+def check_code_unitarity():
     for m in (2, 4, 8, 16):
         u = make_code_matrix(m)
-        if corrupt:
-            u[0, 0] += 1e-3
         err = np.max(np.abs(u @ u.conj().T - np.eye(m)))
         if err > 1e-12:
             raise AssertionError(f"U not unitary for M={m}: {err:.2e}")
@@ -170,11 +167,10 @@ def check_pattern_calibration():
         validate_pattern(pat, cfg, sched, n_cells=4, tol=1e-9)
 
 
-def all_checks(inject_fault: str | None = None):
+def all_checks():
     return [
         ("dft-unitarity", check_dft_unitarity),
-        ("code-unitarity", lambda: check_code_unitarity(
-            corrupt=(inject_fault == "code-unitarity"))),
+        ("code-unitarity", check_code_unitarity),
         ("code-shift-identity", check_code_shift_identity),
         ("spectral-support", check_spectral_support),
         ("base-envelope", check_base_envelope),

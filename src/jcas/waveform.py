@@ -82,6 +82,10 @@ class WaveformConfig:
         """Doppler frequency of signed bin(s) on an n_grid-occasion grid."""
         return bins / (n_grid * self.t_chirp)
 
+    def doppler_bin(self, hz, n_grid: int):
+        """Signed bin, unrounded, of Doppler frequency hz: doppler_hz's inverse."""
+        return hz * n_grid * self.t_chirp
+
     @property
     def cp_occasions(self) -> int:
         """How many occasions the cyclic prefix spans."""

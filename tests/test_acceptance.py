@@ -161,6 +161,22 @@ def test_criterion4b_periodic_td_alias(fig6_runs):
                       f"{errs.get(0)}, true tuple missed: {true_missed}")
 
 
+def test_criterion4b_alias_is_interference(fig6_runs):
+    """The 500 km/h target's alias in periodic TD's band lies near no
+    truth, so it is a false alarm and the strongest interference."""
+    ev = fig6_runs["periodic_td"]["evaluation"]["single"]
+    (match,) = ev["matched"]
+    ghost = max(ev["false_alarms"], key=lambda d: d["normalized_power"])
+    p2i = 10 * np.log10(match["detection"]["normalized_power"]
+                        / ghost["normalized_power"])
+    ok = (ghost["range_bin"], ghost["doppler_bin"]) == (328, -6) \
+        and abs(ev["peak_to_interference_db"] - p2i) < 1e-9 \
+        and abs(p2i - 5.83) < 0.01
+    assert report("criterion 4b (the alias counts as interference)", ok,
+                  f"ghost {ghost['cell']}, peak-to-interference "
+                  f"{ev['peak_to_interference_db']:.2f} dB against {p2i:.2f} dB")
+
+
 def test_criterion4c_rtd_detection(fig6_runs):
     errs, _ = _matched_errors(fig6_runs["rtd"])
     ok = set(errs) == {0, 1} and all(dd <= 1 and dv <= 1

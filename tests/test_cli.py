@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcas import cache, channel, cli, detect, receiver
+from jcas import cache, channel, cli, detect, receiver, selftest
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
 
 
@@ -768,7 +768,14 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "12/12 checks passed" in out
 
-    def test_selftest_fault_injection(self, capsys):
-        assert cli.main(["selftest", "--inject-fault", "code-unitarity"]) == 1
+    def test_selftest_fault_injection(self, capsys, monkeypatch):
+        real = selftest.make_code_matrix
+
+        def skewed(m):
+            u = real(m)
+            u[0, 0] += 1e-3
+            return u
+        monkeypatch.setattr(selftest, "make_code_matrix", skewed)
+        assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL code-unitarity" in out

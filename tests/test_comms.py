@@ -59,14 +59,6 @@ class TestRunLink:
         assert ber == 0.0
         assert evm < 1e-12
 
-    def test_known_complex_gain_equalized(self, cfg_small):
-        k = 4
-        sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, k,
-                              rng=substream(51, "s"))
-        bits = substream(51, "bits").integers(0, 2, k * 2 * 3 * cfg_small.l_occ)
-        ber, _ = run_link(cfg_small, sched, bits, gain=0.5 * np.exp(1j * np.pi / 3))
-        assert ber == 0.0
-
     def test_tail_mode_rotation_handled(self, cfg_small):
         k = 4
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, k)

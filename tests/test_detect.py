@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter
 
 from jcas import Target, cli, detect, evaluate, find_peaks
-from jcas.detect import Detection, truth_cell
-from jcas.receiver import RdMatrix
+from jcas.detect import TOL_BINS, Detection
+from jcas.receiver import RdMatrix, signed_bin
 from jcas.util import mps_to_kmh
 
 
@@ -86,7 +86,7 @@ def peaks_oracle(rd, rel_threshold=0.05, max_peaks=None, guard=2):
                       velocity_kmh=mps_to_kmh(rd.velocity_mps_of(int(c))),
                       normalized_power=float(power[d, c] / peak_max),
                       cell=(int(d), int(c)), range_bin=int(d),
-                      doppler_bin=rd.signed_bin(int(c)))
+                      doppler_bin=signed_bin(int(c), rd.n_doppler))
             for d, c in hits]
     dets.sort(key=lambda p: (-p.normalized_power, p.range_bin, p.doppler_bin))
     return dets[:max_peaks]
@@ -199,38 +199,102 @@ class TestCellToPhysical:
 class TestEvaluate:
     def test_exact_match(self, cfg):
         truth = [Target(200.0, -250 / 3.6), Target(400.0, 500 / 3.6)]
-        cells = {truth_cell(t, cfg, 320) for t in truth}
+        cells = {rd_with(cfg, {}).truth_cell(t) for t in truth}
         rd = rd_with(cfg, {(d, nu % 320): 1.0 for d, nu in cells})
         dets = find_peaks(rd)
-        rep = evaluate(dets, truth, cfg, 320)
+        rep = evaluate(dets, truth, rd)
         assert len(rep.matched) == 2
         assert rep.misses == [] and rep.false_alarms == []
 
     def test_empty_detections_all_miss(self, cfg):
-        rep = evaluate([], [Target(100.0, 10.0)], cfg, 320)
+        rep = evaluate([], [Target(100.0, 10.0)], rd_with(cfg, {}))
         assert rep.misses == [0]
 
     def test_tolerance_boundary(self, cfg):
         truth = [Target(200.0, 0.0)]   # cell (164, 0)
-        rd = rd_with(cfg, {(166, 0): 1.0})
-        dets = find_peaks(rd)
-        rep = evaluate(dets, truth, cfg, 320, tol_bins=(1, 1))
-        assert rep.misses == [0] and len(rep.false_alarms) == 1
-        rep2 = evaluate(dets, truth, cfg, 320, tol_bins=(2, 1))
-        assert rep2.matched and not rep2.misses
+        assert TOL_BINS == (1, 1)
+        for cell, hit in (((165, 1), True), ((166, 0), False),
+                          ((164, 2), False), ((165, 319), True)):
+            rd = rd_with(cfg, {cell: 1.0})
+            rep = evaluate(find_peaks(rd), truth, rd)
+            assert (rep.misses, len(rep.false_alarms)) == \
+                (([], 0) if hit else ([0], 1))
 
     def test_peak_to_interference(self, cfg):
         truth = [Target(200.0, 0.0)]
         rd = rd_with(cfg, {(164, 0): 1.0, (300, 100): 0.1})
         dets = find_peaks(rd, rel_threshold=0.001)
-        rep = evaluate(dets, truth, cfg, 320, rd=rd)
+        rep = evaluate(dets, truth, rd)
         assert abs(rep.peak_to_interference_db - 20.0) < 1e-9
 
     def test_greedy_matches_strongest_first(self, cfg):
         truth = [Target(200.0, 0.0)]
         rd = rd_with(cfg, {(164, 0): 1.0, (165, 0): 0.5})
         dets = find_peaks(rd, guard=0)
-        rep = evaluate(dets, truth, cfg, 320)
+        rep = evaluate(dets, truth, rd)
         assert rep.matched[0]["detection"]["cell"] == [164, 0]
         assert len(rep.false_alarms) == 1
-        assert rep.peak_to_interference_db is None   # needs the map
+        assert rep.peak_to_interference_db is None   # nothing outside the truth
+
+
+def target_at(rd, d, nu):
+    """A target whose truth_cell on rd is (d, nu)."""
+    cfg = rd.cfg
+    return Target(rd.range_m_of(d),
+                  cfg.doppler_hz(nu, rd.grid_size) * cfg.wavelength_m / 2)
+
+
+def detection_at(rd, d, c):
+    power = np.abs(rd.values) ** 2
+    return Detection(range_m=rd.range_m_of(d),
+                     velocity_kmh=mps_to_kmh(rd.velocity_mps_of(c)),
+                     normalized_power=float(power[d, c] / power.max()),
+                     cell=(d, c), range_bin=d,
+                     doppler_bin=signed_bin(c, rd.n_doppler))
+
+
+class TestNearTruthRule:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 5), n_doppler=st.integers(1, 10),
+           fold=st.integers(1, 4),
+           truths=st.lists(st.tuples(st.integers(0, 6), st.integers(-45, 45)),
+                           min_size=1, max_size=3),
+           dets=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)),
+                         max_size=4),
+           hot=st.tuples(st.integers(0, 4), st.integers(0, 9)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # an in-band truth at the band's upper edge: neighborhood's column 4
+    # wraps to signed bin -4, the opposite edge, 7 bins away on the grid
+    @example(rows=3, n_doppler=8, fold=4, truths=[(1, 3)], dets=[(1, 3)],
+             hot=(1, 4), seed=0)
+    def test_mask_is_what_matching_accepts(self, cfg, rows, n_doppler, fold,
+                                           truths, dets, hot, seed):
+        """On full (fold 1) and band maps, a cell is near a truth iff
+        matching accepts a detection there, and peak-to-interference reads
+        the cells that matching rejects for every truth."""
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows, n_doppler)) + 0j
+        values[hot[0] % rows, hot[1] % n_doppler] *= 100
+        rd = RdMatrix(values=values, grid_size=n_doppler * fold, cfg=cfg)
+        targets = [target_at(rd, d, nu) for d, nu in truths]
+        assert [rd.truth_cell(t) for t in targets] == truths
+        accepts = np.zeros((len(truths),) + values.shape, dtype=bool)
+        for i, t in enumerate(targets):
+            near = np.zeros(values.shape, dtype=bool)
+            near[rd.truth_neighborhood(truths[i], *TOL_BINS)] = True
+            for d, c in np.ndindex(values.shape):
+                accepts[i, d, c] = bool(evaluate([detection_at(rd, d, c)],
+                                                 [t], rd).matched)
+            np.testing.assert_array_equal(near, accepts[i])
+
+        found = [detection_at(rd, d % rows, c % n_doppler) for d, c in dets]
+        rep = evaluate(found, targets, rd)
+        power = np.abs(values) ** 2
+        interference = power[~accepts.any(axis=0)].max(initial=0.0)
+        if not rep.matched or interference == 0:
+            assert rep.peak_to_interference_db is None
+        else:
+            peak = min(power[accepts[m["truth_index"]]].max()
+                       for m in rep.matched)
+            assert rep.peak_to_interference_db == \
+                float(10 * np.log10(peak / interference))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -109,6 +110,9 @@ class TestOccasionGrid:
 
 class TestSerialization:
     def test_roundtrip(self):
-        from jcas.scheduler import Schedule
         s = make_schedule(Scheme.RTD, 4, 16, rng=substream(6, "s"), seed=6)
-        assert Schedule.from_dict(s.to_dict()) == s
+        d = s.to_dict()
+        assert d == {"scheme": "rtd", "m_codes": 4, "k": 16, "alpha": None,
+                     "slots": list(s.slots), "seed": 6}
+        assert json.loads(json.dumps(d)) == d
+        assert make_schedule(Scheme.FSI_TAIL, 4, 2).to_dict()["alpha"] == [3, 3]
