@@ -94,7 +94,7 @@ def load_or_build_pattern(scn, schedule: Schedule,
     path = pattern_path(scn)
     if not validate:
         try:
-            return _read_pattern(path, (cfg.l_occ, unambiguous_band(schedule, cfg), 2, 2),
+            return _read_pattern(path, (cfg.l_occ, unambiguous_band(schedule), 2, 2),
                                  scn.n_guard)
         except (OSError, KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile):
             pass

@@ -220,7 +220,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                             "noise or target levels")
 
     n_grid = grid_size(schedule, cfg)
-    band = unambiguous_band(schedule, cfg)
+    band = unambiguous_band(schedule)
     flagged_bins = 0
 
     if scheme is Scheme.FSI_TAIL:

@@ -18,8 +18,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import Target, target_to_delay_doppler
-from .scheduler import Schedule, Scheme, grid_size, occasion_grid_indices, \
-    unambiguous_band
+from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
+    occasion_grid_indices, unambiguous_band
 from .util import SPEED_OF_LIGHT, next_fast_len, share
 from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
     transmit_constants, unitary_dft
@@ -28,6 +28,10 @@ from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
 class WindowKind(str, Enum):
     STANDARD = "standard"   # symbol body, CP skipped
     SHIFTED = "shifted"     # starts N_CP earlier, covering the CP
+
+    def start(self, cfg: WaveformConfig) -> int:
+        """The sample at which symbol 0's window starts."""
+        return cfg.n_cp if self is WindowKind.STANDARD else 0
 
 
 def signed_bin(col, n: int):
@@ -105,7 +109,7 @@ def capture_windows(rx: np.ndarray, cfg: WaveformConfig, k: int,
                     kind: WindowKind) -> np.ndarray:
     """Per-symbol length-N receive windows, (K, N): a read-only view of rx."""
     s = cfg.symbol_len
-    start = cfg.n_cp if kind is WindowKind.STANDARD else 0
+    start = kind.start(cfg)
     if len(rx) < (k - 1) * s + start + cfg.n_fft:
         raise ValueError("frame too short for the requested windows")
     return sliding_window_view(rx, cfg.n_fft)[start::s][:k]
@@ -223,7 +227,7 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         beat = mix(slots, chirp)
         profiles = si_filter(beat, n_guard)
 
-    band = unambiguous_band(schedule, cfg)
+    band = unambiguous_band(schedule)
     if not band:
         return slow_time_matched_filter(profiles, g, n_grid, cfg)
     # periodic occasions g_k = kP + r with G = KP: the full map is the
@@ -242,6 +246,7 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
 
 COND_MAX = 1e6   # a 2x2 cell with a larger condition number is unresolvable
 VALIDATION_TOL = 1e-6   # the largest deviation the pattern's self-checks pass
+PATTERN_SLICES = 32   # build_pattern computes the band in this many slices
 
 
 def deviation(fast: np.ndarray, ref: np.ndarray, axis=None):
@@ -324,44 +329,38 @@ def invert_cells(p: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
     return resolvable, p_sol
 
 
-def _pattern_slice(cfg: WaveformConfig, windows: list[tuple], f_b: np.ndarray,
-                   n_chirp: np.ndarray, out_chirp: np.ndarray, k_full: int,
-                   p: np.ndarray, cols: slice, bufs: tuple[np.ndarray, ...]) -> None:
+def _pattern_slice(cfg: WaveformConfig, refs: np.ndarray, phase: np.ndarray,
+                   probe_f: np.ndarray, f_b: np.ndarray, n_chirp: np.ndarray,
+                   out_chirp: np.ndarray, k_full: int, p: np.ndarray, cols: slice,
+                   bufs: tuple[np.ndarray, ...]) -> None:
     """Band columns cols of both receive windows' calibrated responses into
     p[:, cols], p (L, band, window, hyp): (z_0 + (K-1) z_1) / K per cell.
 
-    windows holds each window's mixer references (3, N), steering phases
-    (3, band) and probe transforms (3, hyp, size). The slice is computed in
-    bufs = (twist, ref_f, conv, z_1), shaped (h, N), (h, size), (h, size)
-    and (hyp, h, L) for h columns or more: twist, the columns' reference
-    twist e^{-j2pi f_b n Ts} e^{-jpi n^2/L} (n_chirp the second factor),
-    serves both windows. Symbol 0 goes straight into p, symbol 1 into z_1,
-    and symbol 2 is only compared with symbol 1 for the steady-state check.
+    refs holds the mixer references (window, symbol, N), phase the steering
+    phases (window, symbol, band) and probe_f the probe transforms (window,
+    symbol, hyp, size) of the three calibration symbols. The slice is
+    computed in bufs = (twist, ref_f, conv), shaped (h, N), (window, symbol,
+    h, size) and (window, symbol, hyp, h, size) for h columns or more:
+    twist, the columns' reference twist e^{-j2pi f_b n Ts} e^{-jpi n^2/L}
+    (n_chirp the second factor), serves every window and symbol. Symbols 0
+    and 1 build p; symbol 2 is only compared with symbol 1, the steady-state
+    check.
     """
     n, l = cfg.n_fft, cfg.l_occ
     w = cols.stop - cols.start
-    twist, rf, cv, z_1 = bufs[0][:w], bufs[1][:w], bufs[2][:w], bufs[3][:, :w]
+    twist, rf, cv = bufs[0][:w], bufs[1][:, :, :w], bufs[2][:, :, :, :w]
     np.exp(-2j * np.pi * cfg.t_s * np.outer(f_b[cols], np.arange(n)), out=twist)
     twist *= n_chirp
-    for wi, (refs, phase, probe_f) in enumerate(windows):
-        out = p[:, :, wi]
-        for k in range(3):
-            np.multiply(refs[k], twist, out=rf[:, :n])
-            rf[:, n:] = 0
-            np.fft.fft(rf, axis=-1, out=rf)
-            for hyp in (0, 1):
-                np.multiply(rf, probe_f[k, hyp], out=cv)
-                np.fft.ifft(cv, axis=-1, out=cv)
-                z = phase[k, cols, None] * out_chirp * cv[:, n - 1:n - 1 + l]
-                if k == 0:
-                    out[:, cols, hyp] = z.T
-                elif k == 1:
-                    z_1[hyp] = z
-                elif not np.all(deviation(z, z_1[hyp], axis=-1) <= VALIDATION_TOL):
-                    raise RuntimeError("steady-state calibration assumption broken")
-        for hyp in (0, 1):
-            out[:, cols, hyp] = ((out[:, cols, hyp].T + (k_full - 1) * z_1[hyp])
-                                 / k_full).T
+    np.multiply(refs[:, :, None], twist, out=rf[..., :n])
+    rf[..., n:] = 0
+    np.fft.fft(rf, axis=-1, out=rf)
+    np.multiply(rf[:, :, None], probe_f[..., None, :], out=cv)
+    np.fft.ifft(cv, axis=-1, out=cv)
+    # (window, symbol, hyp, column, range bin)
+    z = phase[:, :, None, cols, None] * out_chirp * cv[..., n - 1:n - 1 + l]
+    if not np.all(deviation(z[:, 2], z[:, 1], axis=-1) <= VALIDATION_TOL):
+        raise RuntimeError("steady-state calibration assumption broken")
+    p[:, cols] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).transpose(3, 2, 0, 1)
 
 
 def build_pattern(cfg: WaveformConfig, schedule: Schedule,
@@ -383,20 +382,22 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     echo's own e^{-j2pi f_b delta Ts} is e^{-j2pi f_b o_k Ts} for every d.
     So one reference transform per (window, symbol) serves all band columns.
 
-    The band is computed in eighths, each for both windows. The caller and
-    the background worker share the eight slices (util.share), each in
-    eighth-band buffers of its own. With ``validate``, the caller first
+    Both windows' references, steering phases and probe transforms are
+    stacked as _pattern_slice takes them, the twelve probe transforms in
+    one FFT. The band is computed in PATTERN_SLICES slices, each for both
+    windows, which the caller and the background worker share (util.share),
+    each in slice buffers of its own. With ``validate``, the caller first
     computes the cells that validate_pattern checks through the direct
     pipeline, while the worker builds, and the pattern is checked against
     them as validate_pattern does.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
-    m, l, n = cfg.m_codes, cfg.l_occ, cfg.n_fft
+    l, n = cfg.l_occ, cfg.n_fft
     n_grid = grid_size(schedule, cfg)
-    band = unambiguous_band(schedule, cfg)
+    band = unambiguous_band(schedule)
 
-    cal_sched = Schedule(Scheme.FSI_TAIL, m, 3, alpha=(m - 1,) * 3)
+    cal_sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 3)
     # led by 2L-1 zeros: the far hypothesis looks up to 2L-1 samples
     # before the frame
     probe = np.concatenate((np.zeros(2 * l - 1),
@@ -414,30 +415,27 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     out_chirp = np.exp(-1j * np.pi * d * d / l) / np.sqrt(l)
     size = next_fast_len(n + l - 1)
 
-    windows = []   # (references, steering phases, probe transforms)
-    for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
-        offs = np.arange(3) * cfg.symbol_len \
-            + (cfg.n_cp if kind is WindowKind.STANDARD else 0)
-        probe_f = np.empty((3, 2, size), dtype=complex)   # (symbol, hyp, lag)
-        for k in range(3):
-            for hyp in (0, 1):
-                lo = offs[k] + (1 - hyp) * l
-                b = probe[lo:lo + len(lag)] * lag_chirp
-                probe_f[k, hyp] = np.fft.fft(b[::-1], size)
-        windows.append((_fsi_references(cfg, cal_sched, kind),
-                        steer * np.exp(-2j * np.pi * cfg.t_s * np.outer(offs, f_b)),
-                        probe_f))
+    # o_k of (window, symbol), and where the probe's lags start for each
+    # hypothesis: the near one L samples later
+    offs = np.array([[kind.start(cfg)] for kind in WindowKind]) \
+        + np.arange(3) * cfg.symbol_len
+    lo = offs[..., None] + (1 - np.arange(2)) * l
+    probe_f = np.fft.fft((probe[lo[..., None] + np.arange(len(lag))]
+                          * lag_chirp)[..., ::-1], size)
+    refs = np.stack([_fsi_references(cfg, cal_sched, kind) for kind in WindowKind])
+    # offs times f_b first, the np.outer order: the scalar first moves p's last bit
+    phase = steer * np.exp(-2j * np.pi * cfg.t_s * (offs[..., None] * f_b))
     p = np.empty((l, band, 2, 2), dtype=complex)
-    h = (band + 7) // 8   # an eighth of the band, rounded up
-    slices = [functools.partial(_pattern_slice, cfg, windows, f_b, n_chirp, out_chirp,
-                                schedule.k, p, slice(c0, min(c0 + h, band)))
+    h = -(-band // PATTERN_SLICES)   # columns per slice, rounded up
+    slices = [functools.partial(_pattern_slice, cfg, refs, phase, probe_f, f_b,
+                                n_chirp, out_chirp, schedule.k, p,
+                                slice(c0, min(c0 + h, band)))
               for c0 in range(0, band, h)]
     # each thread computes its slices in buffers of its own; the caller's are
     # allocated only once its direct cells, which need far more memory, are done
     with share(slices, lambda: (np.empty((h, n), dtype=complex),
-                                np.empty((h, size), dtype=complex),
-                                np.empty((h, size), dtype=complex),
-                                np.empty((2, h, l), dtype=complex))):
+                                np.empty((2, 3, h, size), dtype=complex),
+                                np.empty((2, 3, 2, h, size), dtype=complex))):
         cells = _direct_cells(cfg, schedule, n_guard, band) if validate else None
     pat = PatternTensor.solve(p, n_guard)
     if validate:
@@ -446,9 +444,10 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
-                        signed_bin: int, hyp: int, n_guard: int = 1,
+                        nu: int, hyp: int, n_guard: int = 1,
                         tx: np.ndarray | None = None) -> np.ndarray:
-    """Independent calibration of one pattern cell via the full pipeline.
+    """Independent calibration of one pattern cell, (range bin d_bin, signed
+    Doppler bin nu), via the full pipeline.
 
     Synthesizes the complete K-symbol zero-data frame (or takes it as tx)
     and an on-grid calibration echo, runs both windows through
@@ -456,7 +455,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     calibration path.
     """
     from .channel import echo_component
-    f_b = cfg.doppler_hz(signed_bin, grid_size(schedule, cfg))
+    f_b = cfg.doppler_hz(nu, grid_size(schedule, cfg))
     if tx is None:
         tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
@@ -464,7 +463,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     out = []
     for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
         rd = process_sensing(rx, cfg, schedule, kind, n_guard)
-        out.append(rd.values[d_bin, signed_bin % rd.n_doppler])
+        out.append(rd.values[d_bin, nu % rd.n_doppler])
     return np.array(out)
 
 

@@ -110,14 +110,13 @@ def occasion_grid_indices(schedule: Schedule, cfg) -> np.ndarray:
     return g
 
 
-def unambiguous_band(schedule: Schedule, cfg) -> int | None:
+def unambiguous_band(schedule: Schedule) -> int | None:
     """Width in Doppler bins of the scheme's alias-free band, if reduced.
 
     Strictly periodic sampling (periodic TD, tail mode) folds Doppler into
-    grid_size / period bins; random schemes keep the full grid.
+    grid_size / period = K bins, one per scheduled occasion; random schemes
+    keep the full grid.
     """
-    if schedule.scheme is Scheme.PERIODIC_TD:
-        return grid_size(schedule, cfg) // schedule.m_codes
-    if schedule.scheme is Scheme.FSI_TAIL:
-        return grid_size(schedule, cfg) // (schedule.m_codes + cfg.cp_occasions)
+    if schedule.scheme in (Scheme.PERIODIC_TD, Scheme.FSI_TAIL):
+        return schedule.k
     return None

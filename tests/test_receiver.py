@@ -478,11 +478,10 @@ class TestPattern:
         # symbol 2 feeds the check alone, so the pattern would be finite
         real = receiver._pattern_slice
 
-        def nan_symbol_2(cfg, windows, *rest):
-            (refs, *more), shifted = windows
+        def nan_symbol_2(cfg, refs, *rest):
             refs = refs.copy()
-            refs[2] = np.nan
-            real(cfg, [(refs, *more), shifted], *rest)
+            refs[0, 2] = np.nan   # (window, symbol, sample)
+            real(cfg, refs, *rest)
         monkeypatch.setattr(receiver, "_pattern_slice", nan_symbol_2)
         with pytest.raises(RuntimeError, match="steady-state"):
             build_pattern(cfg_small, make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16))
@@ -494,13 +493,22 @@ class TestPattern:
         l = 16
         cfg = WaveformConfig(n_fft=m * l, m_codes=m, n_cp=cp_occasions * l,
                              scs_hz=480e3)
-        sched = make_schedule(Scheme.FSI_TAIL, m, k)
+        self._assert_every_cell_direct(cfg, make_schedule(Scheme.FSI_TAIL, m, k))
+
+    def test_narrow_last_slice_matches_direct_pipeline(self):
+        # 35 band columns in 32 slices of up to 2: the last slice holds one
+        # column and computes in the first column of each buffer
+        cfg = WaveformConfig(n_fft=8, m_codes=2, n_cp=4, scs_hz=480e3)
+        self._assert_every_cell_direct(cfg, make_schedule(Scheme.FSI_TAIL, 2, 35))
+
+    @staticmethod
+    def _assert_every_cell_direct(cfg, sched):
         pat = build_pattern(cfg, sched)
         tol = 1e-12 * np.max(np.abs(pat.p))
         # the direct pipeline notches the guard bins; the pattern keeps them
         for col in range(pat.band):
             signed = signed_bin(col, pat.band)
-            for d in range(pat.n_guard, l):
+            for d in range(pat.n_guard, cfg.l_occ):
                 for hyp in (0, 1):
                     direct = pattern_cell_direct(cfg, sched, d, signed, hyp)
                     assert np.max(np.abs(pat.p[d, col, :, hyp] - direct)) <= tol
@@ -566,12 +574,11 @@ class TestPatternWorker:
         # worker can have begun, fails: symbol 2 no longer repeats symbol 1
         real, failed = receiver._pattern_slice, threading.Event()
 
-        def broken(cfg, windows, *rest):
-            (refs, *more), shifted = windows
+        def broken(cfg, refs, *rest):
             refs = refs.copy()
-            refs[2] *= 2
+            refs[0, 2] *= 2   # (window, symbol, sample)
             try:
-                real(cfg, [(refs, *more), shifted], *rest)
+                real(cfg, refs, *rest)
             finally:
                 failed.set()
         monkeypatch.setattr(receiver, "_pattern_slice", broken)
@@ -601,8 +608,9 @@ class TestPatternWorker:
             build_pattern(cfg_small, sched, validate=True)
 
     def test_fig7_build_peak_memory(self):
-        # both windows in flight, each in eighth-band buffers; building the
-        # windows one after the other at full band peaked at 17.7 MB here
+        # both windows, all three symbols and both hypotheses in flight, in
+        # buffers of a 32nd of the band; building the windows one after the
+        # other at full band peaked at 17.7 MB here
         cfg = WaveformConfig()
         sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 64)
         tracemalloc.start()
@@ -862,9 +870,9 @@ class TestBandOnlyFilter:
         rx = synthesize_rx(tx, [Target(20 * 3e8 * cfg.t_s / 2, v),
                                 Target(45 * 3e8 * cfg.t_s / 2, -2 * v, 0.5)],
                            ChannelConfig(), cfg, rng=substream(70, "n"))
-        band = receiver.unambiguous_band(sched, cfg)
+        band = receiver.unambiguous_band(sched)
         got = process_sensing(rx, cfg, sched, kind)
-        with mock.patch.object(receiver, "unambiguous_band", lambda s, c: None):
+        with mock.patch.object(receiver, "unambiguous_band", lambda s: None):
             full = process_sensing(rx, cfg, sched, kind)
         assert full.n_doppler == n_grid > band == sched.k
         want = extract_band(full, band)

@@ -99,13 +99,13 @@ class TestOccasionGrid:
         assert g.tolist() == [k * per + cfg.cp_occasions + a
                               for k, a in enumerate(s.alpha)]
 
-    def test_unambiguous_band(self, cfg):
+    def test_unambiguous_band(self):
         td = make_schedule(Scheme.PERIODIC_TD, 4, 80)
         tail = make_schedule(Scheme.FSI_TAIL, 4, 64)
         rtd = make_schedule(Scheme.RTD, 4, 80, rng=substream(4, "s"))
-        assert unambiguous_band(td, cfg) == 80
-        assert unambiguous_band(tail, cfg) == 64
-        assert unambiguous_band(rtd, cfg) is None
+        assert unambiguous_band(td) == 80
+        assert unambiguous_band(tail) == 64
+        assert unambiguous_band(rtd) is None
 
 
 class TestSerialization:
