@@ -108,38 +108,36 @@ def _format_e7(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.flatnonzero(slow)
 
 
-def write_rd_csv(path: Path, values: np.ndarray, split: int | None = None,
+def write_rd_csv(path: Path, mag: np.ndarray, split: int | None = None,
                  lines: bytes | None = None) -> tuple[int, bytes] | None:
-    """Normalized magnitude, one row of the (rows, cols) map per line.
+    """Normalized magnitude, one row of the (rows, cols) map magnitude mag
+    (a map's RdMatrix.magnitude, or rows of it) per line.
 
     Each cell is f"{v:.7e}"; cells are joined by "," and each line ends in
-    "\\n". The map is formatted a block of rows at a time.
+    "\\n". The map is normalized and formatted a block of rows at a time,
+    so mag, which the map shares, is read and never written.
 
-    A ``split`` row cuts the map into values[:split] and values[split:].
+    A ``split`` row cuts the map into mag[:split] and mag[split:].
     Each is normalized by its own peak when written alone, so the first of
     them that holds this map's peak has for its CSV exactly its lines of
     this CSV: they are returned as (0 or 1, lines). ``lines``, such lines
-    of values, are written as they are, and values is not formatted.
+    of mag, are written as they are, and mag is not formatted.
     """
     if lines is not None:
         with _rewrite(path) as f:
             f.write(lines)
         return None
-    mag = np.abs(values, dtype=np.float64)
     peak = mag.max()
     rows, cols = mag.shape
-    held = None
-    if split is not None:
-        held = next((i for i, part in enumerate((mag[:split], mag[split:]))
-                     if part.size and part.max() == peak), None)
-    if peak > 0:
-        mag /= peak
+    held = None if split is None else next(
+        (i for i, part in enumerate((mag[:split], mag[split:]))
+         if part.size and part.max() == peak), None)
     step = max(1, CSV_BLOCK_CELLS // cols)
     starts = sorted({*range(0, rows, step), *([split] if held is not None else [])})
     kept = []
     with _rewrite(path) as f:
         for r, stop in zip(starts, starts[1:] + [rows]):
-            block = mag[r:stop]
+            block = mag[r:stop] / peak if peak > 0 else mag[r:stop]
             buf = np.empty(block.shape + (14,), np.uint8)
             buf[:, :, 13] = ord(",")
             buf[:, -1, 13] = ord("\n")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, Pending, check_db, next_fast_len
+from .util import SPEED_OF_LIGHT, Pending, add_noise, check_db, next_fast_len
 from .waveform import WaveformConfig
 
 
@@ -147,8 +147,6 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
         raise ValueError("empty frame")
     ref_amp = max((abs(t.amplitude) for t in targets), default=1.0)
     if cc.noise_enabled:   # before rx exists: |tx|^2 is a frame-size temporary
-        if rng is None:
-            raise ValueError("noise requires a random source")
         power = np.abs(tx)
         power **= 2
         sigma2 = ref_amp ** 2 * np.mean(power) * 10 ** (-cc.echo_snr_db / 10)
@@ -162,14 +160,5 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
         _add_echo(rx, tx, delay, doppler, t.amplitude, cfg.t_s,
                   cc.fractional_delay)
     if cc.noise_enabled:
-        # Generator.normal(0, s) draws exactly s * standard_normal
-        sigma = np.sqrt(sigma2 / 2)
-        draws = rng.standard_normal((2, len(tx))) \
-            if isinstance(rng, np.random.Generator) else rng.result()
-        if draws.shape != (2, len(tx)):
-            raise ValueError(f"noise draws shaped {draws.shape}, "
-                             f"not (2, {len(tx)})")
-        for part, z in zip((rx.real, rx.imag), draws):
-            z *= sigma
-            part += z
+        add_noise(rx, np.sqrt(sigma2 / 2), rng)
     return rx

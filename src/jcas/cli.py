@@ -35,8 +35,7 @@ from .cache import CacheError, cache_dir, load_or_build_pattern, pattern_cache_k
     pattern_path
 from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
     target_to_delay_doppler
-from .scheduler import Scheme, grid_size, make_schedule, \
-    unambiguous_band
+from .scheduler import Scheme, grid_size, make_schedule, unambiguous_band
 from .util import check_db, kmh_to_mps, substream
 from .waveform import WaveformConfig, assemble_frame, frame_len
 
@@ -236,14 +235,14 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             scn.rel_threshold, scn.max_peaks, scn.guard)
         # near and far rows share one extended range axis, so detection
         # on it gives both a single normalization
-        maps = {"std": std.values, "shift": shift.values, "combined": rd.values,
-                "near": rd.values[:cfg.l_occ], "far": rd.values[cfg.l_occ:]}
+        maps = {"std": (std, ...), "shift": (shift, ...), "combined": (rd, ...),
+                "near": (rd, slice(cfg.l_occ)), "far": (rd, slice(cfg.l_occ, None))}
         name = "combined"
     else:
         rd = receiver.process_sensing(rx, cfg, schedule,
                                       receiver.WindowKind.STANDARD, scn.n_guard)
         name = "single"
-        maps = {name: rd.values}
+        maps = {name: (rd, ...)}
 
     dets = detect.find_peaks(rd, scn.rel_threshold, scn.max_peaks, scn.guard)
     evaluation = detect.evaluate(dets, scn.target_list(), rd)
@@ -259,10 +258,11 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     # the CSV of near or far, whichever holds the combined map's peak, is its
     # rows of the combined CSV, which is written first
     csv_lines = {}
-    for map_name, m in maps.items():
+    for map_name, (m, rows) in maps.items():
         stem = f"rd_{tag}_{map_name}" if len(maps) > 1 else f"rd_{tag}"
-        write_rd_binary(out / f"{stem}.bin", m)
-        held = write_rd_csv(out / f"{stem}.csv", m, lines=csv_lines.get(map_name),
+        write_rd_binary(out / f"{stem}.bin", m.values[rows])
+        held = write_rd_csv(out / f"{stem}.csv", m.magnitude[rows],
+                            lines=csv_lines.get(map_name),
                             split=cfg.l_occ if map_name == "combined" else None)
         if held is not None:
             csv_lines[("near", "far")[held[0]]] = held[1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scheduler import Schedule
-from .util import check_db
+from .util import add_noise, check_db
 from .waveform import _QPSK, WaveformConfig, assemble_frame, data_codes, \
     symbol_rotation, transmit_constants, unitary_dft
 
@@ -78,11 +78,7 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
     rx = assemble_frame(cfg, schedule, payload=payload)   # ours: receive in place
     if snr_db is not None:
         check_db(snr_db, "snr_db")
-        if rng is None:
-            raise ValueError("noise requires a random source")
-        sigma2 = 10 ** (-snr_db / 10)
-        rx += rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
-        rx += 1j * rng.normal(0, np.sqrt(sigma2 / 2), rx.shape)
+        add_noise(rx, np.sqrt(10 ** (-snr_db / 10) / 2), rng)
 
     bodies = rx.reshape(k, cfg.symbol_len)[:, cfg.n_cp:]
     bodies[...] = unitary_dft(bodies)

@@ -43,22 +43,19 @@ def check_peak_args(rel_threshold: float, max_peaks: int | None, guard: int) -> 
 PEAK_BLOCK_CELLS = 1 << 16   # neighborhood cells find_peaks gathers at a time
 
 
-def _neighborhood_max(power: np.ndarray, cells: np.ndarray, guard: int
-                      ) -> np.ndarray:
-    """Max of power over the (2*guard+1)^2 neighborhood of each (row, col)
-    in cells: rows clip at the edges, columns wrap.
+def _neighborhood_max(rd: RdMatrix, power: np.ndarray, cells: np.ndarray,
+                      guard: int) -> np.ndarray:
+    """Max of power, rd's, over the (2*guard+1)^2 neighborhood of each (row,
+    col) in cells by rd.neighborhood's rule: rows clip, columns wrap.
 
-    A guard past the map's edges adds no cell: clipped rows repeat, and
-    2*guard+1 wrapped columns take in every column. The few cells of a
-    real map are gathered directly, a block at a time; when that would
-    cost more, two separable sliding-window passes cover the whole map.
+    The few cells of a real map are gathered directly, a block at a time;
+    when that would cost more, two separable sliding-window passes cover
+    the whole map, where clipped rows repeat and a guard past the map's
+    width takes in every column.
     """
     n_rows, n_cols = power.shape
     g_rows = min(guard, n_rows - 1)
-    row_offs = np.arange(-g_rows, g_rows + 1)
-    col_offs = np.arange(-guard, guard + 1) if 2 * guard + 1 < n_cols \
-        else np.arange(n_cols)
-    n_r, n_c = len(row_offs), len(col_offs)
+    n_r, n_c = 2 * g_rows + 1, min(2 * guard + 1, n_cols)
     if len(cells) * n_r * n_c > power.size * (n_r + n_c):
         near = sliding_window_view(np.pad(power, ((g_rows, g_rows), (0, 0)),
                                           mode="edge"), n_r, axis=0).max(axis=-1)
@@ -71,10 +68,8 @@ def _neighborhood_max(power: np.ndarray, cells: np.ndarray, guard: int
     out = np.empty(len(cells))
     step = max(1, PEAK_BLOCK_CELLS // (n_r * n_c))
     for i in range(0, len(cells), step):
-        d, c = cells[i:i + step].T
-        rows = np.clip(d[:, None] + row_offs, 0, n_rows - 1)
-        cols = (c[:, None] + col_offs) % n_cols
-        out[i:i + step] = power[rows[:, :, None], cols[:, None, :]].max(axis=(1, 2))
+        index = rd.neighborhood(*cells[i:i + step].T, guard, guard)
+        out[i:i + step] = power[index].max(axis=(1, 2))
     return out
 
 
@@ -86,24 +81,23 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     A cell is a peak when it dominates its (2*guard+1)^2 neighborhood
     (Doppler wraps, range clips) and its normalized power exceeds
     rel_threshold. Ties break toward lower range bin, then lower signed
-    Doppler bin.
+    Doppler bin. The power is the square of rd's one magnitude.
     """
     check_peak_args(rel_threshold, max_peaks, guard)
-    power = np.abs(rd.values) ** 2
+    power = rd.magnitude ** 2
     if power.size == 0:
         raise ValueError("empty matrix")
     peak_max = power.max()
     if peak_max == 0:
         return []
     hits = np.argwhere(power >= rel_threshold * peak_max)
-    hits = hits[power[tuple(hits.T)] >= _neighborhood_max(power, hits, guard)]
+    hits = hits[power[tuple(hits.T)] >= _neighborhood_max(rd, power, hits, guard)]
     d, c = hits.T
     norm = power[d, c] / peak_max
     bins = signed_bin(c, rd.n_doppler)
     order = np.lexsort((bins, d, -norm))[:max_peaks]
     d, c, norm, bins = d[order], c[order], norm[order], bins[order]
-    fields = (rd.range_m_of(d), mps_to_kmh(rd.velocity_mps_of(c)), norm, d, c,
-              bins)
+    fields = (rd.range_m_of(d), mps_to_kmh(rd.velocity_mps_of(c)), norm, d, c, bins)
     return [Detection(range_m=r, velocity_kmh=v, normalized_power=p,
                       cell=(di, ci), range_bin=di, doppler_bin=b)
             for r, v, p, di, ci, b in zip(*(a.tolist() for a in fields))]
@@ -138,7 +132,7 @@ def evaluate(dets: list[Detection], truth: list[Target], rd: RdMatrix
             if taken[i]:
                 continue
             dd = abs(det.range_bin - td)
-            dv = rd.doppler_distance(det.doppler_bin, tv)
+            dv = int(rd.doppler_distance(det.doppler_bin, tv))
             if dd <= tol_d and dv <= tol_v:
                 cost = (dd + dv, dd, dv)   # dv follows from the first two: same order
                 if best_cost is None or cost < best_cost:
@@ -154,14 +148,13 @@ def evaluate(dets: list[Detection], truth: list[Target], rd: RdMatrix
     report.misses = [i for i, t in enumerate(taken) if not t]
 
     if report.matched:
-        power = np.abs(rd.values) ** 2
-        near = [rd.truth_neighborhood(cell, tol_d, tol_v) for cell in cells]
-        # a matched truth's neighborhood holds its detection's cell
-        peak = min(power[near[m["truth_index"]]].max() for m in report.matched)
-        outside = np.ones(power.shape, dtype=bool)
-        for index in near:
-            outside[index] = False
-        interference = power[outside].max(initial=0.0)
+        power = rd.magnitude ** 2
+        rows, cols, near = rd.truth_neighborhood(cells, tol_d, tol_v)
+        # a matched truth's neighborhood holds its detection's cell, of power > 0
+        near_power = np.where(near, power[rows, cols], 0)
+        peak = min(near_power[m["truth_index"]].max() for m in report.matched)
+        power[rows[near], cols[near]] = 0   # leaves the cells near no truth
+        interference = power.max(initial=0.0)
         if interference > 0:
             report.peak_to_interference_db = float(10 * np.log10(peak / interference))
     return report

@@ -49,7 +49,7 @@ class RdMatrix:
     ``grid_size`` is the full slow-time grid length G, which fixes the
     Doppler bin width 1/(G*T_chirp) even for band-restricted maps: the
     K-column maps process_sensing gives periodic schedules, and the tail
-    solve's (2L, K) map.
+    solve's (2L, K) map. ``values`` is not changed once ``magnitude`` is read.
     """
 
     values: np.ndarray
@@ -60,6 +60,11 @@ class RdMatrix:
     def n_doppler(self) -> int:
         return self.values.shape[1]
 
+    @functools.cached_property
+    def magnitude(self) -> np.ndarray:
+        """|values|, computed once; the map's power is its square."""
+        return np.abs(self.values)
+
     # the axis methods take an int or an int array (elementwise)
     def range_m_of(self, d: int) -> float:
         return d * SPEED_OF_LIGHT * self.cfg.t_s / 2
@@ -68,19 +73,18 @@ class RdMatrix:
         freq = self.cfg.doppler_hz(signed_bin(col, self.n_doppler), self.grid_size)
         return freq * self.cfg.wavelength_m / 2
 
-    def neighborhood(self, d: int, col: int, rows: int, cols: int
-                     ) -> tuple[slice, list[int]]:
+    def neighborhood(self, d: np.ndarray, col: np.ndarray, rows: int, cols: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """Index of the cells within rows range bins and cols Doppler columns
-        of (d, col): rows clip at the map's edges, columns wrap on its width."""
-        return (slice(max(0, d - rows), d + rows + 1),
-                [(col + t) % self.n_doppler for t in range(-cols, cols + 1)])
-
-    def neighborhoods(self, cells, rows: int, cols: int) -> np.ndarray:
-        """Mask of the union of the (d, col) cells' neighborhoods."""
-        mask = np.zeros(self.values.shape, dtype=bool)
-        for d, col in cells:
-            mask[self.neighborhood(d, col, rows, cols)] = True
-        return mask
+        of the cells (d, col), int arrays: row and column arrays broadcasting
+        to (cells, at most the map's rows, at most n_doppler). Rows clip at
+        the map's edges, a window off them giving an edge row; columns wrap."""
+        n_rows, n_cols = self.values.shape
+        rows = min(rows, n_rows)
+        lo, hi = (np.clip(d[:, None, None] + s, 0, n_rows - 1) for s in (-rows, rows))
+        offs = np.arange(-cols, cols + 1) if 2 * cols + 1 < n_cols else np.arange(n_cols)
+        return (np.minimum(lo + np.arange(min(2 * rows + 1, n_rows))[:, None], hi),
+                (col[:, None, None] + offs) % n_cols)
 
     def truth_cell(self, target: Target) -> tuple[int, int]:
         """Where target sits on the map: (range row, signed Doppler bin)."""
@@ -88,21 +92,25 @@ class RdMatrix:
         delay, doppler = target_to_delay_doppler(target, cfg.carrier_hz, cfg.t_s)
         return int(round(delay)), int(round(cfg.doppler_bin(doppler, self.grid_size)))
 
-    def doppler_distance(self, b: int, nu: int) -> int:
+    def doppler_distance(self, b, nu):
         """Bins from signed Doppler bin b to nu on the circle of grid_size bins."""
         off = (b - nu) % self.grid_size
-        return min(off, self.grid_size - off)
+        return np.minimum(off, self.grid_size - off)
 
-    def truth_neighborhood(self, cell: tuple[int, int], rows: int, cols: int
-                           ) -> tuple[slice, list[int]]:
-        """Index of the cells near a truth_cell: those of its neighborhood
-        within cols of its bin by doppler_distance. A map's width divides
-        grid_size, so none is missed, and a band map holds none near an
-        out-of-band truth, not even the truth's alias."""
-        d, nu = cell
-        near_rows, cols_around = self.neighborhood(d, nu, rows, cols)
-        return near_rows, [c for c in cols_around if self.doppler_distance(
-            signed_bin(c, self.n_doppler), nu) <= cols]
+    def truth_neighborhood(self, cells, rows: int, cols: int
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and near, (truths, ...) arrays: each truth_cell's
+        neighborhood, and which of its cells lie within rows of the truth's
+        range bin and cols of its bin by doppler_distance. A map's width
+        divides grid_size, so none is missed, and a band map holds none near
+        an out-of-band truth, not even the truth's alias."""
+        # from rows past the map on, a range bin is near no row: clamped there,
+        # the largest fits an int array
+        d, nu = np.array([(min(d, len(self.values) + rows), nu) for d, nu in cells],
+                         dtype=np.intp).reshape(-1, 2).T
+        r, c = np.broadcast_arrays(*self.neighborhood(d, nu % self.n_doppler, rows, cols))
+        return r, c, (np.abs(r - d[:, None, None]) <= rows) & (self.doppler_distance(
+            signed_bin(c, self.n_doppler), nu[:, None, None]) <= cols)
 
 
 def capture_windows(rx: np.ndarray, cfg: WaveformConfig, k: int,
@@ -532,17 +540,18 @@ def check_cleanup_radius(radius: int) -> None:
         raise ValueError("cleanup_radius must be >= 1")
 
 
-def peak_cleanup(rd: RdMatrix, cells, radius: int = 2) -> RdMatrix:
+def peak_cleanup(rd: RdMatrix, cells, radius: int) -> RdMatrix:
     """Zero the union of the peaks' neighborhoods, then restore every peak cell.
 
     Mops up the straddle shoulders that the per-cell 2x2 solve cannot
-    combine for off-grid targets. ``cells`` lists the (d, col) peak cells.
+    combine for off-grid targets. ``cells`` lists the (d, col) peak cells. A
+    radius past the map covers the whole map, in time bounded by the map.
     """
     check_cleanup_radius(radius)
+    d, col = np.asarray(cells, dtype=np.intp).reshape(-1, 2).T
     vals = rd.values.copy()
-    vals[rd.neighborhoods(cells, radius, radius)] = 0
-    for d, col in cells:
-        vals[d, col] = rd.values[d, col]
+    vals[rd.neighborhood(d, col, radius, radius)] = 0
+    vals[d, col] = rd.values[d, col]
     return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
 
 

@@ -95,7 +95,7 @@ def check_si_cancellation():
     cc = ChannelConfig(si_enabled=True, noise_enabled=False)
     rx = synthesize_rx(tx, [], cc, cfg)
     rd = process_sensing(rx, cfg, sched, WindowKind.STANDARD)
-    resid = np.max(np.abs(rd.values))
+    resid = np.max(rd.magnitude)
     si_amp = 10 ** (cc.si_over_echo_db / 20)
     if resid > 1e-8 * si_amp:
         raise AssertionError(f"SI residual too large: {resid:.2e}")
@@ -139,7 +139,7 @@ def check_grid_exactness():
     f_d = cfg.doppler_hz(nu, grid_size(sched, cfg))
     rx = echo_component(tx, d, f_d, 1.0, cfg.t_s)
     rd = process_sensing(rx, cfg, sched)
-    cell = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
+    cell = np.unravel_index(np.argmax(rd.magnitude), rd.values.shape)
     if cell != (d, nu):
         raise AssertionError(f"peak at {cell}, expected {(d, nu)}")
 

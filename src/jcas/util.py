@@ -1,5 +1,5 @@
-"""Small shared helpers: named random substreams, physical constants, FFT
-sizes and the background worker."""
+"""Small shared helpers: named random substreams, complex noise, physical
+constants, FFT sizes and the background worker."""
 
 import collections
 import concurrent.futures
@@ -26,6 +26,21 @@ def substream(seed: int, *names: str) -> np.random.Generator:
     keys = [int.from_bytes(hashlib.sha256(n.encode()).digest()[:8], "little")
             for n in names]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + keys))
+
+
+def add_noise(rx: np.ndarray, sigma: float, rng) -> None:
+    """rx += sigma (z_0 + j z_1), in place: complex white Gaussian noise from
+    the (2, len(rx)) standard normal draws z, the real parts' first, of rng,
+    a Generator, or held by rng, a draw started as a Pending."""
+    if rng is None:
+        raise ValueError("noise requires a random source")
+    z = rng.standard_normal((2, len(rx))) if isinstance(rng, np.random.Generator) \
+        else rng.result()
+    if z.shape != (2, len(rx)):
+        raise ValueError(f"noise draws shaped {z.shape}, not (2, {len(rx)})")
+    z *= sigma   # Generator.normal(0, s) draws exactly s * standard_normal
+    rx.real += z[0]
+    rx.imag += z[1]
 
 
 def check_db(db: float, name: str) -> None:

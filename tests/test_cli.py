@@ -52,9 +52,12 @@ VALID_FIELDS = {
     "si_over_echo_db": st.floats(-50, 150), "echo_snr_db": st.floats(-30, 30),
     "si_enabled": st.booleans(), "noise_enabled": st.booleans(),
     "fractional_delay": st.booleans(), "rel_threshold": st.floats(0.01, 0.99),
-    "guard": st.integers(0, 4), "max_peaks": st.one_of(st.none(), st.integers(1, 9)),
+    # a guard or radius past any map: the neighborhoods are bounded by the map
+    "guard": st.one_of(st.integers(0, 4), st.sampled_from([10 ** 6, 10 ** 9])),
+    "max_peaks": st.one_of(st.none(), st.integers(1, 9)),
     "n_guard": st.integers(1, 4), "peak_cleanup": st.booleans(),
-    "cleanup_radius": st.integers(1, 4), "comms_enabled": st.booleans(),
+    "cleanup_radius": st.one_of(st.integers(1, 4), st.sampled_from([10 ** 6, 10 ** 9])),
+    "comms_enabled": st.booleans(),
     "comms_snr_db": st.one_of(st.none(), st.floats(-10, 30)),
     "rtd_one_per_group": st.booleans(), "seed": st.integers(0, 2**32),
     "tag": st.one_of(st.none(), st.text(st.characters(categories=["L"]), max_size=4)),
@@ -178,6 +181,28 @@ class TestRunSimulate:
             assert list(rep["detections"]) == ["combined"]
             assert list(rep["evaluation"]) == ["combined"]
         assert saved["evaluation"]["combined"]["misses"] == []
+
+    @pytest.mark.parametrize("fields", [{**TAIL_SMALL, "peak_cleanup": True},
+                                        {"scheme": "rtd", "k": 16, "n_fft": 256,
+                                         "n_cp": 64, "scs_hz": 480e3}])
+    def test_each_map_magnitude_computed_once(self, tmp_path, monkeypatch, fields):
+        # detection, cleanup, scoring and the CSV writer all read the one
+        # RdMatrix.magnitude of a map
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        maps, calls, init, absolute = [], [], receiver.RdMatrix.__init__, np.abs
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            maps.append(self)
+
+        def count(x, *args, **kwargs):
+            calls.extend(i for i, m in enumerate(maps) if x is m.values)
+            return absolute(x, *args, **kwargs)
+
+        monkeypatch.setattr(receiver.RdMatrix, "__init__", record)
+        monkeypatch.setattr(np, "abs", count)
+        run_simulate(Scenario(**fields), tmp_path / "out")
+        assert calls and sorted(calls) == sorted(set(calls))
 
     def test_probed_layers_are_called_through_their_modules(self, tmp_path,
                                                             monkeypatch):

@@ -76,6 +76,18 @@ class TestRunLink:
         ref = qpsk_ber_awgn(10.0)
         assert abs(ber - ref) <= 0.3 * ref
 
+    @pytest.mark.parametrize("scheme, k, snr_db, ber, evm", [
+        (Scheme.FSI_RANDOM, 6, 6.0, 0.024305555555555556, "0x1.046cc6f62a9a6p-1"),
+        (Scheme.FSI_TAIL, 4, 0.0, 0.15494791666666666, "0x1.00b97fb544b55p+0")])
+    def test_noisy_link_pinned(self, cfg_small, scheme, k, snr_db, ber, evm):
+        # the noise is one (2, n) standard normal draw, real parts first,
+        # through util.add_noise; two n-sample Generator.normal draws, real
+        # then imaginary, gave these same bits
+        sched = make_schedule(scheme, cfg_small.m_codes, k, rng=substream(3, "s"))
+        bits = substream(3, "b").integers(0, 2, 2 * 3 * cfg_small.l_occ * k)
+        got = run_link(cfg_small, sched, bits, snr_db=snr_db, rng=substream(3, "n"))
+        assert (got[0], float(got[1]).hex()) == (ber, evm)
+
     def test_sensing_presence_does_not_perturb_data(self, cfg_small):
         # same despread output whether the chirp term is present or not; the
         # frame is linear in the payload, so the chirp-free frame is the

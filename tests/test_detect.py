@@ -254,6 +254,15 @@ def detection_at(rd, d, c):
 
 
 class TestNearTruthRule:
+    def test_truth_far_past_the_map_is_near_no_cell(self, cfg):
+        values = np.zeros((4, 8), dtype=complex)
+        values[1, 2] = 1.0
+        rd = RdMatrix(values=values, grid_size=8, cfg=cfg)
+        far = Target(1e300, 0.0)   # its range bin fits no integer array
+        assert not rd.truth_neighborhood([rd.truth_cell(far)], *TOL_BINS)[2].any()
+        rep = evaluate([detection_at(rd, 1, 2)], [target_at(rd, 1, 2), far], rd)
+        assert rep.misses == [1] and rep.peak_to_interference_db is None
+
     @settings(max_examples=150, deadline=None)
     @given(rows=st.integers(1, 5), n_doppler=st.integers(1, 10),
            fold=st.integers(1, 4),
@@ -279,9 +288,10 @@ class TestNearTruthRule:
         targets = [target_at(rd, d, nu) for d, nu in truths]
         assert [rd.truth_cell(t) for t in targets] == truths
         accepts = np.zeros((len(truths),) + values.shape, dtype=bool)
+        rows_i, cols_i, near_i = rd.truth_neighborhood(truths, *TOL_BINS)
         for i, t in enumerate(targets):
             near = np.zeros(values.shape, dtype=bool)
-            near[rd.truth_neighborhood(truths[i], *TOL_BINS)] = True
+            near[rows_i[i][near_i[i]], cols_i[i][near_i[i]]] = True
             for d, c in np.ndindex(values.shape):
                 accepts[i, d, c] = bool(evaluate([detection_at(rd, d, c)],
                                                  [t], rd).matched)

@@ -757,19 +757,27 @@ class TestPeakCleanup:
         assert out.values[4, 15] == 0
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.integers(1, 12), cols=st.integers(1, 16), radius=st.integers(1, 5),
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 16),
+           radius=st.one_of(st.integers(1, 5), st.integers(1, 10 ** 9)),
            cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=6),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(rows=4, cols=16, radius=3, cells=[(2, 5), (2, 8)], seed=0)
+    @example(rows=12, cols=16, radius=10 ** 4, cells=[(3, 5)], seed=0)
+    @example(rows=12, cols=16, radius=10 ** 9, cells=[(11, 0), (0, 15)], seed=0)
     def test_union_zeroed_and_every_kept_cell_restored(self, rows, cols, radius, cells,
                                                        seed):
         # kept cells may lie in each other's neighborhoods, as find_peaks
-        # cells do for a radius above its guard
+        # cells do for a radius above its guard; a radius past the map
+        # covers it whole, through an index no larger than the map
         cells = [(d % rows, c % cols) for d, c in cells]
         rng = np.random.default_rng(seed)
         vals = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        out = peak_cleanup(RdMatrix(vals.copy(), 80, WaveformConfig()), cells,
-                           radius).values
+        rd = RdMatrix(vals.copy(), 80, WaveformConfig())
+        index = rd.neighborhood(*np.array(cells, dtype=np.intp).reshape(-1, 2).T,
+                                radius, radius)
+        shape = np.broadcast_shapes(*(a.shape for a in index))
+        assert shape[0] == len(cells) and shape[1] <= rows and shape[2] <= cols
+        out = peak_cleanup(rd, cells, radius).values
         for r in range(rows):
             for c in range(cols):
                 near = any(abs(r - d0) <= radius

@@ -10,6 +10,7 @@ renamed in jcas breaks it only when it runs. These tests read its sources
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,12 @@ def test_the_worker_is_reached_through_pending_and_share_only():
              for call in ("background_worker(", ".submit(", "Pending(")}
     assert users == {"background_worker(": ["util.py"], ".submit(": ["util.py"],
                      "Pending(": ["channel.py", "util.py"]}
+
+
+def test_only_the_map_takes_the_magnitude_of_its_values():
+    # RdMatrix.magnitude is a map's one |values|: detection, scoring, the
+    # CSV writer and the selftest read it rather than take their own
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    takers = sorted(name for name, text in sources.items()
+                    if re.search(r"np\.abs\(\s*[\w.]*\.values\s*[,)]", text))
+    assert takers == ["receiver.py"]
