@@ -40,9 +40,6 @@ def check_peak_args(rel_threshold: float, max_peaks: int | None, guard: int) -> 
         raise ValueError("guard must be >= 0")
 
 
-PEAK_BLOCK_CELLS = 1 << 16   # neighborhood cells find_peaks gathers at a time
-
-
 def _neighborhood_max(rd: RdMatrix, power: np.ndarray, cells: np.ndarray,
                       guard: int) -> np.ndarray:
     """Max of power, rd's, over the (2*guard+1)^2 neighborhood of each (row,
@@ -66,10 +63,8 @@ def _neighborhood_max(rd: RdMatrix, power: np.ndarray, cells: np.ndarray,
             near = near.max(axis=1, keepdims=True)
         return near[cells[:, 0], cells[:, 1] % near.shape[1]]
     out = np.empty(len(cells))
-    step = max(1, PEAK_BLOCK_CELLS // (n_r * n_c))
-    for i in range(0, len(cells), step):
-        index = rd.neighborhood(*cells[i:i + step].T, guard, guard)
-        out[i:i + step] = power[index].max(axis=(1, 2))
+    for block, index in rd.neighborhood_blocks(*cells.T, guard, guard):
+        out[block] = power[index].max(axis=(1, 2))
     return out
 
 

@@ -11,6 +11,7 @@ grid) so +f_D still peaks at the bin whose signed frequency is +f_D.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,9 @@ def signed_bin(col, n: int):
     """Signed frequency of FFT-order column col (int or array) on an
     n-point axis: the upper n//2 columns wrap to negative bins."""
     return col - n * (col >= n - n // 2)
+
+
+NEIGHBORHOOD_BLOCK_CELLS = 1 << 16   # map cells a block of neighborhoods indexes
 
 
 @dataclass
@@ -85,6 +89,18 @@ class RdMatrix:
         offs = np.arange(-cols, cols + 1) if 2 * cols + 1 < n_cols else np.arange(n_cols)
         return (np.minimum(lo + np.arange(min(2 * rows + 1, n_rows))[:, None], hi),
                 (col[:, None, None] + offs) % n_cols)
+
+    def neighborhood_blocks(self, d: np.ndarray, col: np.ndarray, rows: int,
+                            cols: int) -> Iterator[tuple[slice, tuple]]:
+        """neighborhood of the cells (d, col) a block of cells at a time, each
+        block's index spanning at most NEIGHBORHOOD_BLOCK_CELLS map cells (one
+        cell's at least): (slice of the cells, index) pairs."""
+        n_rows, n_cols = self.values.shape
+        span = min(2 * rows + 1, n_rows) * min(2 * cols + 1, n_cols)
+        step = max(1, NEIGHBORHOOD_BLOCK_CELLS // span)
+        for i in range(0, len(d), step):
+            block = slice(i, i + step)
+            yield block, self.neighborhood(d[block], col[block], rows, cols)
 
     def truth_cell(self, target: Target) -> tuple[int, int]:
         """Where target sits on the map: (range row, signed Doppler bin)."""
@@ -189,8 +205,8 @@ def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
 
 
 def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
-                    kind: WindowKind) -> np.ndarray:
-    """Mixer references per symbol, (K, N).
+                    kind: WindowKind, symbols: slice = slice(None)) -> np.ndarray:
+    """Mixer references of the symbols in the slice, (symbols, N).
 
     The shifted window sees the body cyclically advanced by N_CP, which
     by the code-shift identity turns code alpha into code
@@ -198,15 +214,18 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
     """
     _, _, b = transmit_constants(cfg)
     shift = 0 if kind is WindowKind.STANDARD else cfg.cp_occasions
-    refs = b[(np.asarray(schedule.alpha) + shift) % cfg.m_codes]
-    refs *= symbol_rotation(np.arange(schedule.k), cfg.m_codes,
-                            schedule.scheme)[:, None]
+    ks = np.arange(schedule.k)[symbols]
+    refs = b[(np.asarray(schedule.alpha)[ks] + shift) % cfg.m_codes]
+    refs *= symbol_rotation(ks, cfg.m_codes, schedule.scheme)[:, None]
     return refs
 
 
+SENSE_BLOCK_CELLS = 1 << 15   # window samples the FSI branch dechirps at a time
+
+
 def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
-                    kind: WindowKind = WindowKind.STANDARD,
-                    n_guard: int = 1) -> RdMatrix:
+                    kind: WindowKind | tuple[WindowKind, ...] = WindowKind.STANDARD,
+                    n_guard: int = 1) -> RdMatrix | tuple[RdMatrix, ...]:
     """Full sensing chain from receive samples to range-Doppler map.
 
     Random schemes give the full G-column map of slow_time_matched_filter.
@@ -214,15 +233,40 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
     band of the full map directly, the columns whose signed bin lies in
     [-K/2, K/2): column c holds signed bin signed_bin(c, K), and the bin
     width is still 1/(G T_chirp).
+
+    Given a tuple of window kinds, it returns one map per kind, in order.
+    The caller computes the first, and the background worker the others
+    beside it (util.share), or the caller after it when the worker is busy;
+    a failure in any window raises from here. The maps are the same bytes
+    as those of one call per kind.
     """
+    if isinstance(kind, WindowKind):
+        return _sense(rx, cfg, schedule, kind, n_guard)
+    maps = [None] * len(kind)
+
+    def sense(i: int, _=None) -> None:
+        maps[i] = _sense(rx, cfg, schedule, kind[i], n_guard)
+    with share(functools.partial(sense, i) for i in range(1, len(kind))):
+        sense(0)
+    return tuple(maps)
+
+
+def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
+           kind: WindowKind, n_guard: int) -> RdMatrix:
+    """process_sensing's map of one window kind. The FSI branch dechirps
+    and folds SENSE_BLOCK_CELLS window samples' worth of symbols at a time
+    into the one (K, L) folded array, so its buffers stay cache-sized."""
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
 
     if schedule.scheme.is_fsi:
         windows = capture_windows(rx, cfg, schedule.k, kind)
-        refs = _fsi_references(cfg, schedule, kind)
-        beat = mix(windows, refs)
-        folded = delay_and_sum(beat, cfg.m_codes)
+        folded = np.empty((schedule.k, cfg.l_occ), dtype=complex)
+        step = max(1, SENSE_BLOCK_CELLS // cfg.n_fft)
+        for k0 in range(0, schedule.k, step):
+            block = slice(k0, k0 + step)
+            refs = _fsi_references(cfg, schedule, kind, block)
+            folded[block] = delay_and_sum(mix(windows[block], refs), cfg.m_codes)
         profiles = si_filter(folded, n_guard)
     else:
         if kind is not WindowKind.STANDARD:
@@ -458,9 +502,10 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     Doppler bin nu), via the full pipeline.
 
     Synthesizes the complete K-symbol zero-data frame (or takes it as tx)
-    and an on-grid calibration echo, runs both windows through
-    process_sensing, and reads the cell. Used to validate the fast
-    calibration path.
+    and an on-grid calibration echo, runs both windows through one
+    process_sensing call, and reads the cell of each. Inside build_pattern
+    the worker is building slices, so both windows mostly run on the
+    caller. Used to validate the fast calibration path.
     """
     from .channel import echo_component
     f_b = cfg.doppler_hz(nu, grid_size(schedule, cfg))
@@ -468,11 +513,9 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
         tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
     rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-    out = []
-    for kind in (WindowKind.STANDARD, WindowKind.SHIFTED):
-        rd = process_sensing(rx, cfg, schedule, kind, n_guard)
-        out.append(rd.values[d_bin, nu % rd.n_doppler])
-    return np.array(out)
+    maps = process_sensing(rx, cfg, schedule, (WindowKind.STANDARD, WindowKind.SHIFTED),
+                           n_guard)
+    return np.array([rd.values[d_bin, nu % rd.n_doppler] for rd in maps])
 
 
 def _direct_cells(cfg: WaveformConfig, schedule: Schedule, n_guard: int,
@@ -545,12 +588,15 @@ def peak_cleanup(rd: RdMatrix, cells, radius: int) -> RdMatrix:
 
     Mops up the straddle shoulders that the per-cell 2x2 solve cannot
     combine for off-grid targets. ``cells`` lists the (d, col) peak cells. A
-    radius past the map covers the whole map, in time bounded by the map.
+    radius past the map covers the whole map; the neighborhoods are indexed
+    a block of cells at a time, so time and memory per cell are bounded by
+    the map.
     """
     check_cleanup_radius(radius)
     d, col = np.asarray(cells, dtype=np.intp).reshape(-1, 2).T
     vals = rd.values.copy()
-    vals[rd.neighborhood(d, col, radius, radius)] = 0
+    for _, index in rd.neighborhood_blocks(d, col, radius, radius):
+        vals[index] = 0
     vals[d, col] = rd.values[d, col]
     return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
 
@@ -560,11 +606,13 @@ def receive_tail(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
                  rel_threshold: float = 0.05, max_peaks: int | None = None,
                  guard: int = 2) -> tuple[RdMatrix, RdMatrix, RdMatrix]:
     """Both tail-mode window maps, as captured with the pattern's n_guard,
-    and their 2x2 solve: (std, shift, solved). With a cleanup_radius, the
-    solve takes each window map cleaned around its own find_peaks cells."""
+    and their 2x2 solve: (std, shift, solved). One process_sensing call
+    senses both windows, the shifted one on the background worker. With a
+    cleanup_radius, the solve takes each window map cleaned around its own
+    find_peaks cells."""
     from . import detect   # detect imports this module
-    std, shift = (process_sensing(rx, cfg, schedule, kind, pat.n_guard)
-                  for kind in (WindowKind.STANDARD, WindowKind.SHIFTED))
+    std, shift = process_sensing(rx, cfg, schedule,
+                                 (WindowKind.STANDARD, WindowKind.SHIFTED), pat.n_guard)
     if cleanup_radius is None:
         return std, shift, solve_windows(std, shift, pat)
     cleaned = [peak_cleanup(m, [d.cell for d in detect.find_peaks(

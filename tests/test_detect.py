@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter
 
-from jcas import Target, cli, detect, evaluate, find_peaks
+from jcas import Target, cli, detect, evaluate, find_peaks, receiver
 from jcas.detect import TOL_BINS, Detection
 from jcas.receiver import RdMatrix, signed_bin
+from jcas.scheduler import Scheme, grid_size, make_schedule, unambiguous_band
 from jcas.util import mps_to_kmh
 
 
@@ -115,7 +117,7 @@ class TestFindPeaksOracle:
     def test_matches_the_maximum_filter(self, cfg, values, rel_threshold,
                                         max_peaks, guard, block):
         rd = RdMatrix(values=values.astype(complex), grid_size=320, cfg=cfg)
-        with mock.patch.object(detect, "PEAK_BLOCK_CELLS", block):
+        with mock.patch.object(receiver, "NEIGHBORHOOD_BLOCK_CELLS", block):
             got = find_peaks(rd, rel_threshold, max_peaks, guard)
         assert got == peaks_oracle(rd, rel_threshold, max_peaks, guard)
 
@@ -308,3 +310,44 @@ class TestNearTruthRule:
                        for m in rep.matched)
             assert rep.peak_to_interference_db == \
                 float(10 * np.log10(peak / interference))
+
+
+class TestSingleTargetOracle:
+    """One on-grid target on a preset grid, SI on and noise off: each scheme
+    finds it. The false alarms are not asserted; they are the tail ghosts and
+    sidelobes that CLEAN is to remove."""
+
+    # The rows a target is drawn in: all of the map's range rows (2L for
+    # fsi_tail), but for two schemes only those whose echo overlaps at least
+    # a quarter of its window. A periodic_td occasion is followed by data
+    # slots, which cut an echo at delay d to L - d samples: its range peak
+    # widens past the tolerance, and targets from d 462 (of L 512) on were
+    # missed. fsi_random missed targets from d 509 on.
+    ROW_FRACTION = {Scheme.PERIODIC_TD: 0.75, Scheme.FSI_RANDOM: 0.75}
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle")
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_no_miss(self, scheme, out_dir, data):
+        scn = cli.Scenario(scheme=scheme.value)
+        cfg, l = scn.waveform_config(), scn.waveform_config().l_occ
+        sched = make_schedule(scheme, cfg.m_codes, scn.k, rng=np.random.default_rng(0))
+        n_grid = grid_size(sched, cfg)
+        band = unambiguous_band(sched) or n_grid
+        d = data.draw(st.integers(1, int(self.ROW_FRACTION.get(scheme, 1) * l) - 1),
+                      label="range bin")
+        if scheme is Scheme.FSI_TAIL:   # the near or the far half, past its guard row
+            d += l * data.draw(st.integers(0, 1), label="far")
+        b = data.draw(st.integers(-(band // 2), band - band // 2 - 1), label="Doppler bin")
+        target = {"range_m": d * 3e8 * cfg.t_s / 2,
+                  "velocity_kmh": mps_to_kmh(cfg.doppler_hz(b, n_grid)
+                                             * cfg.wavelength_m / 2)}
+        report = cli.run_simulate(replace(scn, targets=[target], noise_enabled=False,
+                                          seed=data.draw(st.integers(0, 2 ** 31),
+                                                         label="seed")), out_dir)
+        (evaluation,) = report["evaluation"].values()
+        assert evaluation["misses"] == []

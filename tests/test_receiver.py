@@ -20,6 +20,7 @@ from jcas.channel import echo_component
 from jcas.receiver import COND_MAX, RdMatrix, capture_windows, \
     invert_cells, pattern_cell_direct
 from jcas.scheduler import grid_size, occasion_grid_indices
+from jcas.util import share
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
 NO_NOISE = ChannelConfig(noise_enabled=False)
@@ -359,6 +360,84 @@ class TestProcessSensing:
         cells = {d.cell for d in dets}
         assert (164, (-37) % 320) in cells
         assert (328, 74) in cells
+
+
+class TestBothWindows:
+    """process_sensing with a tuple of window kinds: one map per kind, the
+    first on the caller and the others on the background worker."""
+
+    @staticmethod
+    def _rx(cfg, scheme, k, seed):
+        sched = make_schedule(scheme, cfg.m_codes, k, rng=substream(seed, "s"))
+        tx = assemble_frame(cfg, sched, rng=substream(seed, "p"))
+        echo = Target(3 * 3e8 * cfg.t_s / 2, 10.0)
+        return sched, synthesize_rx(tx, [echo], ChannelConfig(), cfg,
+                                    rng=substream(seed, "n"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from([Scheme.FSI_TAIL, Scheme.FSI_RANDOM]),
+           m=st.integers(2, 6), l=st.integers(2, 24), cp_occasions=st.integers(0, 6),
+           k=st.integers(1, 40), n_guard=st.integers(1, 23),
+           symbols=st.one_of(st.none(), st.integers(1, 50)),
+           kinds=st.lists(st.sampled_from(WindowKind), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 16))
+    @example(scheme=Scheme.FSI_TAIL, m=4, l=512, cp_occasions=1, k=64, n_guard=1,
+             symbols=None, kinds=[WindowKind.STANDARD, WindowKind.SHIFTED], seed=0)
+    @example(scheme=Scheme.FSI_RANDOM, m=4, l=512, cp_occasions=1, k=33, n_guard=2,
+             symbols=None, kinds=[WindowKind.SHIFTED, WindowKind.STANDARD], seed=1)
+    def test_maps_are_the_single_kind_calls(self, scheme, m, l, cp_occasions, k,
+                                            n_guard, symbols, kinds, seed):
+        # symbols per block drawn below K, above it and not dividing it; the
+        # single-kind calls run at the module's block size
+        cfg = WaveformConfig(n_fft=m * l, m_codes=m, n_cp=min(cp_occasions, m) * l,
+                             scs_hz=480e3)
+        n_guard = 1 + (n_guard - 1) % (l - 1)
+        sched, rx = self._rx(cfg, scheme, k, seed)
+        want = [process_sensing(rx, cfg, sched, kind, n_guard) for kind in kinds]
+        block = receiver.SENSE_BLOCK_CELLS if symbols is None else symbols * cfg.n_fft
+        with mock.patch.object(receiver, "SENSE_BLOCK_CELLS", block):
+            got = process_sensing(rx, cfg, sched, tuple(kinds), n_guard)
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w.values.tobytes()
+            assert g.grid_size == w.grid_size and g.cfg == w.cfg
+
+    def test_worker_held_in_a_share_block(self, cfg_small, monkeypatch):
+        # the worker runs a task of an outer share block throughout: both
+        # windows run on the caller, without waiting for the worker
+        sched, rx = self._rx(cfg_small, Scheme.FSI_TAIL, 16, 5)
+        kinds = (WindowKind.STANDARD, WindowKind.SHIFTED)
+        want = [process_sensing(rx, cfg_small, sched, kind) for kind in kinds]
+        threads, real = [], receiver._sense
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+        monkeypatch.setattr(receiver, "_sense", spy)
+        started, release, held = (threading.Event() for _ in range(3))
+
+        def hold(_):
+            started.set()
+            release.wait(20)
+            held.set()
+        with share([hold]):
+            try:
+                assert started.wait(20)
+                got = process_sensing(rx, cfg_small, sched, kinds)
+                assert not held.is_set()   # not waited for behind the outer task
+            finally:
+                release.set()
+        assert threads == [threading.get_ident()] * 2
+        assert [g.values.tobytes() for g in got] == [w.values.tobytes() for w in want]
+
+    @pytest.mark.parametrize("kinds", [(WindowKind.STANDARD, WindowKind.SHIFTED),
+                                       (WindowKind.SHIFTED, WindowKind.STANDARD)])
+    def test_a_failing_window_raises(self, cfg_small, kinds):
+        # a slotted scheme has no shifted window, on whichever thread it runs
+        sched = make_schedule(Scheme.RTD, cfg_small.m_codes, 16, rng=substream(6, "s"))
+        rx = assemble_frame(cfg_small, sched, rng=substream(6, "p"))
+        with pytest.raises(ValueError, match="single window kind"):
+            process_sensing(rx, cfg_small, sched, kinds)
 
 
 def solve_oracle(cells):
@@ -760,15 +839,17 @@ class TestPeakCleanup:
     @given(rows=st.integers(1, 12), cols=st.integers(1, 16),
            radius=st.one_of(st.integers(1, 5), st.integers(1, 10 ** 9)),
            cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=6),
-           seed=st.integers(0, 2 ** 32 - 1))
-    @example(rows=4, cols=16, radius=3, cells=[(2, 5), (2, 8)], seed=0)
-    @example(rows=12, cols=16, radius=10 ** 4, cells=[(3, 5)], seed=0)
-    @example(rows=12, cols=16, radius=10 ** 9, cells=[(11, 0), (0, 15)], seed=0)
+           seed=st.integers(0, 2 ** 32 - 1), block=st.sampled_from([1, 7, 1 << 16]))
+    @example(rows=4, cols=16, radius=3, cells=[(2, 5), (2, 8)], seed=0, block=1 << 16)
+    @example(rows=12, cols=16, radius=10 ** 4, cells=[(3, 5)], seed=0, block=1 << 16)
+    @example(rows=12, cols=16, radius=10 ** 9, cells=[(11, 0), (0, 15)], seed=0,
+             block=1 << 16)
     def test_union_zeroed_and_every_kept_cell_restored(self, rows, cols, radius, cells,
-                                                       seed):
+                                                       seed, block):
         # kept cells may lie in each other's neighborhoods, as find_peaks
         # cells do for a radius above its guard; a radius past the map
-        # covers it whole, through an index no larger than the map
+        # covers it whole, through an index no larger than the map, and
+        # blocks of any size mark the one union
         cells = [(d % rows, c % cols) for d, c in cells]
         rng = np.random.default_rng(seed)
         vals = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
@@ -777,7 +858,8 @@ class TestPeakCleanup:
                                 radius, radius)
         shape = np.broadcast_shapes(*(a.shape for a in index))
         assert shape[0] == len(cells) and shape[1] <= rows and shape[2] <= cols
-        out = peak_cleanup(rd, cells, radius).values
+        with mock.patch.object(receiver, "NEIGHBORHOOD_BLOCK_CELLS", block):
+            out = peak_cleanup(rd, cells, radius).values
         for r in range(rows):
             for c in range(cols):
                 near = any(abs(r - d0) <= radius
@@ -785,6 +867,24 @@ class TestPeakCleanup:
                            for d0, c0 in cells)
                 unchanged = (r, c) in cells or not near
                 assert out[r, c] == (vals[r, c] if unchanged else 0)
+
+    def test_memory_bounded_by_the_map(self):
+        # 5,000 cells at radius 1000 on a 512 x 64 map: indexed all at once,
+        # the neighborhoods took a 41.6 MB peak beside the 0.5 MB map
+        rng = np.random.default_rng(0)
+        vals = rng.normal(size=(512, 64)) + 1j * rng.normal(size=(512, 64))
+        rd = RdMatrix(vals.copy(), 320, WaveformConfig())
+        cells = np.stack((rng.integers(0, 512, 5000), rng.integers(0, 64, 5000)), axis=1)
+        tracemalloc.start()
+        try:
+            out = peak_cleanup(rd, cells, 1000).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        kept = np.zeros(vals.shape, dtype=bool)
+        kept[tuple(cells.T)] = True
+        assert (out[kept] == vals[kept]).all() and not out[~kept].any()
 
     def test_radius_below_one_rejected(self, cfg_small):
         with pytest.raises(ValueError):
