@@ -14,6 +14,7 @@ import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -381,70 +382,35 @@ def invert_cells(p: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
     return resolvable, p_sol
 
 
-def _pattern_slice(cfg: WaveformConfig, refs: np.ndarray, phase: np.ndarray,
-                   probe_f: np.ndarray, f_b: np.ndarray, n_chirp: np.ndarray,
-                   out_chirp: np.ndarray, k_full: int, p: np.ndarray, cols: slice,
-                   bufs: tuple[np.ndarray, ...]) -> None:
-    """Band columns cols of both receive windows' calibrated responses into
-    p[:, cols], p (L, band, window, hyp): (z_0 + (K-1) z_1) / K per cell.
+class _Calibration(NamedTuple):
+    """What build_pattern's slices share, from the three-symbol zero-data
+    calibration frame, both windows stacked."""
 
-    refs holds the mixer references (window, symbol, N), phase the steering
-    phases (window, symbol, band) and probe_f the probe transforms (window,
-    symbol, hyp, size) of the three calibration symbols. The slice is
-    computed in bufs = (twist, ref_f, conv), shaped (h, N), (window, symbol,
-    h, size) and (window, symbol, hyp, h, size) for h columns or more:
-    twist, the columns' reference twist e^{-j2pi f_b n Ts} e^{-jpi n^2/L}
-    (n_chirp the second factor), serves every window and symbol. Symbols 0
-    and 1 build p; symbol 2 is only compared with symbol 1, the steady-state
-    check.
+    refs: np.ndarray        # mixer references (window, symbol, N)
+    phase: np.ndarray       # steering phases (window, symbol, band)
+    probe_f: np.ndarray     # probe transforms (window, symbol, hyp, size)
+    f_b: np.ndarray         # the band columns' Doppler (band,)
+    n_chirp: np.ndarray     # e^{-jpi n^2/L}
+    out_chirp: np.ndarray   # e^{-jpi d^2/L} / sqrt(L)
+    eps: np.ndarray         # (window, hyp) and drift (window, band), the
+    drift: np.ndarray       # terms of _steady_state_bound
+
+
+def _calibration(cfg: WaveformConfig, schedule: Schedule) -> _Calibration:
+    """The calibration inputs of build_pattern for the band of schedule.
+
+    Symbol 2 repeats symbol 1 turned by a = rho_2 / rho_1: the references
+    by a, the probe (the conjugated frame, one symbol later) by conj(a).
+    With R_s the reference transform of a column and P_s = probe_f[:, s],
+    R_2 P_2 = R_1 P_1 + a R_1 e_p + E_r P_2 for the residuals
+    e_r = refs_2 - a refs_1 and e_p = P_2 - conj(a) P_1. |twist| = 1,
+    |out_chirp| = 1/sqrt(L), ||FFT x||_inf <= ||x||_1 and
+    ||ifft X||_inf <= ||X||_1 / size then bound the responses' difference
+    by (||refs_1||_1 ||e_p||_1 + ||e_r||_1 ||P_2||_1) / (size sqrt(L)) in
+    every column, and the steering phases add drift = |phase_2 - phase_1|
+    times |z_1|; both are zero in exact arithmetic. eps adds to the first
+    an allowance for the rounding of each symbol's own responses.
     """
-    n, l = cfg.n_fft, cfg.l_occ
-    w = cols.stop - cols.start
-    twist, rf, cv = bufs[0][:w], bufs[1][:, :, :w], bufs[2][:, :, :, :w]
-    np.exp(-2j * np.pi * cfg.t_s * np.outer(f_b[cols], np.arange(n)), out=twist)
-    twist *= n_chirp
-    np.multiply(refs[:, :, None], twist, out=rf[..., :n])
-    rf[..., n:] = 0
-    np.fft.fft(rf, axis=-1, out=rf)
-    np.multiply(rf[:, :, None], probe_f[..., None, :], out=cv)
-    np.fft.ifft(cv, axis=-1, out=cv)
-    # (window, symbol, hyp, column, range bin)
-    z = phase[:, :, None, cols, None] * out_chirp * cv[..., n - 1:n - 1 + l]
-    if not np.all(deviation(z[:, 2], z[:, 1], axis=-1) <= VALIDATION_TOL):
-        raise RuntimeError("steady-state calibration assumption broken")
-    p[:, cols] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).transpose(3, 2, 0, 1)
-
-
-def build_pattern(cfg: WaveformConfig, schedule: Schedule,
-                  n_guard: int = 1, validate: bool = False) -> PatternTensor:
-    """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
-
-    Runs noiseless unit-amplitude calibration echoes through the exact
-    receive chain. The tail schedule is strictly periodic, so every
-    interior symbol contributes identically once the matched filter
-    aligns it; a three-symbol zero-data frame therefore yields the exact
-    K-symbol response as (z_boundary + (K-1) z_interior) / K.
-
-    All range bins of symbol k come from one twisted correlation
-    sum_n ref[n] conj(probe[off + n - d]) e^{-j2pi dn/L}, off = o_k - hyp L
-    with o_k = kS + window start, via the chirp (Bluestein) factorization
-    e^{-j2pi dn/L} = e^{-jpi d^2/L} e^{-jpi n^2/L} e^{+jpi (n-d)^2/L}.
-    The probe's Doppler term e^{-j2pi f_b (off+n-d) Ts} splits into
-    e^{-j2pi f_b n Ts}, moved to the reference, and a phase that times the
-    echo's own e^{-j2pi f_b delta Ts} is e^{-j2pi f_b o_k Ts} for every d.
-    So one reference transform per (window, symbol) serves all band columns.
-
-    Both windows' references, steering phases and probe transforms are
-    stacked as _pattern_slice takes them, the twelve probe transforms in
-    one FFT. The band is computed in PATTERN_SLICES slices, each for both
-    windows, which the caller and the background worker share (util.share),
-    each in slice buffers of its own. With ``validate``, the caller first
-    computes the cells that validate_pattern checks through the direct
-    pipeline, while the worker builds, and the pattern is checked against
-    them as validate_pattern does.
-    """
-    if schedule.scheme is not Scheme.FSI_TAIL:
-        raise ValueError("pattern calibration applies to tail-mode schedules")
     l, n = cfg.l_occ, cfg.n_fft
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule)
@@ -477,17 +443,123 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     refs = np.stack([_fsi_references(cfg, cal_sched, kind) for kind in WindowKind])
     # offs times f_b first, the np.outer order: the scalar first moves p's last bit
     phase = steer * np.exp(-2j * np.pi * cfg.t_s * (offs[..., None] * f_b))
-    p = np.empty((l, band, 2, 2), dtype=complex)
+
+    rho = symbol_rotation(np.arange(3), cfg.m_codes, Scheme.FSI_TAIL)
+    a = rho[2] / rho[1]
+    e_r = np.abs(refs[:, 2] - a * refs[:, 1]).sum(axis=-1)[:, None]
+    e_p = np.abs(probe_f[:, 2] - np.conj(a) * probe_f[:, 1]).sum(axis=-1)
+    # each symbol's own rounding, 16u (log2(size) + 1) of the scale
+    # |z_s| <= ||refs_s||_2 ||P_s||_inf / sqrt(L): two FFTs of log2(size)
+    # stages of ~6.7u each (Higham 2002, Thm 24.2) and a few products
+    scale = np.linalg.norm(refs[:, 1:], axis=-1)[..., None] \
+        * np.abs(probe_f[:, 1:]).max(axis=-1)   # (window, symbol, hyp)
+    eps = (np.abs(refs[:, 1]).sum(axis=-1)[:, None] * e_p
+           + e_r * np.abs(probe_f[:, 2]).sum(axis=-1)) / (size * np.sqrt(l)) \
+        + 8 * np.finfo(float).eps * (np.log2(size) + 1) * scale.sum(axis=1) / np.sqrt(l)
+    drift = np.abs(phase[:, 2] - phase[:, 1])
+    return _Calibration(refs, phase, probe_f, f_b, n_chirp, out_chirp, eps, drift)
+
+
+def _slice_buffers(cal: _Calibration, h: int, symbols: int = 2
+                   ) -> tuple[np.ndarray, ...]:
+    """Buffers (twist, ref_f, conv) for _responses of up to h columns of the
+    first symbols calibration symbols: (h, N), (window, symbol, h, size) and
+    (window, symbol, hyp, h, size)."""
+    n, size = cal.refs.shape[-1], cal.probe_f.shape[-1]
+    return (np.empty((h, n), dtype=complex),
+            np.empty((2, symbols, h, size), dtype=complex),
+            np.empty((2, symbols, 2, h, size), dtype=complex))
+
+
+def _responses(cfg: WaveformConfig, cal: _Calibration, cols: slice,
+               bufs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The responses z (window, symbol, hyp, column, range bin) of band
+    columns cols to as many calibration symbols as bufs (_slice_buffers)
+    hold; the others are never read. twist, the columns' reference twist
+    e^{-j2pi f_b n Ts} e^{-jpi n^2/L}, serves every window and symbol."""
+    n, l = cfg.n_fft, cfg.l_occ
+    w = cols.stop - cols.start
+    twist, rf, cv = bufs[0][:w], bufs[1][:, :, :w], bufs[2][:, :, :, :w]
+    s = rf.shape[1]
+    np.exp(-2j * np.pi * cfg.t_s * np.outer(cal.f_b[cols], np.arange(n)), out=twist)
+    twist *= cal.n_chirp
+    np.multiply(cal.refs[:, :s, None], twist, out=rf[..., :n])
+    rf[..., n:] = 0
+    np.fft.fft(rf, axis=-1, out=rf)
+    np.multiply(rf[:, :, None], cal.probe_f[:, :s, ..., None, :], out=cv)
+    np.fft.ifft(cv, axis=-1, out=cv)
+    return cal.phase[:, :s, None, cols, None] * cal.out_chirp * cv[..., n - 1:n - 1 + l]
+
+
+def _steady_state_bound(cal: _Calibration, z1: np.ndarray, cols: slice
+                        ) -> np.ndarray:
+    """A bound (window, hyp, column) on deviation(z_2, z_1, axis=-1) from
+    symbol 1's responses z1 (window, hyp, column, range bin) of band columns
+    cols alone: |z_2 - z_1| <= eps + drift |z_1| in every range bin
+    (_calibration). A NaN in either gives NaN."""
+    peak = np.max(np.abs(z1), axis=-1)
+    return (cal.eps[:, :, None] + cal.drift[:, None, cols] * peak) / np.maximum(peak, 1)
+
+
+def _pattern_slice(cfg: WaveformConfig, cal: _Calibration, k_full: int,
+                   p: np.ndarray, cols: slice, bufs: tuple[np.ndarray, ...]) -> None:
+    """Band columns cols of both receive windows' calibrated responses into
+    p[:, cols], p (L, band, window, hyp): (z_0 + (K-1) z_1) / K per cell,
+    computed in bufs = _slice_buffers(cal, h) for h columns or more.
+
+    Symbol 2 is never transformed. The steady-state check bounds its
+    deviation from symbol 1 in every (window, hyp, column) by
+    _steady_state_bound, which is never below deviation(z_2, z_1).
+    """
+    z = _responses(cfg, cal, cols, bufs)
+    if not np.all(_steady_state_bound(cal, z[:, 1], cols) <= VALIDATION_TOL):
+        raise RuntimeError("steady-state calibration assumption broken")
+    p[:, cols] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).transpose(3, 2, 0, 1)
+
+
+def build_pattern(cfg: WaveformConfig, schedule: Schedule,
+                  n_guard: int = 1, validate: bool = False) -> PatternTensor:
+    """Calibrate the 2x2 near/far response per (range bin, Doppler bin).
+
+    Runs noiseless unit-amplitude calibration echoes through the exact
+    receive chain. The tail schedule is strictly periodic, so every
+    interior symbol contributes identically once the matched filter
+    aligns it; a three-symbol zero-data frame therefore yields the exact
+    K-symbol response as (z_boundary + (K-1) z_interior) / K. Symbol 2
+    only checks that steady state: its residuals from symbol 1 are
+    computed once (_calibration), and every column's check bounds the
+    deviation from them, without transforming symbol 2.
+
+    All range bins of symbol k come from one twisted correlation
+    sum_n ref[n] conj(probe[off + n - d]) e^{-j2pi dn/L}, off = o_k - hyp L
+    with o_k = kS + window start, via the chirp (Bluestein) factorization
+    e^{-j2pi dn/L} = e^{-jpi d^2/L} e^{-jpi n^2/L} e^{+jpi (n-d)^2/L}.
+    The probe's Doppler term e^{-j2pi f_b (off+n-d) Ts} splits into
+    e^{-j2pi f_b n Ts}, moved to the reference, and a phase that times the
+    echo's own e^{-j2pi f_b delta Ts} is e^{-j2pi f_b o_k Ts} for every d.
+    So one reference transform per (window, symbol) serves all band columns.
+
+    Both windows' references, steering phases and probe transforms are
+    stacked by _calibration, the twelve probe transforms in one FFT. The
+    band is computed in PATTERN_SLICES slices, each for both windows, which
+    the caller and the background worker share (util.share), each in slice
+    buffers of its own. With ``validate``, the caller first computes the
+    cells that validate_pattern checks through the direct pipeline, while
+    the worker builds, and the pattern is checked against them as
+    validate_pattern does.
+    """
+    if schedule.scheme is not Scheme.FSI_TAIL:
+        raise ValueError("pattern calibration applies to tail-mode schedules")
+    band = unambiguous_band(schedule)
+    cal = _calibration(cfg, schedule)
+    p = np.empty((cfg.l_occ, band, 2, 2), dtype=complex)
     h = -(-band // PATTERN_SLICES)   # columns per slice, rounded up
-    slices = [functools.partial(_pattern_slice, cfg, refs, phase, probe_f, f_b,
-                                n_chirp, out_chirp, schedule.k, p,
+    slices = [functools.partial(_pattern_slice, cfg, cal, schedule.k, p,
                                 slice(c0, min(c0 + h, band)))
               for c0 in range(0, band, h)]
     # each thread computes its slices in buffers of its own; the caller's are
     # allocated only once its direct cells, which need far more memory, are done
-    with share(slices, lambda: (np.empty((h, n), dtype=complex),
-                                np.empty((2, 3, h, size), dtype=complex),
-                                np.empty((2, 3, 2, h, size), dtype=complex))):
+    with share(slices, lambda: _slice_buffers(cal, h)):
         cells = _direct_cells(cfg, schedule, n_guard, band) if validate else None
     pat = PatternTensor.solve(p, n_guard)
     if validate:

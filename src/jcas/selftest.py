@@ -8,9 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelConfig, Target, echo_component, synthesize_rx
-from .receiver import WindowKind, build_pattern, process_sensing, \
+from .receiver import WindowKind, _calibration, _responses, _slice_buffers, \
+    _steady_state_bound, build_pattern, deviation, process_sensing, \
     slow_time_matched_filter, validate_pattern
-from .scheduler import Scheme, grid_size, make_schedule, occasion_grid_indices
+from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
+    occasion_grid_indices
 from .util import substream
 from .waveform import WaveformConfig, assemble_frame, make_base_set, \
     make_code_matrix, spread_and_assemble, transmit_constants, unitary_dft, \
@@ -159,12 +161,29 @@ def check_determinism():
         raise AssertionError("identical seeds produced different results")
 
 
+def steady_state_deviation(cfg: WaveformConfig, schedule: Schedule
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """deviation(z_2, z_1) of the tail pattern's calibration symbols, with
+    symbol 2 transformed too, and the bound build_pattern checks instead;
+    both (window, hyp, band column)."""
+    cal = _calibration(cfg, schedule)
+    band = cal.phase.shape[-1]
+    z = _responses(cfg, cal, slice(0, band), _slice_buffers(cal, band, symbols=3))
+    return (deviation(z[:, 2], z[:, 1], axis=-1),
+            _steady_state_bound(cal, z[:, 1], slice(0, band)))
+
+
 def check_pattern_calibration():
     # SMALL, and a grid whose pattern has a band column that cancels to zero
     for cfg, k in ((SMALL, 6), (WaveformConfig(n_fft=6, m_codes=3, n_cp=2), 4)):
         sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, k)
         pat = build_pattern(cfg, sched)
         validate_pattern(pat, cfg, sched, n_cells=4, tol=1e-9)
+    dev, bound = steady_state_deviation(SMALL, make_schedule(Scheme.FSI_TAIL,
+                                                             SMALL.m_codes, 6))
+    if not np.all(dev <= bound):
+        raise AssertionError(f"steady-state bound below the deviation: "
+                             f"{np.max(dev - bound):.2e}")
 
 
 def all_checks():

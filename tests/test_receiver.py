@@ -20,6 +20,7 @@ from jcas.channel import echo_component
 from jcas.receiver import COND_MAX, RdMatrix, capture_windows, \
     invert_cells, pattern_cell_direct
 from jcas.scheduler import grid_size, occasion_grid_indices
+from jcas.selftest import steady_state_deviation
 from jcas.util import share
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -555,15 +556,66 @@ class TestPattern:
 
     def test_steady_state_check_fails_on_nan(self, cfg_small, monkeypatch):
         # symbol 2 feeds the check alone, so the pattern would be finite
-        real = receiver._pattern_slice
+        real = receiver._fsi_references
 
-        def nan_symbol_2(cfg, refs, *rest):
-            refs = refs.copy()
-            refs[0, 2] = np.nan   # (window, symbol, sample)
-            real(cfg, refs, *rest)
-        monkeypatch.setattr(receiver, "_pattern_slice", nan_symbol_2)
+        def nan_symbol_2(*args):
+            refs = real(*args)   # (symbol, sample) of the calibration frame
+            refs[2, 0] = np.nan
+            return refs
+        monkeypatch.setattr(receiver, "_fsi_references", nan_symbol_2)
         with pytest.raises(RuntimeError, match="steady-state"):
             build_pattern(cfg_small, make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16))
+
+    @pytest.mark.parametrize("part", ["assemble_frame", "_fsi_references"])
+    def test_perturbed_third_symbol_raises(self, cfg_small, monkeypatch, part):
+        # noise of amplitude 1e-4 on the third symbol of the calibration frame
+        # (the probe) or of its references: comparing the transformed third
+        # symbol with the second raises from 1e-5 on, the bound from 1e-7 on
+        real = getattr(receiver, part)
+
+        def noisy(cfg, *args, **kwargs):
+            x = real(cfg, *args, **kwargs)
+            third = x[2 * cfg.symbol_len:3 * cfg.symbol_len] if x.ndim == 1 else x[2]
+            noise = np.random.default_rng(5).normal(size=(2, len(third))) / np.sqrt(2)
+            third += 1e-4 * (noise[0] + 1j * noise[1])
+            return x
+        monkeypatch.setattr(receiver, part, noisy)
+        with pytest.raises(RuntimeError, match="steady-state"):
+            build_pattern(cfg_small, make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([2, 3, 4, 8]), cp_occasions=st.integers(0, 2),
+           k=st.one_of(st.integers(1, 9), st.integers(receiver.PATTERN_SLICES + 1,
+                                                      receiver.PATTERN_SLICES + 9)),
+           l=st.sampled_from([2, 4, 16]))
+    @example(m=3, cp_occasions=1, k=4, l=2)   # the grid with a cancelling column
+    def test_steady_state_bound_holds_in_every_column(self, m, cp_occasions, k, l):
+        # symbol 2 transformed as well, as a test-only oracle: the bound each
+        # slice checks is never below its deviation from symbol 1
+        cfg = WaveformConfig(n_fft=m * l, m_codes=m, n_cp=cp_occasions * l)
+        sched = make_schedule(Scheme.FSI_TAIL, m, k)
+        dev, bound = steady_state_deviation(cfg, sched)
+        assert dev.shape == bound.shape == (2, 2, k)   # (window, hyp, column)
+        assert np.all(dev <= bound)
+        assert np.all(bound <= receiver.VALIDATION_TOL)
+        build_pattern(cfg, sched)
+
+    def test_slices_never_read_symbol_2(self, cfg_small):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 16)
+        cal = receiver._calibration(cfg_small, sched)
+        spoiled = cal._replace(**{name: getattr(cal, name).copy()
+                                  for name in ("refs", "phase", "probe_f")})
+        for part in spoiled.refs, spoiled.phase, spoiled.probe_f:
+            part[:, 2] = np.nan   # (window, symbol, ...)
+        cols = slice(5, 11)
+        want, got = (np.zeros((cfg_small.l_occ, 16, 2, 2), dtype=complex)
+                     for _ in range(2))
+        for c, p in (cal, want), (spoiled, got):
+            receiver._pattern_slice(cfg_small, c, sched.k, p, cols,
+                                    receiver._slice_buffers(c, 6))
+        assert np.all(np.isfinite(spoiled.eps)) and np.all(np.isfinite(spoiled.drift))
+        assert got.tobytes() == want.tobytes()
+        assert np.all(want[:, cols] != 0)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     @pytest.mark.parametrize("cp_occasions", [0, 1, 2])
@@ -650,14 +702,13 @@ class TestPatternWorker:
 
     def test_worker_slice_failure_raises(self, cfg_small, monkeypatch):
         # the caller waits in its direct cells until a slice, which only the
-        # worker can have begun, fails: symbol 2 no longer repeats symbol 1
+        # worker can have begun, fails: symbol 2's steering phases drift from
+        # symbol 1's by 1e-3 in the slice's columns
         real, failed = receiver._pattern_slice, threading.Event()
 
-        def broken(cfg, refs, *rest):
-            refs = refs.copy()
-            refs[0, 2] *= 2   # (window, symbol, sample)
+        def broken(cfg, cal, *rest):
             try:
-                real(cfg, refs, *rest)
+                real(cfg, cal._replace(drift=cal.drift + 1e-3), *rest)
             finally:
                 failed.set()
         monkeypatch.setattr(receiver, "_pattern_slice", broken)
@@ -687,7 +738,7 @@ class TestPatternWorker:
             build_pattern(cfg_small, sched, validate=True)
 
     def test_fig7_build_peak_memory(self):
-        # both windows, all three symbols and both hypotheses in flight, in
+        # both windows, the first two symbols and both hypotheses in flight, in
         # buffers of a 32nd of the band; building the windows one after the
         # other at full band peaked at 17.7 MB here
         cfg = WaveformConfig()
