@@ -121,6 +121,10 @@ def start_noise(rng: np.random.Generator, n: int) -> Pending:
     started on the background worker into a buffer allocated here. A draw
     the worker has not begun is drawn on the caller (util.Pending); either
     way the draws are the same."""
+    # the frame-size buffer stays on the caller's heap: drawn into an array
+    # the worker allocates (rng.standard_normal((2, n)) on the worker), the
+    # fig6_sweep benchmark's peak_rss_mb read 62.5-62.7 -> 64.2-64.3 MB in
+    # 3/3 pairs on a 2-vCPU guest
     return Pending(functools.partial(rng.standard_normal, out=np.empty((2, n))))
 
 

@@ -23,8 +23,8 @@ from .channel import Target, target_to_delay_doppler
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     occasion_grid_indices, unambiguous_band
 from .util import SPEED_OF_LIGHT, next_fast_len, share
-from .waveform import WaveformConfig, assemble_frame, symbol_rotation, \
-    transmit_constants, unitary_dft
+from .waveform import WaveformConfig, assemble_frame, frame_len, \
+    symbol_rotation, transmit_constants, unitary_dft
 
 
 class WindowKind(str, Enum):
@@ -209,12 +209,12 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
                     kind: WindowKind, symbols: slice = slice(None)) -> np.ndarray:
     """Mixer references of the symbols in the slice, (symbols, N).
 
-    The shifted window sees the body cyclically advanced by N_CP, which
-    by the code-shift identity turns code alpha into code
-    (alpha + N_CP/L) mod M.
+    A window that starts s = WindowKind.start samples into its symbol sees
+    the body cyclically advanced by N_CP - s, which by the code-shift
+    identity turns code alpha into code (alpha + (N_CP - s)/L) mod M.
     """
     _, _, b = transmit_constants(cfg)
-    shift = 0 if kind is WindowKind.STANDARD else cfg.cp_occasions
+    shift = (cfg.n_cp - kind.start(cfg)) // cfg.l_occ
     ks = np.arange(schedule.k)[symbols]
     refs = b[(np.asarray(schedule.alpha)[ks] + shift) % cfg.m_codes]
     refs *= symbol_rotation(ks, cfg.m_codes, schedule.scheme)[:, None]
@@ -245,7 +245,7 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         return _sense(rx, cfg, schedule, kind, n_guard)
     maps = [None] * len(kind)
 
-    def sense(i: int, _=None) -> None:
+    def sense(i: int) -> None:
         maps[i] = _sense(rx, cfg, schedule, kind[i], n_guard)
     with share(functools.partial(sense, i) for i in range(1, len(kind))):
         sense(0)
@@ -273,10 +273,10 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         if kind is not WindowKind.STANDARD:
             raise ValueError("slotted schemes have a single window kind")
         chirp, _, _ = transmit_constants(cfg)
-        l = cfg.l_occ
-        if len(rx) < n_grid * l:
+        n = frame_len(cfg, schedule)
+        if len(rx) < n:
             raise ValueError("frame too short")
-        slots = rx[:n_grid * l].reshape(n_grid, l)[g]
+        slots = rx[:n].reshape(n_grid, cfg.l_occ)[g]
         beat = mix(slots, chirp)
         profiles = si_filter(beat, n_guard)
 
@@ -337,8 +337,7 @@ class PatternTensor:
         resolvable = np.empty(p.shape[:2], dtype=bool)
         p_sol = np.empty(p.shape, dtype=complex)
         half = len(p) // 2
-        with share([lambda _: invert_cells(p[half:], (resolvable[half:],
-                                                     p_sol[half:]))]):
+        with share([lambda: invert_cells(p[half:], (resolvable[half:], p_sol[half:]))]):
             invert_cells(p[:half], (resolvable[:half], p_sol[:half]))
         resolvable[:n_guard] = False
         p_sol[:n_guard] = 0
@@ -460,35 +459,24 @@ def _calibration(cfg: WaveformConfig, schedule: Schedule) -> _Calibration:
     return _Calibration(refs, phase, probe_f, f_b, n_chirp, out_chirp, eps, drift)
 
 
-def _slice_buffers(cal: _Calibration, h: int, symbols: int = 2
-                   ) -> tuple[np.ndarray, ...]:
-    """Buffers (twist, ref_f, conv) for _responses of up to h columns of the
-    first symbols calibration symbols: (h, N), (window, symbol, h, size) and
-    (window, symbol, hyp, h, size)."""
-    n, size = cal.refs.shape[-1], cal.probe_f.shape[-1]
-    return (np.empty((h, n), dtype=complex),
-            np.empty((2, symbols, h, size), dtype=complex),
-            np.empty((2, symbols, 2, h, size), dtype=complex))
-
-
-def _responses(cfg: WaveformConfig, cal: _Calibration, cols: slice,
-               bufs: tuple[np.ndarray, ...]) -> np.ndarray:
+def _responses(cfg: WaveformConfig, cal: _Calibration, cols: slice) -> np.ndarray:
     """The responses z (window, symbol, hyp, column, range bin) of band
-    columns cols to as many calibration symbols as bufs (_slice_buffers)
-    hold; the others are never read. twist, the columns' reference twist
-    e^{-j2pi f_b n Ts} e^{-jpi n^2/L}, serves every window and symbol."""
+    columns cols to calibration symbols 0 and 1, computed in place in three
+    buffers allocated on the calling thread; the other symbols are never
+    read. twist, the columns' reference twist e^{-j2pi f_b n Ts}
+    e^{-jpi n^2/L}, serves every window and symbol."""
     n, l = cfg.n_fft, cfg.l_occ
-    w = cols.stop - cols.start
-    twist, rf, cv = bufs[0][:w], bufs[1][:, :, :w], bufs[2][:, :, :, :w]
-    s = rf.shape[1]
+    w, size = cols.stop - cols.start, cal.probe_f.shape[-1]
+    twist, rf, cv = (np.empty(shape, dtype=complex) for shape in
+                     ((w, n), (2, 2, w, size), (2, 2, 2, w, size)))
     np.exp(-2j * np.pi * cfg.t_s * np.outer(cal.f_b[cols], np.arange(n)), out=twist)
     twist *= cal.n_chirp
-    np.multiply(cal.refs[:, :s, None], twist, out=rf[..., :n])
+    np.multiply(cal.refs[:, :2, None], twist, out=rf[..., :n])
     rf[..., n:] = 0
     np.fft.fft(rf, axis=-1, out=rf)
-    np.multiply(rf[:, :, None], cal.probe_f[:, :s, ..., None, :], out=cv)
+    np.multiply(rf[:, :, None], cal.probe_f[:, :2, ..., None, :], out=cv)
     np.fft.ifft(cv, axis=-1, out=cv)
-    return cal.phase[:, :s, None, cols, None] * cal.out_chirp * cv[..., n - 1:n - 1 + l]
+    return cal.phase[:, :2, None, cols, None] * cal.out_chirp * cv[..., n - 1:n - 1 + l]
 
 
 def _steady_state_bound(cal: _Calibration, z1: np.ndarray, cols: slice
@@ -502,16 +490,16 @@ def _steady_state_bound(cal: _Calibration, z1: np.ndarray, cols: slice
 
 
 def _pattern_slice(cfg: WaveformConfig, cal: _Calibration, k_full: int,
-                   p: np.ndarray, cols: slice, bufs: tuple[np.ndarray, ...]) -> None:
+                   p: np.ndarray, cols: slice) -> None:
     """Band columns cols of both receive windows' calibrated responses into
     p[:, cols], p (L, band, window, hyp): (z_0 + (K-1) z_1) / K per cell,
-    computed in bufs = _slice_buffers(cal, h) for h columns or more.
+    computed in buffers of the slice's own (_responses).
 
     Symbol 2 is never transformed. The steady-state check bounds its
     deviation from symbol 1 in every (window, hyp, column) by
     _steady_state_bound, which is never below deviation(z_2, z_1).
     """
-    z = _responses(cfg, cal, cols, bufs)
+    z = _responses(cfg, cal, cols)
     if not np.all(_steady_state_bound(cal, z[:, 1], cols) <= VALIDATION_TOL):
         raise RuntimeError("steady-state calibration assumption broken")
     p[:, cols] = ((z[:, 0] + (k_full - 1) * z[:, 1]) / k_full).transpose(3, 2, 0, 1)
@@ -542,11 +530,11 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     Both windows' references, steering phases and probe transforms are
     stacked by _calibration, the twelve probe transforms in one FFT. The
     band is computed in PATTERN_SLICES slices, each for both windows, which
-    the caller and the background worker share (util.share), each in slice
-    buffers of its own. With ``validate``, the caller first computes the
-    cells that validate_pattern checks through the direct pipeline, while
-    the worker builds, and the pattern is checked against them as
-    validate_pattern does.
+    the caller and the background worker share (util.share), each slice in
+    buffers it allocates on its thread. With ``validate``, the caller first
+    computes the cells that validate_pattern checks through the direct
+    pipeline, while the worker builds, and the pattern is checked against
+    them as validate_pattern does.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
@@ -557,9 +545,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     slices = [functools.partial(_pattern_slice, cfg, cal, schedule.k, p,
                                 slice(c0, min(c0 + h, band)))
               for c0 in range(0, band, h)]
-    # each thread computes its slices in buffers of its own; the caller's are
-    # allocated only once its direct cells, which need far more memory, are done
-    with share(slices, lambda: _slice_buffers(cal, h)):
+    with share(slices):
         cells = _direct_cells(cfg, schedule, n_guard, band) if validate else None
     pat = PatternTensor.solve(p, n_guard)
     if validate:

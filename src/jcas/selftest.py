@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelConfig, Target, echo_component, synthesize_rx
-from .receiver import WindowKind, _calibration, _responses, _slice_buffers, \
-    _steady_state_bound, build_pattern, deviation, process_sensing, \
-    slow_time_matched_filter, validate_pattern
+from .receiver import WindowKind, _calibration, _responses, _steady_state_bound, \
+    build_pattern, deviation, process_sensing, slow_time_matched_filter, \
+    validate_pattern
 from .scheduler import Schedule, Scheme, grid_size, make_schedule, \
     occasion_grid_indices
 from .util import substream
@@ -163,14 +163,14 @@ def check_determinism():
 
 def steady_state_deviation(cfg: WaveformConfig, schedule: Schedule
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """deviation(z_2, z_1) of the tail pattern's calibration symbols, with
-    symbol 2 transformed too, and the bound build_pattern checks instead;
-    both (window, hyp, band column)."""
+    """deviation(z_2, z_1) of the tail pattern's calibration symbols, the
+    pair transformed as symbols 0 and 1 of the calibration from symbol 1 on,
+    and the bound build_pattern checks instead; both (window, hyp, column)."""
     cal = _calibration(cfg, schedule)
-    band = cal.phase.shape[-1]
-    z = _responses(cfg, cal, slice(0, band), _slice_buffers(cal, band, symbols=3))
-    return (deviation(z[:, 2], z[:, 1], axis=-1),
-            _steady_state_bound(cal, z[:, 1], slice(0, band)))
+    cols = slice(0, cal.phase.shape[-1])
+    z = _responses(cfg, cal._replace(refs=cal.refs[:, 1:], phase=cal.phase[:, 1:],
+                                     probe_f=cal.probe_f[:, 1:]), cols)
+    return deviation(z[:, 1], z[:, 0], axis=-1), _steady_state_bound(cal, z[:, 0], cols)
 
 
 def check_pattern_calibration():

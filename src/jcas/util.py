@@ -4,10 +4,8 @@ constants, FFT sizes and the background worker."""
 import collections
 import concurrent.futures
 import contextlib
-import functools
 import hashlib
 import os
-import threading
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
@@ -76,29 +74,25 @@ def mps_to_kmh(v_mps: float) -> float:
 # releases the GIL beside the caller, on a second CPU if there is one. Work
 # reaches it only through Pending and share below, and never calls a function
 # that perfbench wraps: the tracer keeps one span stack, the caller's.
-_worker: concurrent.futures.ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+_worker: concurrent.futures.ThreadPoolExecutor
 
 
-def _forget_worker() -> None:
-    """A forked child has no copy of the worker thread, and an executor
-    that believes it has one would queue tasks forever: start afresh."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+def _start_worker() -> None:
+    """Make the one-thread executor; its thread starts with its first task.
+    A forked child has no copy of the worker thread, and an executor that
+    believes it has one would queue tasks forever: the child makes its own."""
+    global _worker
+    _worker = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="jcas-worker")
 
 
+_start_worker()
 if hasattr(os, "register_at_fork"):   # POSIX
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_start_worker)
 
 
 def background_worker() -> concurrent.futures.Executor:
-    """The shared one-thread executor, started on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = concurrent.futures.ThreadPoolExecutor(
-                1, thread_name_prefix="jcas-worker")
-        return _worker
+    """The shared one-thread executor."""
+    return _worker
 
 
 class Pending:
@@ -121,30 +115,28 @@ class Pending:
 
 
 @contextlib.contextmanager
-def share(tasks: Iterable[Callable[[Any], None]],
-          scratch: Callable[[], Any] = lambda: None) -> Iterator[None]:
+def share(tasks: Iterable[Callable[[], None]]) -> Iterator[None]:
     """Run tasks beside the with-block: the background worker takes them off
     one queue from entry on, and the caller takes the rest after the block.
-    Each thread calls its tasks with its own scratch(), both made on the
-    caller: the worker's at entry, the caller's after the block. The exit
-    waits until the worker's part has ended or been taken back; a failure in
-    the block or in any task raises from there, and no task starts after it."""
+    The exit waits until the worker's part has ended or been taken back; a
+    failure in the block or in any task raises from there, and no task
+    starts after it."""
     queue = collections.deque(tasks)
 
-    def run(buf: Any) -> None:
+    def run() -> None:
         try:
             while True:
                 try:
                     task = queue.popleft()
                 except IndexError:
                     return
-                task(buf)
+                task()
         finally:
             queue.clear()
-    helper = Pending(functools.partial(run, scratch()))
+    helper = Pending(run)
     try:
         yield
-        run(scratch())
+        run()
     finally:
         queue.clear()
         helper.result()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduler import Schedule, Scheme
+from .scheduler import Schedule, Scheme, grid_size
 
 
 @dataclass(frozen=True)
@@ -245,11 +245,9 @@ def random_qpsk(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def frame_len(cfg: WaveformConfig, schedule: Schedule) -> int:
-    """Samples in the transmit frame of a schedule: K symbols of N_CP + N
-    for the implanted schemes, M*K slots of L for the slotted ones."""
-    if schedule.scheme.is_fsi:
-        return schedule.k * cfg.symbol_len
-    return cfg.m_codes * schedule.k * cfg.l_occ
+    """Samples in the transmit frame of a schedule: its G occasions of L
+    samples, for every scheme (N_CP + N = (M + N_CP/L) L)."""
+    return grid_size(schedule, cfg) * cfg.l_occ
 
 
 def assemble_frame(cfg: WaveformConfig, schedule: Schedule,

@@ -68,7 +68,7 @@ class TestPending:
 class TestShare:
     def test_busy_worker_leaves_every_task_to_the_caller(self, block_worker):
         blocker, ran = block_worker(), []
-        with share([lambda _, i=i: ran.append((i, threading.get_ident()))
+        with share([lambda i=i: ran.append((i, threading.get_ident()))
                     for i in range(5)]):
             pass
         assert not blocker.done()   # not waited for behind the blocker
@@ -77,11 +77,11 @@ class TestShare:
     def test_failing_worker_task_raises_once_the_worker_stopped(self):
         ran = []
 
-        def fail(_):
+        def fail():
             ran.append(threading.get_ident())
             raise KeyError("task failed")
         with pytest.raises(KeyError, match="task failed"):
-            with share([fail, lambda _: ran.append("after")]):
+            with share([fail, lambda: ran.append("after")]):
                 background_worker().submit(int).result()   # queued behind fail
         assert len(ran) == 1 and ran[0] != threading.get_ident()
 
@@ -89,16 +89,16 @@ class TestShare:
     def test_failure_on_the_caller_waits_for_the_running_task(self, in_block):
         started, ran = threading.Event(), []
 
-        def slow(_):
+        def slow():
             started.set()
             time.sleep(0.2)
             ran.append("slow")
 
-        def fail(_=None):
+        def fail():
             ran.append("fail")
             raise KeyError("caller failed")
         with pytest.raises(KeyError, match="caller failed"):
-            with share([slow, fail, lambda _: ran.append("after")]):
+            with share([slow, fail, lambda: ran.append("after")]):
                 assert started.wait(20)
                 if in_block:
                     raise KeyError("caller failed")
@@ -108,11 +108,11 @@ class TestShare:
     def test_queued_helper_is_taken_back_on_a_failure(self, block_worker, in_block):
         blocker, ran = block_worker(), []
 
-        def fail(_=None):
+        def fail():
             ran.append("fail")
             raise KeyError
         with pytest.raises(KeyError):
-            with share([fail, ran.append]):
+            with share([fail, lambda: ran.append("after")]):
                 if in_block:
                     raise KeyError
         assert not blocker.done()
@@ -125,7 +125,7 @@ class TestShare:
 
         def caller(c):
             for r in range(20):
-                with share([lambda _, i=i: ran.append((c, r, i)) for i in range(8)]):
+                with share([lambda i=i: ran.append((c, r, i)) for i in range(8)]):
                     pass
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -145,7 +145,7 @@ class TestShare:
     def test_worker_is_idle_on_exit(self, fail):
         started, running = threading.Event(), []
 
-        def task(_):
+        def task():
             running.append(1)
             started.set()
             time.sleep(0.05)
@@ -156,16 +156,3 @@ class TestShare:
                 if fail:
                     raise KeyError
         assert running == []
-
-    def test_scratches_are_made_on_the_caller(self):
-        caller, made, used = threading.get_ident(), [], []
-
-        def scratch():
-            made.append(threading.get_ident())
-            return len(made)
-        with share([lambda buf: used.append((buf, threading.get_ident()))] * 4,
-                   scratch):
-            assert made == [caller]   # the worker's
-        assert made == [caller, caller]
-        assert len(used) == 4
-        assert all((buf == 2) == (ident == caller) for buf, ident in used)

@@ -5,6 +5,7 @@ from jcas import (Scheme, WaveformConfig, assemble_frame, make_base_set,
                   make_chirp, make_code_matrix, make_schedule,
                   make_sensing_waveforms, spread_and_assemble, substream,
                   transmit_constants, unitary_dft, unitary_idft)
+from jcas.scheduler import grid_size
 from jcas.waveform import frame_len, random_qpsk
 
 
@@ -275,9 +276,16 @@ class TestRandomQpsk:
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_frame_len_is_the_assembled_length(cfg_small, scheme):
-    sched = make_schedule(scheme, cfg_small.m_codes, 5, rng=substream(2, "s"))
-    frame = assemble_frame(cfg_small, sched, rng=substream(2, "p"))
-    assert len(frame) == frame_len(cfg_small, sched)
+    # a frame is G occasions of L samples: N + N_CP = (M + N_CP/L) L
+    for cp_occasions in 0, 1, 2:
+        cfg = WaveformConfig(n_fft=cfg_small.n_fft, m_codes=cfg_small.m_codes,
+                             n_cp=cp_occasions * cfg_small.l_occ, scs_hz=cfg_small.scs_hz)
+        sched = make_schedule(scheme, cfg.m_codes, 5, rng=substream(2, "s"))
+        frame = assemble_frame(cfg, sched, rng=substream(2, "p"))
+        want = sched.k * (cfg.n_cp + cfg.n_fft) if scheme.is_fsi \
+            else cfg.m_codes * sched.k * cfg.l_occ
+        assert len(frame) == frame_len(cfg, sched) == want
+        assert want == grid_size(sched, cfg) * cfg.l_occ
 
 
 class TestTransmitConstants:
