@@ -42,14 +42,26 @@ def write_rd_binary(path: Path, values: np.ndarray) -> None:
 
 
 def read_rd_binary(path: Path) -> np.ndarray:
+    """The (rows, cols) map of an RDMX file (write_rd_binary). A file that
+    is not RDMX, of another version, or cut short or overlong is a
+    ValueError."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError("not an RDMX file")
-        version, rows, cols = struct.unpack("<HII", f.read(10))
+        header = f.read(10)
+        if len(header) != 10:
+            raise ValueError(f"truncated RDMX file {path}: "
+                             f"{4 + len(header)} bytes of its 14-byte header")
+        version, rows, cols = struct.unpack("<HII", header)
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported RDMX version {version}")
-        data = np.frombuffer(f.read(), dtype="<c16")
-    return data.reshape(rows, cols)
+        data = f.read()
+    want = rows * cols * 16
+    if len(data) != want:
+        raise ValueError(f"{'truncated' if len(data) < want else 'overlong'} RDMX file "
+                         f"{path}: {len(data)} bytes of data, not the {want} of a "
+                         f"{rows}x{cols} map")
+    return np.frombuffer(data, dtype="<c16").reshape(rows, cols)
 
 
 CSV_BLOCK_CELLS = 16384   # cells formatted at a time; bounds the writer's memory

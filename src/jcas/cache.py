@@ -49,35 +49,10 @@ class CacheError(OSError):
 
 
 # The last pattern this process loaded from disk, with the identity of its
-# file: (path, st_dev, st_ino, st_mtime_ns, st_size), and the shape and guard
-# it was checked and solved for. Every store and every rebuild drops it, so a
-# rewritten file is read again, never served stale.
+# file: (path, st_dev, st_ino, st_mtime_ns, st_size); the path's hash fixes
+# the shape and guard it was checked and solved for. Every store and every
+# rebuild drops it, so a rewritten file is read again, never served stale.
 _pattern_memo: tuple[tuple, receiver.PatternTensor] | None = None
-
-
-def _read_pattern(path: Path, shape: tuple, n_guard: int) -> receiver.PatternTensor:
-    """The pattern stored at path, solved, with read-only arrays: the
-    memoized one if the file is the one it was loaded from, else read and
-    memoized. A stored p that is not complex of the given shape is a
-    ValueError."""
-    global _pattern_memo
-    memo = _pattern_memo   # one read: preset threads may swap the entry
-    with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        key = (os.fspath(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size,
-               shape, n_guard)
-        if memo is not None and memo[0] == key:
-            return replace(memo[1])
-        _pattern_memo = None
-        with np.load(f) as z:
-            p = z["p"]
-    if p.dtype != complex or p.shape != shape:
-        raise ValueError("the cached pattern does not fit the scenario")
-    pat = receiver.PatternTensor.solve(p, n_guard)
-    for a in (pat.p, pat.p_sol, pat.resolvable):
-        a.flags.writeable = False
-    _pattern_memo = (key, replace(pat))
-    return pat
 
 
 def load_or_build_pattern(scn, schedule: Schedule,
@@ -94,13 +69,27 @@ def load_or_build_pattern(scn, schedule: Schedule,
     path = pattern_path(scn)
     if not validate:
         try:
-            return _read_pattern(path, (cfg.l_occ, unambiguous_band(schedule), 2, 2),
-                                 scn.n_guard)
+            with open(path, "rb") as f:
+                st = os.fstat(f.fileno())
+                key = (os.fspath(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+                memo = _pattern_memo   # one read: preset threads may swap the entry
+                if memo is not None and memo[0] == key:
+                    return replace(memo[1])
+                memo = _pattern_memo = None   # the local too: a build may follow
+                with np.load(f) as z:
+                    p = z["p"]
+            if p.dtype != complex or p.shape != (cfg.l_occ, unambiguous_band(schedule), 2, 2):
+                raise ValueError("the cached pattern does not fit the scenario")
+            pat = receiver.PatternTensor.solve(p, scn.n_guard)
+            for a in (pat.p, pat.p_sol, pat.resolvable):
+                a.flags.writeable = False
+            _pattern_memo = (key, replace(pat))
+            return pat
         except (OSError, KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile):
             pass
     # the file is rewritten from here on, so the entry goes first; the build
     # runs outside the handler, whose traceback would keep the failed load's
-    # frames, and through them the entry, alive
+    # frames alive
     _pattern_memo = None
     pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard, validate=validate)
     try:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import ctypes
 import json
 import math
 import numbers
@@ -38,34 +37,6 @@ from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
 from .scheduler import Scheme, grid_size, make_schedule, unambiguous_band
 from .util import check_db, kmh_to_mps, substream
 from .waveform import WaveformConfig, assemble_frame, frame_len
-
-
-def _retain_freed_heap() -> None:
-    """Keep the memory a run frees in the process for the next run (glibc).
-
-    A run allocates and frees tens of MB of arrays. With glibc's default,
-    adaptive thresholds the freed top of the heap goes back to the kernel
-    after each run, and the next run faults every page in again, zeroed:
-    some 6,000 page faults and a quarter of a fig6 run's time. Fixed
-    thresholds keep arrays under 32 MB on the heap and up to 256 MB of its
-    free top in the process. Nothing is changed when the allocator is tuned
-    through the environment.
-    """
-    if any(v in os.environ for v in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
-                                     "MALLOC_MMAP_THRESHOLD_")):
-        return
-    try:
-        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ValueError, OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
-
-
-_retain_freed_heap()
 
 
 class ScenarioError(ValueError):

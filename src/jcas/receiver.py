@@ -534,7 +534,8 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     buffers it allocates on its thread. With ``validate``, the caller first
     computes the cells that validate_pattern checks through the direct
     pipeline, while the worker builds, and the pattern is checked against
-    them as validate_pattern does.
+    them as validate_pattern does, and returned with the worst deviation
+    as ``validation_error``.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
@@ -549,7 +550,7 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
         cells = _direct_cells(cfg, schedule, n_guard, band) if validate else None
     pat = PatternTensor.solve(p, n_guard)
     if validate:
-        _check_cells(pat, cells)
+        pat.validation_error = _check_cells(pat, cells)
     return pat
 
 
@@ -595,11 +596,10 @@ def _direct_cells(cfg: WaveformConfig, schedule: Schedule, n_guard: int,
 
 def _check_cells(pat: PatternTensor, cells: list[tuple],
                  tol: float = VALIDATION_TOL) -> float:
-    """The worst deviation of pat.p from the direct cells, recorded on pat;
-    a RuntimeError if it is above tol or NaN."""
+    """The worst deviation of pat.p from the direct cells; a RuntimeError
+    if it is above tol or NaN."""
     worst = float(np.max([deviation(pat.p[d_bin, col, :, hyp], direct)
                           for d_bin, col, hyp, direct in cells], initial=0.0))
-    pat.validation_error = worst
     if not worst <= tol:   # a NaN deviation fails too
         raise RuntimeError(f"pattern validation failed: deviation {worst:.2e}")
     return worst
@@ -609,7 +609,7 @@ def validate_pattern(pat: PatternTensor, cfg: WaveformConfig,
                      schedule: Schedule, n_cells: int = 3,
                      tol: float = VALIDATION_TOL) -> float:
     """Spot-check the fast calibration against the direct pipeline: the worst
-    deviation over the sampled cells, recorded on the tensor."""
+    deviation over the sampled cells."""
     return _check_cells(pat, _direct_cells(cfg, schedule, pat.n_guard, pat.band,
                                            n_cells), tol)
 

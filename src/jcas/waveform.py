@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheduler import Schedule, Scheme, grid_size
+from .util import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,6 @@ class WaveformConfig:
 
     @property
     def wavelength_m(self) -> float:
-        from .util import SPEED_OF_LIGHT
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
@@ -296,7 +296,7 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     scheduled[list(schedule.slots)] = True
     n_data = int(n_slots - scheduled.sum())
     if payload is None:
-        if rng is None or scheme is Scheme.SENSING_ONLY:
+        if rng is None:
             payload = np.zeros((n_data, cfg.l_occ), dtype=complex)
         else:
             payload = random_qpsk(rng, (n_data, cfg.l_occ))

@@ -28,6 +28,16 @@ class TestRdmxFormat:
         artifacts.write_rd_binary(path, vals)
         np.testing.assert_array_equal(artifacts.read_rd_binary(path), vals)
 
+    @pytest.mark.parametrize("size", [6, 14, 20, 14 + 3 * 4 * 16 + 16])
+    def test_truncated_or_overlong_file_is_named(self, tmp_path, rng, size):
+        path = tmp_path / "t.bin"
+        artifacts.write_rd_binary(path, rng.normal(size=(3, 4)) + 0j)
+        raw = path.read_bytes()
+        path.write_bytes((raw + bytes(16))[:size])
+        kind = "overlong" if size > len(raw) else "truncated"
+        with pytest.raises(ValueError, match=f"^{kind} RDMX file .*t.bin"):
+            artifacts.read_rd_binary(path)
+
     def test_csv_agrees_with_binary(self, tmp_path, rng):
         vals = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         artifacts.write_rd_binary(tmp_path / "z.bin", vals)

@@ -771,6 +771,29 @@ class TestCliMain:
         # glibc's adaptive defaults fault ~5,400 pages back in on every run
         assert faults[2] < 500, f"minor faults of the three runs: {faults}"
 
+    @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
+                        reason="heap thresholds are set on glibc only")
+    def test_library_import_reuses_freed_heap(self):
+        # the thresholds are set by importing any jcas module, not the CLI alone
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
+                            "MALLOC_MMAP_THRESHOLD_")}
+        code = ("import resource, sys; from jcas import receiver\n"
+                "assert 'jcas.cli' not in sys.modules\n"
+                "cfg = receiver.WaveformConfig()\n"
+                "sched = receiver.make_schedule(receiver.Scheme.FSI_TAIL, cfg.m_codes, 64)\n"
+                "for _ in range(3):\n"
+                "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    receiver.build_pattern(cfg, sched)\n"
+                "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env={**env, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        # glibc's adaptive defaults fault ~1,400 pages back in on every fig7 build
+        assert faults[2] < 200, f"minor faults of the three builds: {faults}"
+
     @settings(max_examples=100, deadline=None)
     @given(st.builds(lambda grid, rest: {**grid, **rest}, _grids(), st.fixed_dictionaries(
         {}, optional={name: f for name, f in MOSTLY_VALID.items() if name not in GRID})))

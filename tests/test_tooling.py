@@ -1,5 +1,6 @@
 """The names the benchmark in perfbench/ looks up in jcas exist, and the
-background worker is reached only through jcas.util.
+background worker is reached, and process-wide settings made, only through
+jcas.util.
 
 perfbench wraps layers and calls entry points by module attribute, and its
 probes read the wrapped calls' arguments by name, so a name moved or
@@ -126,6 +127,16 @@ def test_the_worker_is_reached_through_pending_and_share_only():
              for call in ("background_worker(", ".submit(", "Pending(")}
     assert users == {"background_worker(": ["util.py"], ".submit(": ["util.py"],
                      "Pending(": ["channel.py", "util.py"]}
+
+
+def test_process_wide_settings_are_made_in_util_only():
+    # the heap thresholds and the worker's fork handler are set by importing
+    # any jcas module, because util is where they are made
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    users = {word: sorted(name for name, text in sources.items()
+                          if re.search(rf"\b{word}\b", text))
+             for word in ("ctypes", "mallopt", "register_at_fork")}
+    assert users == {word: ["util.py"] for word in users}
 
 
 def test_only_the_map_takes_the_magnitude_of_its_values():
