@@ -7,8 +7,9 @@ Verbs:
     selftest                   run the invariant suite
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario validation error (or
-a --threads below 1, or a cache directory that calibrate cannot store in),
-3 unresolvable pattern bins (simulate, preset and calibrate alike).
+a --threads below 1, a cache directory that calibrate cannot store in, or
+an output directory that simulate or preset cannot write), 3 unresolvable
+pattern bins (simulate, preset and calibrate alike).
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                "str": str, "list": list}
 
 
+def _admits(kind: str, v) -> bool:
+    """Whether a value annotated kind ("int", "float", ...) may be v."""
+    ok = isinstance(v, FIELD_TYPES[kind])
+    if kind in ("int", "float"):   # bool is an int; JSON admits NaN
+        ok = ok and not isinstance(v, bool) and -math.inf < v < math.inf
+    return ok
+
+
 @dataclass
 class Scenario:
     """One fully-resolved simulation run (paper defaults baked in)."""
@@ -81,12 +90,7 @@ class Scenario:
         for f in fields(self):
             v = getattr(self, f.name)
             kind, _, optional = f.type.partition(" | ")
-            if v is None and optional:
-                continue
-            ok = isinstance(v, FIELD_TYPES[kind])
-            if kind in ("int", "float"):   # bool is an int; JSON admits NaN
-                ok = ok and not isinstance(v, bool) and -math.inf < v < math.inf
-            if not ok:
+            if not (v is None and optional or _admits(kind, v)):
                 raise ScenarioError(f"{f.name} must be {f.type}, not {v!r}")
         try:
             self.scheme_enum = Scheme(self.scheme)
@@ -101,12 +105,15 @@ class Scenario:
         if self.tag is not None and any(
                 c and c in self.tag for c in ("/", os.sep, os.altsep, "\0")):
             raise ScenarioError(f"tag must be a plain file name, not {self.tag!r}")
-        for t in self.targets:
+        for i, t in enumerate(self.targets):
             if not isinstance(t, dict) or not {"range_m", "velocity_kmh"} <= t.keys():
                 raise ScenarioError("each target needs range_m and velocity_kmh")
             unknown = t.keys() - {"range_m", "velocity_kmh", "amplitude"}
             if unknown:
                 raise ScenarioError(f"unknown target keys: {sorted(unknown, key=str)}")
+            for key, v in t.items():   # each a float
+                if not _admits("float", v):
+                    raise ScenarioError(f"targets[{i}].{key} must be float, not {v!r}")
         try:
             cfg = self.waveform_config()
             for t in self.target_list():
@@ -117,8 +124,9 @@ class Scenario:
             receiver.check_n_guard(self.n_guard, cfg.l_occ)
             receiver.check_cleanup_radius(self.cleanup_radius)
             detect.check_peak_args(self.rel_threshold, self.max_peaks, self.guard)
-        # MemoryError: a size whose buffers cannot be allocated
-        except (TypeError, ValueError, MemoryError) as e:
+        # MemoryError: a size whose buffers cannot be allocated; OverflowError:
+        # an integer too large for a float
+        except (TypeError, ValueError, OverflowError, MemoryError) as e:
             raise ScenarioError(str(e) or "out of memory")
 
     @classmethod
@@ -376,6 +384,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CacheError as e:   # calibrate's; simulate runs on without the file
         print(f"cache error: {e}", file=sys.stderr)
+        return 2
+    # what is left of OSError: simulate and preset writing their artifacts
+    # (the scenario's reader and the cache handle their own)
+    except OSError as e:
+        print(f"output error: cannot write {args.out_dir}: {e.strerror or e}",
+              file=sys.stderr)
         return 2
     return 3 if any(r["flagged_pattern_bins"] for r in reports) else 0
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import Target
 from .receiver import RdMatrix, signed_bin
@@ -40,34 +39,6 @@ def check_peak_args(rel_threshold: float, max_peaks: int | None, guard: int) -> 
         raise ValueError("guard must be >= 0")
 
 
-def _neighborhood_max(rd: RdMatrix, power: np.ndarray, cells: np.ndarray,
-                      guard: int) -> np.ndarray:
-    """Max of power, rd's, over the (2*guard+1)^2 neighborhood of each (row,
-    col) in cells by rd.neighborhood's rule: rows clip, columns wrap.
-
-    The few cells of a real map are gathered directly, a block at a time;
-    when that would cost more, two separable sliding-window passes cover
-    the whole map, where clipped rows repeat and a guard past the map's
-    width takes in every column.
-    """
-    n_rows, n_cols = power.shape
-    g_rows = min(guard, n_rows - 1)
-    n_r, n_c = 2 * g_rows + 1, min(2 * guard + 1, n_cols)
-    if len(cells) * n_r * n_c > power.size * (n_r + n_c):
-        near = sliding_window_view(np.pad(power, ((g_rows, g_rows), (0, 0)),
-                                          mode="edge"), n_r, axis=0).max(axis=-1)
-        if n_c < n_cols:
-            near = sliding_window_view(np.pad(near, ((0, 0), (guard, guard)),
-                                              mode="wrap"), n_c, axis=1).max(axis=-1)
-        else:
-            near = near.max(axis=1, keepdims=True)
-        return near[cells[:, 0], cells[:, 1] % near.shape[1]]
-    out = np.empty(len(cells))
-    for block, index in rd.neighborhood_blocks(*cells.T, guard, guard):
-        out[block] = power[index].max(axis=(1, 2))
-    return out
-
-
 def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
                max_peaks: int | None = None, guard: int = 2
                ) -> list[Detection]:
@@ -75,8 +46,10 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
 
     A cell is a peak when it dominates its (2*guard+1)^2 neighborhood
     (Doppler wraps, range clips) and its normalized power exceeds
-    rel_threshold. Ties break toward lower range bin, then lower signed
-    Doppler bin. The power is the square of rd's one magnitude.
+    rel_threshold; each candidate's neighborhood is indexed by rd's one
+    rule, rd.neighborhood_blocks, a bounded block of candidates at a time.
+    Ties break toward lower range bin, then lower signed Doppler bin. The
+    power is the square of rd's one magnitude.
     """
     check_peak_args(rel_threshold, max_peaks, guard)
     power = rd.magnitude ** 2
@@ -86,7 +59,10 @@ def find_peaks(rd: RdMatrix, rel_threshold: float = 0.05,
     if peak_max == 0:
         return []
     hits = np.argwhere(power >= rel_threshold * peak_max)
-    hits = hits[power[tuple(hits.T)] >= _neighborhood_max(rd, power, hits, guard)]
+    near = np.empty(len(hits))
+    for block, index in rd.neighborhood_blocks(*hits.T, guard, guard):
+        near[block] = power[index].max(axis=(1, 2))
+    hits = hits[power[tuple(hits.T)] >= near]
     d, c = hits.T
     norm = power[d, c] / peak_max
     bins = signed_bin(c, rd.n_doppler)

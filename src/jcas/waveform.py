@@ -268,43 +268,34 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
         raise ValueError("schedule and config disagree on M")
     chirp, codes, _ = transmit_constants(cfg)
     scheme = schedule.scheme
+    if scheme.is_fsi:
+        shape = (schedule.k, cfg.m_codes - 1, cfg.l_occ)
+    else:   # M*K slots of length L, the unscheduled ones carrying data
+        n_slots = cfg.m_codes * schedule.k
+        scheduled = np.zeros(n_slots, dtype=bool)
+        scheduled[list(schedule.slots)] = True
+        shape = (int(n_slots - scheduled.sum()), cfg.l_occ)
+    if payload is None:
+        payload = np.zeros(shape, dtype=complex) if rng is None \
+            else random_qpsk(rng, shape)
+    payload = np.asarray(payload, dtype=complex)
+    if payload.shape != shape:
+        raise ValueError(f"payload shape {payload.shape} does not fit the "
+                         f"{scheme.value} frame's {shape}")
+    out = np.empty(frame_len(cfg, schedule), dtype=complex)
 
     if scheme.is_fsi:
-        k_syms = schedule.k
-        shape = (k_syms, cfg.m_codes - 1, cfg.l_occ)
-        if payload is None:
-            payload = np.zeros(shape, dtype=complex) if rng is None \
-                else random_qpsk(rng, shape)
-        payload = np.asarray(payload, dtype=complex)
-        if payload.shape != shape:
-            raise ValueError("payload shape mismatch for implanted-OFDM frame")
-        out = np.empty(frame_len(cfg, schedule), dtype=complex)
-        frame = out.reshape(k_syms, -1)
+        frame = out.reshape(schedule.k, -1)
         body = frame[:, cfg.n_cp:]
         _spread(body, codes, np.asarray(schedule.alpha),
                 unitary_dft(chirp), payload)
         # in place: IDFT, the per-symbol rotation, then the CP
         np.fft.ifft(body, axis=-1, out=body)
         body *= np.sqrt(cfg.n_fft)
-        body *= symbol_rotation(np.arange(k_syms), cfg.m_codes, scheme)[:, None]
+        body *= symbol_rotation(np.arange(schedule.k), cfg.m_codes, scheme)[:, None]
         frame[:, :cfg.n_cp] = body[:, cfg.n_fft - cfg.n_cp:]
         return out
 
-    # slotted schemes: M*K slots of length L
-    n_slots = cfg.m_codes * schedule.k
-    scheduled = np.zeros(n_slots, dtype=bool)
-    scheduled[list(schedule.slots)] = True
-    n_data = int(n_slots - scheduled.sum())
-    if payload is None:
-        if rng is None:
-            payload = np.zeros((n_data, cfg.l_occ), dtype=complex)
-        else:
-            payload = random_qpsk(rng, (n_data, cfg.l_occ))
-    payload = np.asarray(payload, dtype=complex)
-    if payload.shape != (n_data, cfg.l_occ):
-        raise ValueError("payload shape mismatch for slotted frame")
-
-    out = np.empty(frame_len(cfg, schedule), dtype=complex)
     frame = out.reshape(n_slots, -1)
     frame[scheduled] = chirp
     frame[~scheduled] = unitary_idft(payload)

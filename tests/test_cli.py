@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import threading
 import weakref
+from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from jcas import cache, channel, cli, detect, receiver, selftest
 from jcas.cli import Scenario, ScenarioError, run_preset, run_simulate
+from jcas.util import kmh_to_mps
 
 
 # a small tail-mode scenario: its pattern builds in milliseconds
@@ -122,6 +125,23 @@ class TestScenario:
     def test_bad_target(self):
         with pytest.raises(ScenarioError):
             Scenario(scheme="rtd", targets=[{"range_m": 10.0}])
+
+    @pytest.mark.parametrize("key", ["range_m", "velocity_kmh", "amplitude"])
+    @pytest.mark.parametrize("bad", ["100", True, False, float("nan"), float("inf"),
+                                     None, [1.0]])
+    def test_target_numbers_follow_the_field_rule(self, key, bad):
+        # a finite int or float, not a bool: the rule every number field keeps
+        t = {"range_m": 100, "velocity_kmh": -50.5, "amplitude": 2, key: bad}
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"targets[1].{key} must be float, not {bad!r}")):
+            Scenario(scheme="rtd", targets=[{"range_m": 10.0, "velocity_kmh": 0}, t])
+
+    def test_int_and_float_targets_are_accepted(self):
+        scn = Scenario(scheme="rtd", targets=[
+            {"range_m": 100, "velocity_kmh": -50, "amplitude": 2},
+            {"range_m": 100.5, "velocity_kmh": 0.0, "amplitude": 0.5}])
+        assert [astuple(t) for t in scn.target_list()] == [
+            (100.0, kmh_to_mps(-50.0), 2.0), (100.5, 0.0, 0.5)]
 
     def test_bad_grid(self):
         with pytest.raises(ScenarioError):
@@ -673,6 +693,11 @@ class TestCliMain:
         {"si_over_echo_db": 3000, "echo_snr_db": -3000,
          "targets": [{"range_m": 10, "velocity_kmh": 0, "amplitude": 1e150}]},
         {"targets": [{"range_m": 10, "velocity_kmh": 0, "amplitud": 0.1}]},
+        {"targets": [{"range_m": "100", "velocity_kmh": 0}]},
+        {"targets": [{"range_m": True, "velocity_kmh": 0}]},
+        {"targets": [{"range_m": 10, "velocity_kmh": 0, "amplitude": "2"}]},
+        {"targets": [{"range_m": 10, "velocity_kmh": float("nan")}]},
+        {"targets": [{"range_m": 10 ** 400, "velocity_kmh": 0}]},
         pytest.param('{"scheme": "rtd", "k": 1', id="truncated_json"),
         pytest.param("[]", id="not_an_object"),
         pytest.param(None, id="missing_file")])
@@ -687,6 +712,23 @@ class TestCliMain:
                              str(scn_file)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, small_scenario,
+                                      threads, below):
+        scn_file = tmp_path / "scn.json"
+        scn_file.write_text(json.dumps(small_scenario.to_dict()))
+        (tmp_path / "file").write_text("")
+        out, reason = (tmp_path / "file" / "sub", "Not a directory") if below \
+            else (tmp_path / "file", "File exists")
+        for verb in (["simulate", str(scn_file)], ["preset", "fig6"]):
+            assert cli.main(["--threads", threads, "--out-dir", str(out), *verb]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"output error: cannot write {out}: {reason}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["file", "scn.json"]
+        assert (tmp_path / "file").read_text() == ""
 
     def test_seed_flag_is_validated(self, tmp_path, small_scenario):
         scn_file = tmp_path / "scn.json"
@@ -712,6 +754,16 @@ class TestCliMain:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error:")
+
+    def test_entry_point_unusable_out_dir_exit_2(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "jcas.cli", "--out-dir",
+                               "file/sub", "preset", "fig7"], capture_output=True,
+                              text=True, cwd=tmp_path, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr == "output error: cannot write file/sub: Not a directory\n"
 
     @pytest.mark.parametrize("scn", [
         pytest.param({"scheme": "rtd", "n_fft": 2**40, "n_cp": 0}, id="n_fft"),

@@ -121,9 +121,10 @@ class TestFindPeaksOracle:
             got = find_peaks(rd, rel_threshold, max_peaks, guard)
         assert got == peaks_oracle(rd, rel_threshold, max_peaks, guard)
 
-    def test_dense_candidates_take_the_whole_map_pass(self, cfg, rng):
-        # a noise map at a low threshold: most cells pass, and the
-        # separable passes run instead of per-cell gathers
+    def test_dense_candidates_match_the_oracle(self, cfg, rng):
+        # a noise map at a low threshold: most cells pass, their
+        # neighborhoods gathered a block at a time, the guards reaching from
+        # one cell to past the map's rows and columns
         values = rng.normal(size=(64, 40)) + 1j * rng.normal(size=(64, 40))
         rd = RdMatrix(values=values, grid_size=40, cfg=cfg)
         for guard in (1, 2, 19, 20, 70):

@@ -1,6 +1,6 @@
-"""The names the benchmark in perfbench/ looks up in jcas exist, and the
+"""The names the benchmark in perfbench/ looks up in jcas exist, the
 background worker is reached, and process-wide settings made, only through
-jcas.util.
+jcas.util, and a map's neighborhood rule is written once.
 
 perfbench wraps layers and calls entry points by module attribute, and its
 probes read the wrapped calls' arguments by name, so a name moved or
@@ -146,3 +146,14 @@ def test_only_the_map_takes_the_magnitude_of_its_values():
     takers = sorted(name for name, text in sources.items()
                     if re.search(r"np\.abs\(\s*[\w.]*\.values\s*[,)]", text))
     assert takers == ["receiver.py"]
+
+
+def test_the_window_rule_is_written_once():
+    # a map's clip/wrap neighborhood is RdMatrix.neighborhood's alone, so no
+    # module pads a map; the one sliding window is capture_windows' view of
+    # the receive samples
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    users = {word: sorted(name for name, text in sources.items()
+                          if re.search(rf"\b{word}\b", text))
+             for word in (r"np\.pad", "sliding_window_view")}
+    assert users == {r"np\.pad": [], "sliding_window_view": ["receiver.py"]}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -253,10 +255,19 @@ class TestAssembleFrame:
         assert frames[0].tobytes() == frames[1].tobytes()
 
     def test_payload_size_mismatch(self, cfg_small, rng):
-        sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, 4, rng=rng)
-        with pytest.raises(ValueError):
-            assemble_frame(cfg_small, sched,
-                           payload=np.zeros((3, 3, cfg_small.l_occ)))
+        # both frame kinds: (K, M-1, L) implanted, (data slots, L) slotted; a
+        # zero payload of that shape is the frame drawn without an rng
+        m, l = cfg_small.m_codes, cfg_small.l_occ
+        for scheme in (Scheme.FSI_RANDOM, Scheme.RTD):
+            sched = make_schedule(scheme, m, 4, rng=rng)
+            want = (4, m - 1, l) if scheme.is_fsi else (4 * m - len(set(sched.slots)), l)
+            assert assemble_frame(cfg_small, sched, payload=np.zeros(want)).tobytes() \
+                == assemble_frame(cfg_small, sched).tobytes()
+            for bad in ((3, m - 1, l), want[:-1] + (l + 1,), want[1:]):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"payload shape {bad} does not fit the {scheme.value} "
+                        f"frame's {want}")):
+                    assemble_frame(cfg_small, sched, payload=np.zeros(bad))
 
 
 def qpsk_oracle(rng, size):
