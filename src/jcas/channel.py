@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ def target_to_delay_doppler(t: Target, carrier_hz: float, t_s: float
     return delay, doppler
 
 
+ECHO_BLOCK_SAMPLES = 1 << 13   # frame samples of an echo's ramp made at a time
+
+
 def doppler_ramp(doppler_hz: float, t_s: float, stop: int, start: int = 0,
                  scale: complex = 1.0) -> np.ndarray:
     """scale * e^{j2pi f t_s i} for the sample indices i in [start, stop).
@@ -64,37 +68,55 @@ def doppler_ramp(doppler_hz: float, t_s: float, stop: int, start: int = 0,
     one complex exponential. theta B a and theta b are each rounded once,
     as theta i is in the direct form.
     """
+    (_, ramp), = _ramp_pieces(doppler_hz, t_s, stop, start, scale, None)
+    return ramp
+
+
+def _ramp_pieces(doppler_hz: float, t_s: float, stop: int, start: int,
+                 scale: complex, samples: int | None
+                 ) -> Iterator[tuple[int, np.ndarray]]:
+    """doppler_ramp over [start, stop) in consecutive pieces of samples
+    samples (all of it in one piece for None, an empty ramp too): (first
+    index, piece) pairs. Each piece is made from the rows of the outer
+    product that cover it, so every sample is the product doppler_ramp
+    gives it."""
     theta = 2 * np.pi * doppler_hz * t_s
     block = max(math.isqrt(stop), 1)
     a0 = start // block
     coarse = np.exp(1j * theta * (np.arange(a0, (stop - 1) // block + 1) * block))
     coarse *= scale
     fine = np.exp(1j * theta * np.arange(block))
-    ramp = np.multiply.outer(coarse, fine).reshape(-1)
-    return ramp[start - a0 * block:stop - a0 * block]
+    step = max(stop - start if samples is None else samples, 1)
+    for i in range(start, max(stop, start + 1), step):
+        j = min(i + step, stop)
+        r0, r1 = i // block - a0, (j - 1) // block + 1 - a0
+        ramp = np.multiply.outer(coarse[r0:r1], fine).reshape(-1)
+        yield i, ramp[i - (a0 + r0) * block:j - (a0 + r0) * block]
 
 
 def _add_echo(rx: np.ndarray, tx: np.ndarray, delay_samples: float,
               doppler_hz: float, amplitude: float, t_s: float,
               fractional: bool) -> None:
-    """rx += the echo of tx (see echo_component), in place."""
+    """rx += the echo of tx (see echo_component), in place, its Doppler ramp
+    made and applied ECHO_BLOCK_SAMPLES samples at a time."""
     n = len(tx)
     if not delay_samples < n:   # beyond the frame: no echo in either mode
         return
+    pieces = functools.partial(_ramp_pieces, doppler_hz, t_s, n,
+                               scale=amplitude, samples=ECHO_BLOCK_SAMPLES)
     if fractional:
         # zero-padded past the delayed end, so nothing wraps to the front
         size = next_fast_len(n + math.ceil(delay_samples))
         spec = np.fft.fft(tx, size)
         spec *= np.exp(-2j * np.pi * np.fft.fftfreq(size) * delay_samples)
-        echo = np.fft.ifft(spec, out=spec)[:n]
-        echo *= doppler_ramp(doppler_hz, t_s, n, scale=amplitude)
-        rx += echo
+        echo = np.fft.ifft(spec, out=spec)
+        for i, ramp in pieces(start=0):
+            rx[i:i + len(ramp)] += echo[i:i + len(ramp)] * ramp
         return
     d = int(round(delay_samples))
     if d < n:
-        ramp = doppler_ramp(doppler_hz, t_s, n, start=d, scale=amplitude)
-        ramp *= tx[:n - d]
-        rx[d:] += ramp
+        for i, ramp in pieces(start=d):
+            rx[i:i + len(ramp)] += ramp * tx[i - d:i - d + len(ramp)]
 
 
 def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,

@@ -116,6 +116,16 @@ class Scenario:
                     raise ScenarioError(f"targets[{i}].{key} must be float, not {v!r}")
         try:
             cfg = self.waveform_config()
+            # the frame's G L samples of 16 bytes, and every buffer as large
+            # (the noise draws, a map), need a size that fits an np.intp: K
+            # symbols of N + N_CP samples implanted, M K slots of L slotted
+            symbol = cfg.symbol_len if self.scheme_enum.is_fsi else cfg.n_fft
+            limit = np.iinfo(np.intp).max // 16
+            for name, what, samples in (("n_fft", "a symbol", symbol),
+                                        ("k", "the frame", self.k * symbol)):
+                if samples > limit:
+                    raise ValueError(f"{name} too large: {what} of {samples} samples "
+                                     f"passes the {limit} an array can hold")
             for t in self.target_list():
                 target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
             self.channel_config()
@@ -186,13 +196,23 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              rng=substream(scn.seed, f"{tag}/schedule"),
                              one_per_group=scn.rtd_one_per_group,
                              seed=scn.seed)
+    # Each frame-size array lives only while it is read. The link runs first,
+    # while no sensing frame or map is alive (its substreams are its own);
+    # the noise draws and tx go with the channel, rx with the sensing chain.
+    ber = evm = None
+    if scn.comms_enabled and scheme.is_fsi:
+        ber, evm = comms.run_link(
+            cfg, schedule, substream(scn.seed, f"{tag}/bits").integers(
+                0, 2, 2 * (cfg.m_codes - 1) * cfg.l_occ * scn.k),
+            snr_db=scn.comms_snr_db, rng=substream(scn.seed, f"{tag}/comms-noise"))
+
     cc = scn.channel_config()
     noise = start_noise(substream(scn.seed, f"{tag}/noise"),
                         frame_len(cfg, schedule)) if cc.noise_enabled else None
     tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         rx = synthesize_rx(tx, scn.target_list(), cc, cfg, noise)
-    del noise   # it holds the draws, a frame's worth of memory
+    del noise, tx
     if not np.isfinite(rx).all():
         raise ScenarioError("the receive samples overflow: reduce the SI, "
                             "noise or target levels")
@@ -222,17 +242,10 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                                       receiver.WindowKind.STANDARD, scn.n_guard)
         name = "single"
         maps = {name: (rd, ...)}
+    del rx
 
     dets = detect.find_peaks(rd, scn.rel_threshold, scn.max_peaks, scn.guard)
     evaluation = detect.evaluate(dets, scn.target_list(), rd)
-
-    ber = evm = None
-    if scn.comms_enabled and scheme.is_fsi:
-        link_bits = substream(scn.seed, f"{tag}/bits").integers(
-            0, 2, 2 * (cfg.m_codes - 1) * cfg.l_occ * scn.k)
-        ber, evm = comms.run_link(cfg, schedule, link_bits,
-                                  snr_db=scn.comms_snr_db,
-                                  rng=substream(scn.seed, f"{tag}/comms-noise"))
 
     # the CSV of near or far, whichever holds the combined map's peak, is its
     # rows of the combined CSV, which is written first

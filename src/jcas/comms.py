@@ -81,7 +81,7 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
         add_noise(rx, np.sqrt(10 ** (-snr_db / 10) / 2), rng)
 
     bodies = rx.reshape(k, cfg.symbol_len)[:, cfg.n_cp:]
-    bodies[...] = unitary_dft(bodies)
+    unitary_dft(bodies, out=bodies)
     bodies *= np.conj(symbol_rotation(np.arange(k), m, schedule.scheme))[:, None]
     _, codes, _ = transmit_constants(cfg)
     data = _code_estimates(bodies, codes, data_codes(schedule.alpha, m))

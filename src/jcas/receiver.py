@@ -172,15 +172,17 @@ def check_n_guard(n_guard: int, length: int) -> None:
         raise ValueError("n_guard must be smaller than the profile length")
 
 
-def si_filter(y: np.ndarray, n_guard: int = 1) -> np.ndarray:
+def si_filter(y: np.ndarray, n_guard: int = 1,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Unitary fast-time DFT, lowest bins notched; an echo at delay d peaks at bin d.
 
     The delay-and-sum output of the total SI is a constant vector, so an
     ideal DC notch (the discrete stand-in for the receiver's analog
-    high-pass) removes it exactly. Returns the frequency-domain profile.
+    high-pass) removes it exactly. Returns the frequency-domain profile,
+    written into out if given (y itself to filter in place).
     """
     check_n_guard(n_guard, y.shape[-1])
-    prof = unitary_dft(y)
+    prof = unitary_dft(y, out)
     prof[..., :n_guard] = 0
     return prof
 
@@ -256,7 +258,9 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
            kind: WindowKind, n_guard: int) -> RdMatrix:
     """process_sensing's map of one window kind. The FSI branch dechirps
     and folds SENSE_BLOCK_CELLS window samples' worth of symbols at a time
-    into the one (K, L) folded array, so its buffers stay cache-sized."""
+    into the one (K, L) folded array, so its buffers stay cache-sized. The
+    slotted branch dechirps a view of rx when every slot is scheduled, and
+    both branches transform the array they own in place."""
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
 
@@ -268,7 +272,7 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
             block = slice(k0, k0 + step)
             refs = _fsi_references(cfg, schedule, kind, block)
             folded[block] = delay_and_sum(mix(windows[block], refs), cfg.m_codes)
-        profiles = si_filter(folded, n_guard)
+        profiles = si_filter(folded, n_guard, out=folded)
     else:
         if kind is not WindowKind.STANDARD:
             raise ValueError("slotted schemes have a single window kind")
@@ -276,9 +280,10 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         n = frame_len(cfg, schedule)
         if len(rx) < n:
             raise ValueError("frame too short")
-        slots = rx[:n].reshape(n_grid, cfg.l_occ)[g]
-        beat = mix(slots, chirp)
-        profiles = si_filter(beat, n_guard)
+        slots = rx[:n].reshape(n_grid, cfg.l_occ)
+        # g ascends, so G scheduled slots are all of them, in order
+        beat = mix(slots if len(g) == n_grid else slots[g], chirp)
+        profiles = si_filter(beat, n_guard, out=beat)
 
     band = unambiguous_band(schedule)
     if not band:

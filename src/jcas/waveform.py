@@ -102,12 +102,15 @@ class WaveformConfig:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-def unitary_dft(v: np.ndarray) -> np.ndarray:
-    """Unitary DFT along the last axis (Parseval-preserving)."""
+def unitary_dft(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary DFT along the last axis (Parseval-preserving), into out if
+    given (v itself for an in-place transform); the same bits either way."""
     v = np.asarray(v)
     if v.shape[-1] == 0:
         raise ValueError("empty input")
-    return np.fft.fft(v, axis=-1) / np.sqrt(v.shape[-1])
+    out = np.fft.fft(v, axis=-1, out=out)
+    out /= np.sqrt(v.shape[-1])
+    return out
 
 
 def unitary_idft(v: np.ndarray) -> np.ndarray:
@@ -244,6 +247,9 @@ def random_qpsk(rng: np.random.Generator, size) -> np.ndarray:
     return _QPSK.take(idx)
 
 
+ASSEMBLE_BLOCK_SAMPLES = 1 << 15   # frame samples assemble_frame spreads or transforms at a time
+
+
 def frame_len(cfg: WaveformConfig, schedule: Schedule) -> int:
     """Samples in the transmit frame of a schedule: its G occasions of L
     samples, for every scheme (N_CP + N = (M + N_CP/L) L)."""
@@ -263,6 +269,10 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     payload : optional pre-modulated data symbols; drawn from rng when
         omitted. Shape (K, M-1, L) for the implanted scheme, or
         (n_data_slots, L) for slotted schemes.
+
+    The symbols are spread, and the data slots transformed, about
+    ASSEMBLE_BLOCK_SAMPLES frame samples at a time, so the only frame-size
+    buffers are the frame and the payload.
     """
     if schedule.m_codes != cfg.m_codes:
         raise ValueError("schedule and config disagree on M")
@@ -287,8 +297,11 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     if scheme.is_fsi:
         frame = out.reshape(schedule.k, -1)
         body = frame[:, cfg.n_cp:]
-        _spread(body, codes, np.asarray(schedule.alpha),
-                unitary_dft(chirp), payload)
+        alpha, chirp_spectrum = np.asarray(schedule.alpha), unitary_dft(chirp)
+        step = max(1, ASSEMBLE_BLOCK_SAMPLES // cfg.n_fft)
+        for k0 in range(0, schedule.k, step):
+            block = slice(k0, k0 + step)
+            _spread(body[block], codes, alpha[block], chirp_spectrum, payload[block])
         # in place: IDFT, the per-symbol rotation, then the CP
         np.fft.ifft(body, axis=-1, out=body)
         body *= np.sqrt(cfg.n_fft)
@@ -298,5 +311,8 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
 
     frame = out.reshape(n_slots, -1)
     frame[scheduled] = chirp
-    frame[~scheduled] = unitary_idft(payload)
+    data_slots = np.flatnonzero(~scheduled)
+    step = max(1, ASSEMBLE_BLOCK_SAMPLES // cfg.l_occ)
+    for i in range(0, len(data_slots), step):
+        frame[data_slots[i:i + step]] = unitary_idft(payload[i:i + step])
     return out

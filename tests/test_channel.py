@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcas import (ChannelConfig, Scheme, Target, assemble_frame,
+from jcas import (ChannelConfig, Scheme, Target, assemble_frame, channel,
                   make_schedule, substream, synthesize_rx,
                   target_to_delay_doppler)
 from jcas.channel import doppler_ramp, echo_component, start_noise
@@ -182,6 +183,38 @@ class TestDopplerRamp:
         np.testing.assert_allclose(ramp, ref[start:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(doppler_ramp(f, t_s, n, start, scale=-2.5),
                                    -2.5 * ref[start:], rtol=0, atol=3e-12)
+
+
+class TestBlockedEcho:
+    """_add_echo makes and applies its ramp ECHO_BLOCK_SAMPLES samples at a
+    time, the first and last blocks partial; every sample is the one the
+    whole-frame ramp gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 700), d_frac=st.floats(0, 1, exclude_max=True),
+           f_ts=st.floats(-0.5, 0.5), block=st.integers(1, 40),
+           fractional=st.booleans())
+    @example(n=700, d_frac=0.0, f_ts=0.3, block=7, fractional=False)
+    @example(n=700, d_frac=0.999, f_ts=0.3, block=1, fractional=False)   # one sample
+    @example(n=626, d_frac=0.2, f_ts=-0.41, block=25, fractional=False)  # B = 25
+    @example(n=500, d_frac=0.37, f_ts=0.2, block=3, fractional=True)
+    def test_equals_the_whole_ramp_bit_for_bit(self, n, d_frac, f_ts, block,
+                                               fractional):
+        t_s, amplitude = 1e-6, 0.7
+        f, d = f_ts / t_s, int(d_frac * n)
+        delay = d_frac * n if fractional else float(d)
+        rng = np.random.default_rng(n)
+        tx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = rx.copy()
+        if fractional:   # the echo in one piece
+            with mock.patch.object(channel, "ECHO_BLOCK_SAMPLES", n):
+                channel._add_echo(want, tx, delay, f, amplitude, t_s, True)
+        else:
+            want[d:] += doppler_ramp(f, t_s, n, d, amplitude) * tx[:n - d]
+        with mock.patch.object(channel, "ECHO_BLOCK_SAMPLES", block):
+            channel._add_echo(rx, tx, delay, f, amplitude, t_s, fractional)
+        assert rx.tobytes() == want.tobytes()
 
 
 def oracle_echo(tx, delay_samples, doppler_hz, amplitude, t_s, fractional):

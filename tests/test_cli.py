@@ -7,8 +7,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import weakref
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
@@ -84,12 +85,23 @@ def _grids(draw):
             "n_cp": draw(_mostly(st.integers(0, m).map(lambda j: j * l)))}
 
 
+# sizes whose frame of G L samples, 16 bytes each, passes an np.intp
+HUGE_SIZES = [{"k": 2**62}, {"k": 2**63}, {"k": 10**400}, {"n_fft": 2**62, "n_cp": 0}]
+
+
 # fsi_tail grids whose pattern has a band column that cancels to zero (M 3,
 # L 2, N_CP L), or flagged bins (N_CP 0)
 DEGENERATE_TAILS = [{"scheme": "fsi_tail", "m_codes": 3, "n_fft": 6, "n_cp": 2, "k": k}
                     for k in (1, 2, 4)] + \
     [{"scheme": "fsi_tail", "m_codes": 2, "n_fft": 8, "n_cp": 0, "k": 2},
      {"scheme": "fsi_tail", "m_codes": 8, "n_fft": 16, "n_cp": 0, "k": 1}]
+
+
+# every preset scenario, and fig6's fsi_random with its comms link as
+# scenarios/fig6_fsi.json and the benchmark run it
+PRESET_RUNS = [scn for name in ("fig6", "fig7", "fig7_offgrid")
+               for scn in cli.preset_scenarios(name, seed=7)]
+PRESET_RUNS.append(replace(PRESET_RUNS[3], comms_enabled=True, tag="fsi_random_comms"))
 
 
 def _assert_same_outputs(want: Path, got: Path) -> None:
@@ -146,6 +158,18 @@ class TestScenario:
     def test_bad_grid(self):
         with pytest.raises(ScenarioError):
             Scenario(scheme="rtd", n_cp=500)
+
+    @pytest.mark.parametrize("scheme", ["rtd", "fsi_random", "fsi_tail"])
+    def test_frame_past_an_array_index_is_named(self, scheme):
+        for size in HUGE_SIZES:
+            with pytest.raises(ScenarioError, match=f"^{next(iter(size))} too large: "):
+                Scenario(scheme=scheme, **size)
+        # the largest k whose frame fits is left to allocation
+        symbol = 2048 + 512 * (scheme != "rtd")
+        k = np.iinfo(np.intp).max // 16 // symbol
+        Scenario(scheme=scheme, k=k)
+        with pytest.raises(ScenarioError, match="^k too large: "):
+            Scenario(scheme=scheme, k=k + 1)
 
     def test_roundtrip(self, small_scenario):
         again = Scenario.from_dict(small_scenario.to_dict())
@@ -279,6 +303,67 @@ class TestRunSimulate:
         assert counts(calibrate) == calibrate
         assert invert.call_count == 2 and pat.validation_error is not None
         assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("scn", PRESET_RUNS, ids=lambda s: s.tag or s.scheme)
+    def test_frames_are_dropped_before_detection(self, tmp_path, monkeypatch, scn):
+        # tx lives until the channel returns and rx until the sensing call
+        # has; receive_tail's cleanup runs find_peaks inside that call
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        frames, sensing, alive = {}, [], []
+        synthesize, find_peaks = cli.synthesize_rx, detect.find_peaks
+
+        def synthesize_rx(tx, *args):
+            frames["tx"] = weakref.ref(tx)
+            rx = synthesize(tx, *args)
+            frames["rx"] = weakref.ref(rx)
+            return rx
+
+        def sense(fn):
+            def call(rx, *args, **kwargs):
+                assert rx is frames["rx"]()
+                sensing.append(fn)
+                try:
+                    return fn(rx, *args, **kwargs)
+                finally:
+                    sensing.pop()
+            return call
+
+        def peaks(*args, **kwargs):
+            if not sensing:
+                alive.append({name: ref() is not None for name, ref in frames.items()})
+            return find_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "synthesize_rx", synthesize_rx)
+        for name in ("process_sensing", "receive_tail"):
+            monkeypatch.setattr(receiver, name, sense(getattr(receiver, name)))
+        monkeypatch.setattr(detect, "find_peaks", peaks)
+        run_simulate(scn, tmp_path / "out")
+        assert alive == [{"tx": False, "rx": False}]
+
+    # The tracemalloc peak of a warm op, in frames of 16 G L bytes, measured
+    # at 3.21 for every run: the noise draws, tx and rx during the channel,
+    # with the echo's blocks (3.68 where fsi_tail loads its pattern file);
+    # 4.11-6.51 before each buffer was dropped after its last read. The
+    # budget is the largest measured peak and one frame of margin.
+    FRAME_BUDGET = 4.7
+
+    def test_warm_op_peak_memory_is_within_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for scn in PRESET_RUNS:
+                run_simulate(scn, tmp_path)   # warm: the pattern built and stored
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                report = run_simulate(scn, tmp_path)
+                frame = 16 * report["grid_size"] * scn.waveform_config().l_occ
+                peaks[scn.tag or scn.scheme] = \
+                    (tracemalloc.get_traced_memory()[1] - base) / frame
+        finally:
+            tracemalloc.stop()
+        assert {name: peak for name, peak in peaks.items()
+                if peak > self.FRAME_BUDGET} == {}
 
     def test_failing_noise_draw_raises(self, tmp_path, small_scenario,
                                        monkeypatch):
@@ -698,6 +783,8 @@ class TestCliMain:
         {"targets": [{"range_m": 10, "velocity_kmh": 0, "amplitude": "2"}]},
         {"targets": [{"range_m": 10, "velocity_kmh": float("nan")}]},
         {"targets": [{"range_m": 10 ** 400, "velocity_kmh": 0}]},
+        *[{"scheme": scheme, **size} for scheme in ("rtd", "fsi_random", "fsi_tail")
+          for size in HUGE_SIZES],
         pytest.param('{"scheme": "rtd", "k": 1', id="truncated_json"),
         pytest.param("[]", id="not_an_object"),
         pytest.param(None, id="missing_file")])
@@ -754,6 +841,20 @@ class TestCliMain:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error:")
+
+    def test_entry_point_huge_k_exit_2(self, tmp_path):
+        # a k past a C long raised OverflowError or ValueError from the run
+        scn_file = tmp_path / "huge.json"
+        scn_file.write_text(json.dumps({"scheme": "rtd", "k": 2**63}))
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "jcas.cli", "simulate",
+                               str(scn_file)], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scenario error: k too large: ")
 
     def test_entry_point_unusable_out_dir_exit_2(self, tmp_path):
         (tmp_path / "file").write_text("")

@@ -1,6 +1,7 @@
 """The names the benchmark in perfbench/ looks up in jcas exist, the
 background worker is reached, and process-wide settings made, only through
-jcas.util, and a map's neighborhood rule is written once.
+jcas.util, and a map's neighborhood rule and the Doppler ramp's
+factorization are each written once.
 
 perfbench wraps layers and calls entry points by module attribute, and its
 probes read the wrapped calls' arguments by name, so a name moved or
@@ -157,3 +158,40 @@ def test_the_window_rule_is_written_once():
                           if re.search(rf"\b{word}\b", text))
              for word in (r"np\.pad", "sliding_window_view")}
     assert users == {r"np\.pad": [], "sliding_window_view": ["receiver.py"]}
+
+
+def _functions_using(tree: ast.Module, uses) -> set[str]:
+    """The innermost function around each node for which uses holds
+    ("<module>" outside any function)."""
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    found = set()
+    for node in ast.walk(tree):
+        if uses(node):
+            around = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            found.add(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return found
+
+
+def test_the_ramp_rule_is_written_once():
+    # the factored Doppler ramp (B = isqrt(n), the outer product of two
+    # exact tables) is made in one helper, which doppler_ramp and the echo
+    # applied a block at a time share; a second copy of the factorization
+    # could round differently
+    def outer(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "outer"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "multiply")
+
+    def isqrt(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "isqrt"
+                or isinstance(node, ast.Name) and node.id == "isqrt")
+
+    def helper(node):
+        return isinstance(node, ast.Name) and node.id == "_ramp_pieces"
+
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    makers = {rule.__name__: sorted((name, fn) for name, tree in trees.items()
+                                    for fn in _functions_using(tree, rule))
+              for rule in (outer, isqrt)}
+    assert makers == {"outer": [("channel.py", "_ramp_pieces")],
+                      "isqrt": [("channel.py", "_ramp_pieces")]}
+    assert _functions_using(trees["channel.py"], helper) == {"doppler_ramp", "_add_echo"}

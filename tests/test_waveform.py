@@ -1,12 +1,14 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from jcas import (Scheme, WaveformConfig, assemble_frame, make_base_set,
                   make_chirp, make_code_matrix, make_schedule,
-                  make_sensing_waveforms, spread_and_assemble, substream,
-                  transmit_constants, unitary_dft, unitary_idft)
+                  make_sensing_waveforms, modulate, spread_and_assemble,
+                  substream, transmit_constants, unitary_dft, unitary_idft,
+                  waveform)
 from jcas.scheduler import grid_size
 from jcas.waveform import frame_len, random_qpsk
 
@@ -24,6 +26,18 @@ class TestUnitaryDft:
     def test_roundtrip(self, rng):
         v = rng.normal(size=257) + 1j * rng.normal(size=257)
         np.testing.assert_allclose(unitary_idft(unitary_dft(v)), v, atol=1e-13)
+
+    def test_into_the_callers_buffer_is_bit_identical(self, rng):
+        # the comms link transforms its symbol bodies, rows of the frame, in
+        # place; every form equals the transform divided by sqrt(size)
+        frame = rng.normal(size=(5, 96)) + 1j * rng.normal(size=(5, 96))
+        bodies = frame[:, 32:]
+        want = (np.fft.fft(bodies, axis=-1) / np.sqrt(64)).tobytes()
+        assert unitary_dft(bodies).tobytes() == want
+        out = np.empty((5, 64), dtype=complex)
+        assert unitary_dft(bodies, out=out) is out and out.tobytes() == want
+        assert unitary_dft(bodies, out=bodies) is bodies
+        assert bodies.tobytes() == want
 
     def test_parseval(self, rng):
         v = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -253,6 +267,23 @@ class TestAssembleFrame:
             frames.append(assemble_frame(cfg_small, sched,
                                          rng=substream(9, "payload")))
         assert frames[0].tobytes() == frames[1].tobytes()
+
+    @pytest.mark.parametrize("scheme,payload", [
+        *[(s, "rng") for s in Scheme], (Scheme.FSI_RANDOM, "comms"),
+        (Scheme.FSI_TAIL, "comms")])
+    def test_blocks_are_bit_identical(self, cfg, scheme, payload):
+        # spread and transformed a symbol or slot at a time, ASSEMBLE_BLOCK_SAMPLES
+        # at a time (blocks of 16 symbols or 64 slots, the last partial), and
+        # the whole frame at once
+        sched = make_schedule(scheme, cfg.m_codes, 40, rng=substream(8, "s"))
+        bits = substream(8, "bits").integers(0, 2, 2 * 40 * (cfg.m_codes - 1) * cfg.l_occ)
+        frames = []
+        for block in (1, waveform.ASSEMBLE_BLOCK_SAMPLES, frame_len(cfg, sched)):
+            source = {"rng": substream(8, "p")} if payload == "rng" else \
+                {"payload": modulate(bits).reshape(40, cfg.m_codes - 1, cfg.l_occ)}
+            with mock.patch.object(waveform, "ASSEMBLE_BLOCK_SAMPLES", block):
+                frames.append(assemble_frame(cfg, sched, **source).tobytes())
+        assert frames[0] == frames[1] == frames[2]
 
     def test_payload_size_mismatch(self, cfg_small, rng):
         # both frame kinds: (K, M-1, L) implanted, (data slots, L) slotted; a
