@@ -48,11 +48,26 @@ class CacheError(OSError):
         self.pattern = pattern
 
 
-# The last pattern this process loaded from disk, with the identity of its
-# file: (path, st_dev, st_ino, st_mtime_ns, st_size); the path's hash fixes
-# the shape and guard it was checked and solved for. Every store and every
-# rebuild drops it, so a rewritten file is read again, never served stale.
+# The last pattern this process loaded from disk, or built and stored there
+# for simulate, with the identity of its file: (path, st_dev, st_ino,
+# st_mtime_ns, st_size); the path's hash fixes the shape and guard it was
+# checked and solved for. A rewritten file no longer matches it, so it is
+# read again, never served stale; every build drops the entry first.
 _pattern_memo: tuple[tuple, receiver.PatternTensor] | None = None
+
+
+def _file_key(path: Path, st: os.stat_result) -> tuple:
+    return (os.fspath(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+def _remember(key: tuple, pat: receiver.PatternTensor) -> receiver.PatternTensor:
+    """Keep pat, its arrays made read-only, as the memory entry of the file
+    key names; pat is returned, and the entry holds a copy of its fields."""
+    global _pattern_memo
+    for a in (pat.p, pat.p_sol, pat.resolvable):
+        a.flags.writeable = False
+    _pattern_memo = (key, replace(pat))
+    return pat
 
 
 def load_or_build_pattern(scn, schedule: Schedule,
@@ -61,8 +76,9 @@ def load_or_build_pattern(scn, schedule: Schedule,
     cached one if its file is readable and holds a complex p of scn's
     (range bins, band) shape, else built and stored. With ``validate``
     (calibrate): built afresh and validated while it is built, then stored;
-    the cache is not read. The last pattern loaded stays in memory, with
-    read-only arrays, while its file is unchanged; a built pattern is the
+    the cache is not read. Without ``validate``, the pattern loaded or
+    stored last stays in memory, with read-only arrays, while its file is
+    unchanged, so the next op reads no file; calibrate's pattern is the
     caller's own. A failed store raises CacheError, which holds the pattern."""
     global _pattern_memo
     cfg = scn.waveform_config()
@@ -70,8 +86,7 @@ def load_or_build_pattern(scn, schedule: Schedule,
     if not validate:
         try:
             with open(path, "rb") as f:
-                st = os.fstat(f.fileno())
-                key = (os.fspath(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+                key = _file_key(path, os.fstat(f.fileno()))
                 memo = _pattern_memo   # one read: preset threads may swap the entry
                 if memo is not None and memo[0] == key:
                     return replace(memo[1])
@@ -80,11 +95,7 @@ def load_or_build_pattern(scn, schedule: Schedule,
                     p = z["p"]
             if p.dtype != complex or p.shape != (cfg.l_occ, unambiguous_band(schedule), 2, 2):
                 raise ValueError("the cached pattern does not fit the scenario")
-            pat = receiver.PatternTensor.solve(p, scn.n_guard)
-            for a in (pat.p, pat.p_sol, pat.resolvable):
-                a.flags.writeable = False
-            _pattern_memo = (key, replace(pat))
-            return pat
+            return _remember(key, receiver.PatternTensor.solve(p, scn.n_guard))
         except (OSError, KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile):
             pass
     # the file is rewritten from here on, so the entry goes first; the build
@@ -99,6 +110,8 @@ def load_or_build_pattern(scn, schedule: Schedule,
         try:
             with os.fdopen(fd, "wb") as f:
                 np.savez(f, p=pat.p)
+                f.flush()   # all written, so the identity is the renamed file's
+                key = _file_key(path, os.fstat(f.fileno()))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -106,4 +119,4 @@ def load_or_build_pattern(scn, schedule: Schedule,
     except OSError as e:
         raise CacheError(f"cannot store the pattern in {path.parent}: "
                          f"{e.strerror or e}", pat) from e
-    return pat
+    return pat if validate else _remember(key, pat)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +55,7 @@ def target_to_delay_doppler(t: Target, carrier_hz: float, t_s: float
     return delay, doppler
 
 
-ECHO_BLOCK_SAMPLES = 1 << 13   # frame samples of an echo's ramp made at a time
+ECHO_BLOCK_SAMPLES = 1 << 13   # frame samples the channel makes at a time
 
 
 def doppler_ramp(doppler_hz: float, t_s: float, stop: int, start: int = 0,
@@ -68,55 +68,59 @@ def doppler_ramp(doppler_hz: float, t_s: float, stop: int, start: int = 0,
     one complex exponential. theta B a and theta b are each rounded once,
     as theta i is in the direct form.
     """
-    (_, ramp), = _ramp_pieces(doppler_hz, t_s, stop, start, scale, None)
+    ramp, = _ramp_pieces(doppler_hz, t_s, stop, scale, [(start, stop)])
     return ramp
 
 
-def _ramp_pieces(doppler_hz: float, t_s: float, stop: int, start: int,
-                 scale: complex, samples: int | None
-                 ) -> Iterator[tuple[int, np.ndarray]]:
-    """doppler_ramp over [start, stop) in consecutive pieces of samples
-    samples (all of it in one piece for None, an empty ramp too): (first
-    index, piece) pairs. Each piece is made from the rows of the outer
-    product that cover it, so every sample is the product doppler_ramp
-    gives it."""
+def _ramp_pieces(doppler_hz: float, t_s: float, stop: int, scale: complex,
+                 bounds: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """doppler_ramp(doppler_hz, t_s, stop, i, scale)[:j - i] for each (i, j)
+    of bounds in turn (empty where j <= i). Each piece is made from the rows
+    of the outer product that cover it, so every sample is the product
+    doppler_ramp gives it."""
     theta = 2 * np.pi * doppler_hz * t_s
     block = max(math.isqrt(stop), 1)
-    a0 = start // block
-    coarse = np.exp(1j * theta * (np.arange(a0, (stop - 1) // block + 1) * block))
+    coarse = np.exp(1j * theta * (np.arange((stop - 1) // block + 1) * block))
     coarse *= scale
     fine = np.exp(1j * theta * np.arange(block))
-    step = max(stop - start if samples is None else samples, 1)
-    for i in range(start, max(stop, start + 1), step):
-        j = min(i + step, stop)
-        r0, r1 = i // block - a0, (j - 1) // block + 1 - a0
+    for i, j in bounds:
+        r0, r1 = i // block, (j - 1) // block + 1
         ramp = np.multiply.outer(coarse[r0:r1], fine).reshape(-1)
-        yield i, ramp[i - (a0 + r0) * block:j - (a0 + r0) * block]
+        yield ramp[i - r0 * block:j - r0 * block]
 
 
-def _add_echo(rx: np.ndarray, tx: np.ndarray, delay_samples: float,
-              doppler_hz: float, amplitude: float, t_s: float,
-              fractional: bool) -> None:
-    """rx += the echo of tx (see echo_component), in place, its Doppler ramp
-    made and applied ECHO_BLOCK_SAMPLES samples at a time."""
+def _add_echo(tx: np.ndarray, delay_samples: float, doppler_hz: float,
+              amplitude: float, t_s: float, fractional: bool,
+              blocks: Sequence[tuple[int, np.ndarray]]) -> Iterator[None]:
+    """Adds the echo of tx (see echo_component) a block at a time: its k-th
+    step adds the echo's samples [i, i + len(out)) into out, for the k-th
+    (i, out) of blocks, in any order. At its step for a block that ends at
+    sample j, an integer-delay echo reads tx only below j, so a caller may
+    overwrite tx from its end back; a fractional one reads all of tx at its
+    first step, into its whole-frame spectrum."""
     n = len(tx)
     if not delay_samples < n:   # beyond the frame: no echo in either mode
-        return
-    pieces = functools.partial(_ramp_pieces, doppler_hz, t_s, n,
-                               scale=amplitude, samples=ECHO_BLOCK_SAMPLES)
-    if fractional:
+        shift = n
+    elif fractional:
         # zero-padded past the delayed end, so nothing wraps to the front
         size = next_fast_len(n + math.ceil(delay_samples))
         spec = np.fft.fft(tx, size)
         spec *= np.exp(-2j * np.pi * np.fft.fftfreq(size) * delay_samples)
-        echo = np.fft.ifft(spec, out=spec)
-        for i, ramp in pieces(start=0):
-            rx[i:i + len(ramp)] += echo[i:i + len(ramp)] * ramp
-        return
-    d = int(round(delay_samples))
-    if d < n:
-        for i, ramp in pieces(start=d):
-            rx[i:i + len(ramp)] += ramp * tx[i - d:i - d + len(ramp)]
+        echo, shift = np.fft.ifft(spec, out=spec), 0
+    else:
+        shift = int(round(delay_samples))
+    # the part [a, b) of each block the echo covers
+    parts = [(max(i, shift), i + len(out)) for i, out in blocks]
+    ramps = _ramp_pieces(doppler_hz, t_s, n, amplitude,
+                         [(a, b) for a, b in parts if a < b])
+    for (i, out), (a, b) in zip(blocks, parts):
+        # a complex product's operand order sets its last bit: echo first
+        # for a fractional echo, ramp first for an integer one
+        if a < b and fractional:
+            out[a - i:b - i] += echo[a:b] * next(ramps)
+        elif a < b:
+            out[a - i:b - i] += next(ramps) * tx[a - shift:b - shift]
+        yield
 
 
 def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
@@ -134,7 +138,11 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
     (doppler_ramp).
     """
     out = np.zeros(len(tx), dtype=complex)
-    _add_echo(out, tx, delay_samples, doppler_hz, amplitude, t_s, fractional)
+    blocks = [(i, out[i:i + ECHO_BLOCK_SAMPLES])
+              for i in range(0, len(tx), ECHO_BLOCK_SAMPLES)]
+    for _ in _add_echo(tx, delay_samples, doppler_hz, amplitude, t_s,
+                       fractional, blocks):
+        pass
     return out
 
 
@@ -152,39 +160,56 @@ def start_noise(rng: np.random.Generator, n: int) -> Pending:
 
 def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
                   cfg: WaveformConfig,
-                  rng: np.random.Generator | Pending | None = None
-                  ) -> np.ndarray:
+                  rng: np.random.Generator | Pending | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Receive samples of the transmit samples tx: scaled SI + echoes +
-    circular Gaussian noise.
+    circular Gaussian noise, written into out and returned.
 
     The SI and noise levels are referenced to the largest target |amplitude|
     (1.0 when no targets): SI amplitude is
     10^(si_over_echo_db/20) times it, and the noise variance makes the
     per-sample echo power of a reference-amplitude target sit
-    echo_snr_db above the noise. The echoes are added into the frame in
-    place.
+    echo_snr_db above the noise.
+
+    out is a new array when None. It may be tx itself: the receive samples
+    then replace the transmit samples, and no second frame is made. Any
+    other out must be of tx's shape and share no memory with it. The frame
+    is made ECHO_BLOCK_SAMPLES samples at a time, from its last block back,
+    so the echoes of a block read only samples of tx that are not yet
+    overwritten. Each sample is summed as in a whole-frame sum: the SI,
+    then each echo in target order, then the noise.
 
     rng is the Generator to draw the noise from, or its draws already
     started (start_noise), the real parts' first, as the Generator gives
     them. A pending draw is taken only once the SI and echoes are in the
     frame; either gives the same samples.
     """
-    if len(tx) == 0:
+    n = len(tx)
+    if n == 0:
         raise ValueError("empty frame")
     ref_amp = max((abs(t.amplitude) for t in targets), default=1.0)
-    if cc.noise_enabled:   # before rx exists: |tx|^2 is a frame-size temporary
+    paths = [target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s) for t in targets]
+    if cc.noise_enabled:   # |tx|^2 is a half-frame temporary, summed pairwise
         power = np.abs(tx)
         power **= 2
         sigma2 = ref_amp ** 2 * np.mean(power) * 10 ** (-cc.echo_snr_db / 10)
         del power
-    if cc.si_enabled:
-        rx = tx * (10 ** (cc.si_over_echo_db / 20) * ref_amp)
-    else:
-        rx = np.zeros_like(tx)
-    for t in targets:
-        delay, doppler = target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s)
-        _add_echo(rx, tx, delay, doppler, t.amplitude, cfg.t_s,
-                  cc.fractional_delay)
+    rx = np.empty_like(tx) if out is None else out
+    step = min(ECHO_BLOCK_SAMPLES, n)
+    buf = np.empty(step, dtype=tx.dtype)
+    blocks = [(i, buf[:min(step, n - i)]) for i in reversed(range(0, n, step))]
+    echoes = [_add_echo(tx, delay, doppler, t.amplitude, cfg.t_s,
+                        cc.fractional_delay, blocks)
+              for t, (delay, doppler) in zip(targets, paths)]
+    gain = 10 ** (cc.si_over_echo_db / 20) * ref_amp
+    for i, block in blocks:
+        if cc.si_enabled:
+            np.multiply(tx[i:i + len(block)], gain, out=block)
+        else:
+            block.fill(0)
+        for echo in echoes:
+            next(echo)
+        rx[i:i + len(block)] = block
     if cc.noise_enabled:
         add_noise(rx, np.sqrt(sigma2 / 2), rng)
     return rx

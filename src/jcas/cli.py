@@ -37,7 +37,7 @@ from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
     target_to_delay_doppler
 from .scheduler import Scheme, grid_size, make_schedule, unambiguous_band
 from .util import check_db, kmh_to_mps, substream
-from .waveform import WaveformConfig, assemble_frame, frame_len
+from .waveform import WaveformConfig, assemble_frame, frame_len, random_bits
 
 
 class ScenarioError(ValueError):
@@ -198,12 +198,13 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              seed=scn.seed)
     # Each frame-size array lives only while it is read. The link runs first,
     # while no sensing frame or map is alive (its substreams are its own);
-    # the noise draws and tx go with the channel, rx with the sensing chain.
+    # the channel writes rx over tx, the noise draws go when it returns, and
+    # rx with the sensing chain.
     ber = evm = None
     if scn.comms_enabled and scheme.is_fsi:
         ber, evm = comms.run_link(
-            cfg, schedule, substream(scn.seed, f"{tag}/bits").integers(
-                0, 2, 2 * (cfg.m_codes - 1) * cfg.l_occ * scn.k),
+            cfg, schedule, random_bits(substream(scn.seed, f"{tag}/bits"),
+                                       2 * (cfg.m_codes - 1) * cfg.l_occ * scn.k),
             snr_db=scn.comms_snr_db, rng=substream(scn.seed, f"{tag}/comms-noise"))
 
     cc = scn.channel_config()
@@ -211,7 +212,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                         frame_len(cfg, schedule)) if cc.noise_enabled else None
     tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        rx = synthesize_rx(tx, scn.target_list(), cc, cfg, noise)
+        rx = synthesize_rx(tx, scn.target_list(), cc, cfg, noise, out=tx)
     del noise, tx
     if not np.isfinite(rx).all():
         raise ScenarioError("the receive samples overflow: reduce the SI, "

@@ -64,6 +64,11 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
     Transmit frame -> AWGN -> CP removal -> DFT -> despread -> demodulate.
     snr_db is Es/N0 per despread data symbol (noise is white in time, so
     the per-subcarrier variance equals the per-sample variance).
+
+    bits are 0s and 1s of any integer type (uint8 from random_bits keeps
+    them at a byte each). The errors are counted by comparing each
+    estimate's sign bits with them, as demodulate would decide them, so
+    no array of decided bits is made.
     """
     bits = np.asarray(bits).ravel()
     m, l = cfg.m_codes, cfg.l_occ
@@ -86,7 +91,9 @@ def run_link(cfg: WaveformConfig, schedule: Schedule, bits: np.ndarray,
     _, codes, _ = transmit_constants(cfg)
     data = _code_estimates(bodies, codes, data_codes(schedule.alpha, m))
     del rx, bodies   # free the frame before the decisions
-    err = int(np.count_nonzero(demodulate(data) != bits))
+    pairs = bits.reshape(data.shape + (2,))
+    err = int(np.count_nonzero((data.real < 0) != pairs[..., 0])) \
+        + int(np.count_nonzero((data.imag < 0) != pairs[..., 1]))
     data -= payload
     n_data = k * (m - 1) * l
     ber = err / (2 * n_data)

@@ -196,7 +196,8 @@ def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
     DFT of the profiles scattered onto a zero-filled grid, times G/K.
     """
     g = np.asarray(grid_indices)
-    if len(np.unique(g)) != len(g):
+    ordered = np.sort(g, axis=None)   # np.unique would import numpy.ma
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("duplicate grid indices")
     if profiles.shape[0] != len(g):
         raise ValueError("one profile per scheduled occasion required")
@@ -223,7 +224,7 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
     return refs
 
 
-SENSE_BLOCK_CELLS = 1 << 15   # window samples the FSI branch dechirps at a time
+SENSE_BLOCK_CELLS = 1 << 15   # window samples _sense dechirps at a time
 
 
 def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
@@ -256,23 +257,22 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
 
 def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
            kind: WindowKind, n_guard: int) -> RdMatrix:
-    """process_sensing's map of one window kind. The FSI branch dechirps
-    and folds SENSE_BLOCK_CELLS window samples' worth of symbols at a time
-    into the one (K, L) folded array, so its buffers stay cache-sized. The
-    slotted branch dechirps a view of rx when every slot is scheduled, and
-    both branches transform the array they own in place."""
+    """process_sensing's map of one window kind. SENSE_BLOCK_CELLS window
+    samples' worth of occasions at a time are dechirped (and folded, FSI),
+    notched in their own array and written straight into the zero-filled
+    (L, G) grid of slow_time_matched_filter, or a periodic scheme's (L, K)."""
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
-
+    band = unambiguous_band(schedule)
+    if band and not np.array_equal(g, g[0] + n_grid // band * np.arange(band)):
+        raise ValueError("a banded scheme needs one occasion per period")
+    every = len(g) == n_grid   # g is 0, ..., G - 1: slices, not gathers
     if schedule.scheme.is_fsi:
         windows = capture_windows(rx, cfg, schedule.k, kind)
-        folded = np.empty((schedule.k, cfg.l_occ), dtype=complex)
-        step = max(1, SENSE_BLOCK_CELLS // cfg.n_fft)
-        for k0 in range(0, schedule.k, step):
-            block = slice(k0, k0 + step)
-            refs = _fsi_references(cfg, schedule, kind, block)
-            folded[block] = delay_and_sum(mix(windows[block], refs), cfg.m_codes)
-        profiles = si_filter(folded, n_guard, out=folded)
+
+        def beat(ks: slice) -> np.ndarray:
+            refs = _fsi_references(cfg, schedule, kind, ks)
+            return delay_and_sum(mix(windows[ks], refs), cfg.m_codes)
     else:
         if kind is not WindowKind.STANDARD:
             raise ValueError("slotted schemes have a single window kind")
@@ -281,20 +281,20 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
         if len(rx) < n:
             raise ValueError("frame too short")
         slots = rx[:n].reshape(n_grid, cfg.l_occ)
-        # g ascends, so G scheduled slots are all of them, in order
-        beat = mix(slots if len(g) == n_grid else slots[g], chirp)
-        profiles = si_filter(beat, n_guard, out=beat)
 
-    band = unambiguous_band(schedule)
-    if not band:
-        return slow_time_matched_filter(profiles, g, n_grid, cfg)
+        def beat(ks: slice) -> np.ndarray:
+            return mix(slots[ks if every else g[ks]], chirp)
+    step = max(1, SENSE_BLOCK_CELLS // (cfg.n_fft if schedule.scheme.is_fsi else cfg.l_occ))
+    grid = np.zeros((cfg.l_occ, band or n_grid), dtype=complex)
+    for ks in (slice(i, i + step) for i in range(0, len(g), step)):
+        y = beat(ks)
+        grid[:, ks if band or every else g[ks]] = si_filter(y, n_guard, out=y).T
+    rd = np.fft.ifft(grid, axis=1, out=grid)
     # periodic occasions g_k = kP + r with G = KP: the full map is the
     # K-point inverse DFT tiled over the grid, times e^{j2pi r nu/G}, so
     # the band's signed bins b come straight from it
-    if not np.array_equal(g, g[0] + n_grid // band * np.arange(band)):
-        raise ValueError("a banded scheme needs one occasion per period")
-    rd = np.fft.ifft(profiles.T, axis=1)
-    rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band))
+    rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band)) \
+        if band else n_grid / len(g)
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
 

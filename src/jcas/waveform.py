@@ -242,12 +242,30 @@ _QPSK = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]) / np.sqrt(2)
 def random_qpsk(rng: np.random.Generator, size) -> np.ndarray:
     """Unit-power QPSK symbols for frame payloads (no bit bookkeeping):
     ((2 b_re - 1) + j (2 b_im - 1)) / sqrt(2) from two bit draws."""
-    idx = rng.integers(0, 2, size) * 2
-    idx += rng.integers(0, 2, size)
+    return _qpsk(rng.integers(0, 2, size), rng)
+
+
+def _qpsk(b_re: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """random_qpsk's symbols of the real-part bits b_re, their imaginary-part
+    bits drawn now from rng."""
+    idx = rng.integers(0, 2, b_re.shape)
+    idx += b_re * 2
     return _QPSK.take(idx)
 
 
 ASSEMBLE_BLOCK_SAMPLES = 1 << 15   # frame samples assemble_frame spreads or transforms at a time
+
+
+def random_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """rng.integers(0, 2, shape) as uint8: the same bits from the same
+    stream, drawn ASSEMBLE_BLOCK_SAMPLES at a time, so no int64 array of
+    them all is made."""
+    bits = np.empty(shape, dtype=np.uint8)
+    flat = bits.reshape(-1)
+    for i in range(0, flat.size, ASSEMBLE_BLOCK_SAMPLES):
+        part = flat[i:i + ASSEMBLE_BLOCK_SAMPLES]
+        part[...] = rng.integers(0, 2, part.size)
+    return bits
 
 
 def frame_len(cfg: WaveformConfig, schedule: Schedule) -> int:
@@ -267,12 +285,16 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     (sensing-only fills every slot with the chirp).
 
     payload : optional pre-modulated data symbols; drawn from rng when
-        omitted. Shape (K, M-1, L) for the implanted scheme, or
-        (n_data_slots, L) for slotted schemes.
+        omitted (random_qpsk's symbols), zeros without rng either. Shape
+        (K, M-1, L) for the implanted scheme, or (n_data_slots, L) for
+        slotted schemes.
 
     The symbols are spread, and the data slots transformed, about
     ASSEMBLE_BLOCK_SAMPLES frame samples at a time, so the only frame-size
-    buffers are the frame and the payload.
+    buffer is the frame. A drawn payload is made a block at a time too:
+    the real-part bits of every symbol are drawn first and kept as uint8
+    (random_bits), then each block's imaginary-part bits as the block is
+    spread, from the same stream random_qpsk draws in one go.
     """
     if schedule.m_codes != cfg.m_codes:
         raise ValueError("schedule and config disagree on M")
@@ -280,28 +302,35 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     scheme = schedule.scheme
     if scheme.is_fsi:
         shape = (schedule.k, cfg.m_codes - 1, cfg.l_occ)
+        step = max(1, ASSEMBLE_BLOCK_SAMPLES // cfg.n_fft)
     else:   # M*K slots of length L, the unscheduled ones carrying data
         n_slots = cfg.m_codes * schedule.k
         scheduled = np.zeros(n_slots, dtype=bool)
         scheduled[list(schedule.slots)] = True
         shape = (int(n_slots - scheduled.sum()), cfg.l_occ)
-    if payload is None:
-        payload = np.zeros(shape, dtype=complex) if rng is None \
-            else random_qpsk(rng, shape)
-    payload = np.asarray(payload, dtype=complex)
-    if payload.shape != shape:
-        raise ValueError(f"payload shape {payload.shape} does not fit the "
-                         f"{scheme.value} frame's {shape}")
+        step = max(1, ASSEMBLE_BLOCK_SAMPLES // cfg.l_occ)
+    starts = range(0, shape[0], step)   # the payload's blocks of rows
+    if payload is not None:
+        payload = np.asarray(payload, dtype=complex)
+        if payload.shape != shape:
+            raise ValueError(f"payload shape {payload.shape} does not fit the "
+                             f"{scheme.value} frame's {shape}")
+        blocks = (payload[i:i + step] for i in starts)
+    elif rng is not None:
+        b_re = random_bits(rng, shape)
+        blocks = (_qpsk(b_re[i:i + step], rng) for i in starts)
+    else:
+        zeros = np.zeros((min(step, shape[0]), *shape[1:]), dtype=complex)
+        blocks = (zeros[:shape[0] - i] for i in starts)
     out = np.empty(frame_len(cfg, schedule), dtype=complex)
 
     if scheme.is_fsi:
         frame = out.reshape(schedule.k, -1)
         body = frame[:, cfg.n_cp:]
         alpha, chirp_spectrum = np.asarray(schedule.alpha), unitary_dft(chirp)
-        step = max(1, ASSEMBLE_BLOCK_SAMPLES // cfg.n_fft)
-        for k0 in range(0, schedule.k, step):
+        for k0, data in zip(starts, blocks):
             block = slice(k0, k0 + step)
-            _spread(body[block], codes, alpha[block], chirp_spectrum, payload[block])
+            _spread(body[block], codes, alpha[block], chirp_spectrum, data)
         # in place: IDFT, the per-symbol rotation, then the CP
         np.fft.ifft(body, axis=-1, out=body)
         body *= np.sqrt(cfg.n_fft)
@@ -312,7 +341,6 @@ def assemble_frame(cfg: WaveformConfig, schedule: Schedule,
     frame = out.reshape(n_slots, -1)
     frame[scheduled] = chirp
     data_slots = np.flatnonzero(~scheduled)
-    step = max(1, ASSEMBLE_BLOCK_SAMPLES // cfg.l_occ)
-    for i in range(0, len(data_slots), step):
-        frame[data_slots[i:i + step]] = unitary_idft(payload[i:i + step])
+    for i, data in zip(starts, blocks):
+        frame[data_slots[i:i + step]] = unitary_idft(data)
     return out

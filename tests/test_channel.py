@@ -9,8 +9,8 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcas import (ChannelConfig, Scheme, Target, assemble_frame, channel,
-                  make_schedule, substream, synthesize_rx,
+from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, assemble_frame,
+                  channel, make_schedule, substream, synthesize_rx,
                   target_to_delay_doppler)
 from jcas.channel import doppler_ramp, echo_component, start_noise
 from jcas.cli import Scenario
@@ -185,21 +185,32 @@ class TestDopplerRamp:
                                    -2.5 * ref[start:], rtol=0, atol=3e-12)
 
 
+def add_echo_blocks(rx, tx, delay, f, amplitude, t_s, fractional, block,
+                    backward=False):
+    """rx += the echo, through _add_echo on rx's blocks of block samples."""
+    starts = range(0, len(rx), block)
+    blocks = [(i, rx[i:i + block]) for i in (reversed(starts) if backward else starts)]
+    for _ in channel._add_echo(tx, delay, f, amplitude, t_s, fractional, blocks):
+        pass
+
+
 class TestBlockedEcho:
-    """_add_echo makes and applies its ramp ECHO_BLOCK_SAMPLES samples at a
-    time, the first and last blocks partial; every sample is the one the
+    """_add_echo makes and applies its ramp a block at a time, in either
+    order, the first and last blocks partial; every sample is the one the
     whole-frame ramp gives."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 700), d_frac=st.floats(0, 1, exclude_max=True),
            f_ts=st.floats(-0.5, 0.5), block=st.integers(1, 40),
-           fractional=st.booleans())
-    @example(n=700, d_frac=0.0, f_ts=0.3, block=7, fractional=False)
-    @example(n=700, d_frac=0.999, f_ts=0.3, block=1, fractional=False)   # one sample
-    @example(n=626, d_frac=0.2, f_ts=-0.41, block=25, fractional=False)  # B = 25
-    @example(n=500, d_frac=0.37, f_ts=0.2, block=3, fractional=True)
+           fractional=st.booleans(), backward=st.booleans())
+    @example(n=700, d_frac=0.0, f_ts=0.3, block=7, fractional=False, backward=False)
+    @example(n=700, d_frac=0.999, f_ts=0.3, block=1, fractional=False,
+             backward=True)   # one sample
+    @example(n=626, d_frac=0.2, f_ts=-0.41, block=25, fractional=False,
+             backward=False)  # B = 25
+    @example(n=500, d_frac=0.37, f_ts=0.2, block=3, fractional=True, backward=True)
     def test_equals_the_whole_ramp_bit_for_bit(self, n, d_frac, f_ts, block,
-                                               fractional):
+                                               fractional, backward):
         t_s, amplitude = 1e-6, 0.7
         f, d = f_ts / t_s, int(d_frac * n)
         delay = d_frac * n if fractional else float(d)
@@ -208,12 +219,11 @@ class TestBlockedEcho:
         rx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         want = rx.copy()
         if fractional:   # the echo in one piece
-            with mock.patch.object(channel, "ECHO_BLOCK_SAMPLES", n):
-                channel._add_echo(want, tx, delay, f, amplitude, t_s, True)
+            add_echo_blocks(want, tx, delay, f, amplitude, t_s, True, n)
         else:
             want[d:] += doppler_ramp(f, t_s, n, d, amplitude) * tx[:n - d]
-        with mock.patch.object(channel, "ECHO_BLOCK_SAMPLES", block):
-            channel._add_echo(rx, tx, delay, f, amplitude, t_s, fractional)
+        add_echo_blocks(rx, tx, delay, f, amplitude, t_s, fractional, block,
+                        backward)
         assert rx.tobytes() == want.tobytes()
 
 
@@ -255,6 +265,47 @@ def oracle_synthesize(tx, targets, cc, cfg, rng=None):
         rx.real += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
         rx.imag += rng.normal(0, np.sqrt(sigma2 / 2), size=len(tx))
     return rx
+
+
+class TestWrittenOverTx:
+    """synthesize_rx(..., out=tx) writes the receive samples over the transmit
+    samples, a block at a time from the last back, and gives the bytes of
+    the out-of-place call."""
+
+    CFG = WaveformConfig(n_fft=64, m_codes=4, n_cp=16, scs_hz=480e3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(k=st.integers(1, 6), seed=st.integers(0, 2**16),
+           delays=st.lists(st.one_of(st.sampled_from(["first", "last", "past"]),
+                                     st.floats(0, 2, exclude_max=True)), max_size=4),
+           velocity=st.floats(-900, 900), si=st.booleans(), noise=st.booleans(),
+           fractional=st.booleans(), block=st.one_of(st.integers(1, 50), st.none()))
+    @example(k=3, seed=0, delays=["first", "last", "past", 0.5], velocity=250.0,
+             si=True, noise=True, fractional=False, block=7)
+    @example(k=3, seed=1, delays=["first", "last", "past", 0.37], velocity=-100.0,
+             si=False, noise=False, fractional=True, block=1)
+    @example(k=1, seed=2, delays=[], velocity=0.0, si=True, noise=True,
+             fractional=False, block=None)
+    def test_equals_the_out_of_place_result(self, k, seed, delays, velocity, si,
+                                            noise, fractional, block):
+        cfg = self.CFG
+        tx = _frame(cfg, k=k, seed=seed)
+        n = len(tx)
+        samples = {"first": 0, "last": n - 1, "past": n}
+        rng = np.random.default_rng(seed)
+        targets = [Target(samples.get(d, d * n) * 3e8 * cfg.t_s / 2,
+                          velocity * rng.uniform(-1, 1), rng.uniform(0.1, 2))
+                   for d in delays]
+        cc = ChannelConfig(si_enabled=si, noise_enabled=noise,
+                           fractional_delay=fractional, echo_snr_db=-3.0)
+        sent = tx.tobytes()
+        want = synthesize_rx(tx, targets, cc, cfg, substream(seed, "noise"))
+        assert tx.tobytes() == sent   # out of place, tx is only read
+        with mock.patch.object(channel, "ECHO_BLOCK_SAMPLES",
+                               block or channel.ECHO_BLOCK_SAMPLES):
+            got = synthesize_rx(tx, targets, cc, cfg, substream(seed, "noise"), out=tx)
+        assert got is tx
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAgainstTheOracle:

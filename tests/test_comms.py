@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jcas import (Scheme, demodulate, despread, make_code_matrix,
+from jcas import (Scheme, WaveformConfig, demodulate, despread, make_code_matrix,
                   make_schedule, modulate, run_link, substream)
-from jcas.comms import qpsk_ber_awgn
+from jcas.comms import _code_estimates, qpsk_ber_awgn
+from jcas.util import add_noise
+from jcas.waveform import assemble_frame, data_codes, random_bits, symbol_rotation, \
+    transmit_constants, unitary_dft
 
 
 class TestModulation:
@@ -132,3 +137,41 @@ class TestRunLink:
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 2)
         with pytest.raises(ValueError):
             run_link(cfg_small, sched, np.zeros(100, dtype=int))
+
+
+def oracle_link(cfg, schedule, bits, snr_db=None, rng=None):
+    """run_link as it was: int64 bits, and the errors counted against the
+    bits demodulate decides."""
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    m, l, k = cfg.m_codes, cfg.l_occ, schedule.k
+    payload = modulate(bits).reshape(k, m - 1, l)
+    rx = assemble_frame(cfg, schedule, payload=payload)
+    if snr_db is not None:
+        add_noise(rx, np.sqrt(10 ** (-snr_db / 10) / 2), rng)
+    bodies = rx.reshape(k, cfg.symbol_len)[:, cfg.n_cp:]
+    unitary_dft(bodies, out=bodies)
+    bodies *= np.conj(symbol_rotation(np.arange(k), m, schedule.scheme))[:, None]
+    _, codes, _ = transmit_constants(cfg)
+    data = _code_estimates(bodies, codes, data_codes(schedule.alpha, m))
+    err = int(np.count_nonzero(demodulate(data) != bits))
+    data -= payload
+    n_data = k * (m - 1) * l
+    return err / (2 * n_data), np.sqrt(np.vdot(data, data).real / n_data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from([Scheme.FSI_RANDOM, Scheme.FSI_TAIL]),
+       k=st.integers(1, 8), seed=st.integers(0, 2**16),
+       snr_db=st.one_of(st.none(), st.floats(-10, 20)))
+@example(scheme=Scheme.FSI_RANDOM, k=8, seed=0, snr_db=None)
+@example(scheme=Scheme.FSI_TAIL, k=5, seed=1, snr_db=-3.0)
+def test_link_matches_the_int64_decisions(scheme, k, seed, snr_db):
+    # uint8 bits and sign-bit error counts give the BER and EVM of int64
+    # bits compared with demodulate's decisions, to the last bit of the repr
+    cfg = WaveformConfig(n_fft=64, m_codes=4, n_cp=16, scs_hz=480e3)
+    sched = make_schedule(scheme, cfg.m_codes, k, rng=substream(seed, "s"))
+    bits = random_bits(substream(seed, "b"), 2 * 3 * cfg.l_occ * k)
+    want = oracle_link(cfg, sched, bits, snr_db, substream(seed, "n"))
+    for given_bits in (bits, bits.astype(np.int64)):
+        got = run_link(cfg, sched, given_bits, snr_db, substream(seed, "n"))
+        assert repr(got) == repr(want)

@@ -373,6 +373,61 @@ class TestProcessSensing:
         assert (328, 74) in cells
 
 
+class TestGridSensing:
+    """Every window is dechirped (and folded, FSI) and notched
+    SENSE_BLOCK_CELLS samples of occasions at a time straight into the
+    grid: the bytes of the whole-array chain, every occasion's beat at once."""
+
+    @staticmethod
+    def whole_array(rx, cfg, sched, kind, n_guard):
+        g = occasion_grid_indices(sched, cfg)
+        n_grid = grid_size(sched, cfg)
+        if sched.scheme.is_fsi:
+            beat = mix(capture_windows(rx, cfg, sched.k, kind),
+                       receiver._fsi_references(cfg, sched, kind))
+            profiles = si_filter(delay_and_sum(beat, cfg.m_codes), n_guard)
+        else:
+            slots = rx[:n_grid * cfg.l_occ].reshape(n_grid, cfg.l_occ)
+            profiles = si_filter(mix(slots[g], make_chirp(cfg)), n_guard)
+        band = receiver.unambiguous_band(sched)
+        if not band:
+            return slow_time_matched_filter(profiles, g, n_grid, cfg).values
+        rd = np.fft.ifft(profiles.T, axis=1)
+        rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band))
+        return rd
+
+    @settings(max_examples=80, deadline=None)
+    @given(scheme=st.sampled_from(list(Scheme)), kind=st.sampled_from(WindowKind),
+           m=st.integers(2, 6), l=st.integers(2, 24), cp_occasions=st.integers(0, 6),
+           k=st.integers(1, 30), n_guard=st.integers(1, 23),
+           occasions=st.one_of(st.none(), st.integers(1, 41)),
+           seed=st.integers(0, 2**16))
+    @example(scheme=Scheme.SENSING_ONLY, kind=WindowKind.STANDARD, m=4, l=512,
+             cp_occasions=0, k=80, n_guard=1, occasions=None, seed=0)
+    @example(scheme=Scheme.RTD, kind=WindowKind.STANDARD, m=4, l=512,
+             cp_occasions=0, k=80, n_guard=2, occasions=7, seed=1)
+    @example(scheme=Scheme.FSI_RANDOM, kind=WindowKind.SHIFTED, m=4, l=512,
+             cp_occasions=1, k=33, n_guard=2, occasions=3, seed=2)
+    def test_equals_the_whole_array_chain(self, scheme, kind, m, l, cp_occasions, k,
+                                          n_guard, occasions, seed):
+        # occasions: those a block holds, below K, above it and not dividing it
+        if not scheme.is_fsi:   # one window kind and no CP
+            kind, cp_occasions = WindowKind.STANDARD, 0
+        cfg = WaveformConfig(n_fft=m * l, m_codes=m, n_cp=min(cp_occasions, m) * l,
+                             scs_hz=480e3)
+        n_guard = 1 + (n_guard - 1) % (l - 1)
+        sched = make_schedule(scheme, m, k, rng=substream(seed, "s"))
+        tx = assemble_frame(cfg, sched, rng=substream(seed, "p"))
+        rx = synthesize_rx(tx, [Target(3 * 3e8 * cfg.t_s / 2, 10.0)], ChannelConfig(),
+                           cfg, rng=substream(seed, "n"))
+        width = cfg.n_fft if scheme.is_fsi else l
+        block = receiver.SENSE_BLOCK_CELLS if occasions is None else occasions * width
+        with mock.patch.object(receiver, "SENSE_BLOCK_CELLS", block):
+            got = process_sensing(rx, cfg, sched, kind, n_guard)
+        want = self.whole_array(rx, cfg, sched, kind, n_guard)
+        assert got.values.tobytes() == want.tobytes()
+
+
 class TestBothWindows:
     """process_sensing with a tuple of window kinds: one map per kind, the
     first on the caller and the others on the background worker."""

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcas import (Scheme, WaveformConfig, assemble_frame, make_base_set,
                   make_chirp, make_code_matrix, make_schedule,
@@ -10,7 +12,7 @@ from jcas import (Scheme, WaveformConfig, assemble_frame, make_base_set,
                   substream, transmit_constants, unitary_dft, unitary_idft,
                   waveform)
 from jcas.scheduler import grid_size
-from jcas.waveform import frame_len, random_qpsk
+from jcas.waveform import frame_len, random_bits, random_qpsk
 
 
 class TestUnitaryDft:
@@ -314,6 +316,48 @@ class TestRandomQpsk:
         got = random_qpsk(substream(4, "payload"), size)
         want = qpsk_oracle(substream(4, "payload"), size)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBlockwisePayload:
+    """assemble_frame draws its payload a block at a time, real-part bits
+    first: the frame of random_qpsk's whole draw, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(list(Scheme)), k=st.integers(1, 9),
+           seed=st.integers(0, 2**16),
+           block=st.one_of(st.just(1), st.integers(0, 40).map(lambda i: 2 * i + 1)),
+           symbols=st.sampled_from([1, 3, 5]))
+    @example(scheme=Scheme.FSI_RANDOM, k=9, seed=0, block=1, symbols=1)
+    @example(scheme=Scheme.RTD, k=9, seed=1, block=33, symbols=3)
+    def test_equals_the_whole_draw(self, scheme, k, seed, block, symbols):
+        # block: random_bits' draws; symbols: the symbols (or data slots) a
+        # block spreads, ASSEMBLE_BLOCK_SAMPLES // N (or // L) of them
+        cfg = WaveformConfig(n_fft=64, m_codes=4, n_cp=16, scs_hz=480e3)
+        sched = make_schedule(scheme, cfg.m_codes, k, rng=substream(seed, "s"))
+        if scheme.is_fsi:
+            shape, width = (k, cfg.m_codes - 1, cfg.l_occ), cfg.n_fft
+        else:
+            shape = (cfg.m_codes * k - len(set(sched.slots)), cfg.l_occ)
+            width = cfg.l_occ
+        want = assemble_frame(cfg, sched, payload=random_qpsk(substream(seed, "p"), shape))
+        for samples in (block, symbols * width):
+            with mock.patch.object(waveform, "ASSEMBLE_BLOCK_SAMPLES", samples):
+                got = assemble_frame(cfg, sched, rng=substream(seed, "p"))
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.one_of(st.integers(0, 300),
+                           st.tuples(st.integers(0, 9), st.integers(1, 7), st.integers(1, 5))),
+           block=st.integers(1, 64), seed=st.integers(0, 2**16))
+    def test_random_bits_are_one_draw(self, shape, block, seed):
+        rng, ref = substream(seed, "b"), substream(seed, "b")
+        with mock.patch.object(waveform, "ASSEMBLE_BLOCK_SAMPLES", block):
+            bits = random_bits(rng, shape)
+        want = ref.integers(0, 2, shape)
+        assert bits.dtype == np.uint8 and bits.shape == want.shape
+        assert np.array_equal(bits, want)
+        # the stream goes on where the whole draw leaves it
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
