@@ -32,11 +32,22 @@ def pattern_cache_key(scn) -> str:
 
 
 def cache_dir() -> Path:
-    return Path(os.environ.get("JCAS_CACHE_DIR") or Path.home() / ".cache" / "jcas")
+    return Path(_cache_root())
 
 
 def pattern_path(scn) -> Path:
-    return cache_dir() / f"pattern_{pattern_cache_key(scn)}.npz"
+    return Path(_pattern_file(scn))
+
+
+def _cache_root() -> str:
+    return os.environ.get("JCAS_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "jcas")
+
+
+def _pattern_file(scn) -> str:
+    """pattern_path(scn) as a plain string, as every simulate run looks it
+    up: pathlib interns the names it parses (see cli.run_simulate)."""
+    return os.path.join(_cache_root(), f"pattern_{pattern_cache_key(scn)}.npz")
 
 
 class CacheError(OSError):
@@ -56,8 +67,8 @@ class CacheError(OSError):
 _pattern_memo: tuple[tuple, receiver.PatternTensor] | None = None
 
 
-def _file_key(path: Path, st: os.stat_result) -> tuple:
-    return (os.fspath(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+def _file_key(path: str, st: os.stat_result) -> tuple:
+    return (path, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
 
 
 def _remember(key: tuple, pat: receiver.PatternTensor) -> receiver.PatternTensor:
@@ -82,7 +93,7 @@ def load_or_build_pattern(scn, schedule: Schedule,
     caller's own. A failed store raises CacheError, which holds the pattern."""
     global _pattern_memo
     cfg = scn.waveform_config()
-    path = pattern_path(scn)
+    path = _pattern_file(scn)
     if not validate:
         try:
             with open(path, "rb") as f:
@@ -104,9 +115,9 @@ def load_or_build_pattern(scn, schedule: Schedule,
     _pattern_memo = None
     pat = receiver.build_pattern(cfg, schedule, n_guard=scn.n_guard, validate=validate)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         # write beside the target and rename, so readers never see a partial file
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
                 np.savez(f, p=pat.p)
@@ -117,6 +128,6 @@ def load_or_build_pattern(scn, schedule: Schedule,
             if os.path.exists(tmp):
                 os.unlink(tmp)
     except OSError as e:
-        raise CacheError(f"cannot store the pattern in {path.parent}: "
+        raise CacheError(f"cannot store the pattern in {os.path.dirname(path)}: "
                          f"{e.strerror or e}", pat) from e
     return pat if validate else _remember(key, pat)

@@ -173,11 +173,12 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
 
     out is a new array when None. It may be tx itself: the receive samples
     then replace the transmit samples, and no second frame is made. Any
-    other out must be of tx's shape and share no memory with it. The frame
-    is made ECHO_BLOCK_SAMPLES samples at a time, from its last block back,
-    so the echoes of a block read only samples of tx that are not yet
-    overwritten. Each sample is summed as in a whole-frame sum: the SI,
-    then each echo in target order, then the noise.
+    other out must be of tx's shape and dtype and share no memory with it
+    (a ValueError otherwise). The frame is made ECHO_BLOCK_SAMPLES samples
+    at a time, from its last block back, so the echoes of a block read only
+    samples of tx that are not yet overwritten. Each sample is summed as in
+    a whole-frame sum: the SI, then each echo in target order, then the
+    noise.
 
     rng is the Generator to draw the noise from, or its draws already
     started (start_noise), the real parts' first, as the Generator gives
@@ -187,6 +188,12 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     n = len(tx)
     if n == 0:
         raise ValueError("empty frame")
+    if out is None:
+        out = np.empty_like(tx)
+    elif out.shape != tx.shape or out.dtype != tx.dtype:
+        raise ValueError(f"out is {out.dtype} {out.shape}, not tx's {tx.dtype} {tx.shape}")
+    elif out is not tx and np.shares_memory(out, tx):
+        raise ValueError("out shares memory with tx without being tx")
     ref_amp = max((abs(t.amplitude) for t in targets), default=1.0)
     paths = [target_to_delay_doppler(t, cfg.carrier_hz, cfg.t_s) for t in targets]
     if cc.noise_enabled:   # |tx|^2 is a half-frame temporary, summed pairwise
@@ -194,7 +201,6 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
         power **= 2
         sigma2 = ref_amp ** 2 * np.mean(power) * 10 ** (-cc.echo_snr_db / 10)
         del power
-    rx = np.empty_like(tx) if out is None else out
     step = min(ECHO_BLOCK_SAMPLES, n)
     buf = np.empty(step, dtype=tx.dtype)
     blocks = [(i, buf[:min(step, n - i)]) for i in reversed(range(0, n, step))]
@@ -209,7 +215,7 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
             block.fill(0)
         for echo in echoes:
             next(echo)
-        rx[i:i + len(block)] = block
+        out[i:i + len(block)] = block
     if cc.noise_enabled:
-        add_noise(rx, np.sqrt(sigma2 / 2), rng)
-    return rx
+        add_noise(out, np.sqrt(sigma2 / 2), rng)
+    return out

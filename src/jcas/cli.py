@@ -186,8 +186,12 @@ def load_scenario(path: str | Path) -> Scenario:
 def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     """Run one scenario end to end; writes artifacts, returns the report."""
     t_start = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the artifacts' paths are plain strings: pathlib interns each name it
+    # parses, and a name made anew on every run spends a slot of the
+    # interpreter's interned-string table, which regrows (~0.9 MB) once they
+    # run out, a few hundred fig7 runs into a process
+    out = os.fspath(out_dir)
+    os.makedirs(out, exist_ok=True)
     cfg = scn.waveform_config()
     scheme = scn.scheme_enum
     tag = scn.tag or scheme.value
@@ -199,7 +203,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     # Each frame-size array lives only while it is read. The link runs first,
     # while no sensing frame or map is alive (its substreams are its own);
     # the channel writes rx over tx, the noise draws go when it returns, and
-    # rx with the sensing chain.
+    # rx once its windows are sensed.
     ber = evm = None
     if scn.comms_enabled and scheme.is_fsi:
         ber, evm = comms.run_link(
@@ -229,10 +233,14 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             print(f"warning: {e}", file=sys.stderr)
             pat = e.pattern
         flagged_bins = pat.flagged_bins
-        std, shift, rd = receiver.receive_tail(
-            rx, cfg, schedule, pat,
-            scn.cleanup_radius if scn.peak_cleanup else None,
-            scn.rel_threshold, scn.max_peaks, scn.guard)
+        # both windows in one call, and no frame under the cleanup and solve
+        std, shift = receiver.process_sensing(
+            rx, cfg, schedule, (receiver.WindowKind.STANDARD, receiver.WindowKind.SHIFTED),
+            pat.n_guard)
+        del rx
+        rd = receiver.receive_tail(std, shift, pat,
+                                   scn.cleanup_radius if scn.peak_cleanup else None,
+                                   scn.rel_threshold, scn.max_peaks, scn.guard)
         # near and far rows share one extended range axis, so detection
         # on it gives both a single normalization
         maps = {"std": (std, ...), "shift": (shift, ...), "combined": (rd, ...),
@@ -241,9 +249,9 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     else:
         rd = receiver.process_sensing(rx, cfg, schedule,
                                       receiver.WindowKind.STANDARD, scn.n_guard)
+        del rx
         name = "single"
         maps = {name: (rd, ...)}
-    del rx
 
     dets = detect.find_peaks(rd, scn.rel_threshold, scn.max_peaks, scn.guard)
     evaluation = detect.evaluate(dets, scn.target_list(), rd)
@@ -253,8 +261,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
     csv_lines = {}
     for map_name, (m, rows) in maps.items():
         stem = f"rd_{tag}_{map_name}" if len(maps) > 1 else f"rd_{tag}"
-        write_rd_binary(out / f"{stem}.bin", m.values[rows])
-        held = write_rd_csv(out / f"{stem}.csv", m.magnitude[rows],
+        write_rd_binary(os.path.join(out, f"{stem}.bin"), m.values[rows])
+        held = write_rd_csv(os.path.join(out, f"{stem}.csv"), m.magnitude[rows],
                             lines=csv_lines.get(map_name),
                             split=cfg.l_occ if map_name == "combined" else None)
         if held is not None:
@@ -272,7 +280,7 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
         "flagged_pattern_bins": flagged_bins,
         "elapsed_s": time.perf_counter() - t_start,
     }
-    with open(out / f"report_{tag}.json", "w") as f:
+    with open(os.path.join(out, f"report_{tag}.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
     return report
 

@@ -11,7 +11,7 @@ grid) so +f_D still peaks at the bin whose signed frequency is +f_D.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -189,22 +189,30 @@ def si_filter(y: np.ndarray, n_guard: int = 1,
 
 def slow_time_matched_filter(profiles: np.ndarray, grid_indices: np.ndarray,
                              n_grid: int, cfg: WaveformConfig) -> RdMatrix:
-    """Slow-time matched filter across the occasion grid.
-
-    RD[d, nu] = (1/K) sum_k profiles[k, d] * e^{+j 2 pi g_k nu / G}.
-    The occasions g_k are integers, so this is exactly a G-point inverse
-    DFT of the profiles scattered onto a zero-filled grid, times G/K.
-    """
+    """Slow-time matched filter across the occasion grid: RD[d, nu] =
+    (1/K) sum_k profiles[k, d] e^{+j 2 pi g_k nu / G}; the occasions g_k are
+    integers, so this is exactly _slow_time_map's zero-filled inverse DFT."""
     g = np.asarray(grid_indices)
     ordered = np.sort(g, axis=None)   # np.unique would import numpy.ma
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("duplicate grid indices")
     if profiles.shape[0] != len(g):
         raise ValueError("one profile per scheduled occasion required")
-    filled = np.zeros((profiles.shape[1], n_grid), dtype=complex)
-    filled[:, g] = profiles.T
-    rd = np.fft.ifft(filled, axis=1, out=filled)
-    rd *= n_grid / len(g)
+    return _slow_time_map([(g, profiles)], g, n_grid, 0, cfg, profiles.shape[1])
+
+
+def _slow_time_map(blocks: Iterable, g: np.ndarray, n_grid: int, band: int,
+                   cfg: WaveformConfig, rows: int) -> RdMatrix:
+    """The matched filter of occasions g: each (columns, (occasions, rows)
+    profiles) of blocks put in a zero-filled (rows, G) grid, inverse DFT, times
+    G/K. A band's grid is (rows, K): periodic g_k = kP + r, G = KP, tile its
+    K-point inverse DFT over the full map times e^{j2pi r b/G} at signed bin b."""
+    grid = np.zeros((rows, band or n_grid), dtype=complex)
+    for cols, prof in blocks:
+        grid[:, cols] = prof.T
+    rd = np.fft.ifft(grid, axis=1, out=grid)
+    rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band)) \
+        if band else n_grid / len(g)
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
 
@@ -260,7 +268,7 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
     """process_sensing's map of one window kind. SENSE_BLOCK_CELLS window
     samples' worth of occasions at a time are dechirped (and folded, FSI),
     notched in their own array and written straight into the zero-filled
-    (L, G) grid of slow_time_matched_filter, or a periodic scheme's (L, K)."""
+    grid of the slow-time matched filter (_slow_time_map)."""
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule)
@@ -284,18 +292,13 @@ def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
 
         def beat(ks: slice) -> np.ndarray:
             return mix(slots[ks if every else g[ks]], chirp)
-    step = max(1, SENSE_BLOCK_CELLS // (cfg.n_fft if schedule.scheme.is_fsi else cfg.l_occ))
-    grid = np.zeros((cfg.l_occ, band or n_grid), dtype=complex)
-    for ks in (slice(i, i + step) for i in range(0, len(g), step)):
+
+    def profiles(ks: slice) -> tuple[slice | np.ndarray, np.ndarray]:
         y = beat(ks)
-        grid[:, ks if band or every else g[ks]] = si_filter(y, n_guard, out=y).T
-    rd = np.fft.ifft(grid, axis=1, out=grid)
-    # periodic occasions g_k = kP + r with G = KP: the full map is the
-    # K-point inverse DFT tiled over the grid, times e^{j2pi r nu/G}, so
-    # the band's signed bins b come straight from it
-    rd *= np.exp(2j * np.pi * g[0] / n_grid * signed_bin(np.arange(band), band)) \
-        if band else n_grid / len(g)
-    return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
+        return ks if band or every else g[ks], si_filter(y, n_guard, out=y)
+    step = max(1, SENSE_BLOCK_CELLS // (cfg.n_fft if schedule.scheme.is_fsi else cfg.l_occ))
+    return _slow_time_map(map(profiles, (slice(i, i + step) for i in range(0, len(g), step))),
+                          g, n_grid, band, cfg, cfg.l_occ)
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +667,15 @@ def peak_cleanup(rd: RdMatrix, cells, radius: int) -> RdMatrix:
     return RdMatrix(values=vals, grid_size=rd.grid_size, cfg=rd.cfg)
 
 
-def receive_tail(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
-                 pat: PatternTensor, cleanup_radius: int | None = None,
-                 rel_threshold: float = 0.05, max_peaks: int | None = None,
-                 guard: int = 2) -> tuple[RdMatrix, RdMatrix, RdMatrix]:
-    """Both tail-mode window maps, as captured with the pattern's n_guard,
-    and their 2x2 solve: (std, shift, solved). One process_sensing call
-    senses both windows, the shifted one on the background worker. With a
-    cleanup_radius, the solve takes each window map cleaned around its own
-    find_peaks cells."""
+def receive_tail(std: RdMatrix, shift: RdMatrix, pat: PatternTensor,
+                 cleanup_radius: int | None = None, rel_threshold: float = 0.05,
+                 max_peaks: int | None = None, guard: int = 2) -> RdMatrix:
+    """The 2x2 solve of the tail-mode window maps std and shift, sensed with
+    the pattern's n_guard in one process_sensing call (the frame may be gone
+    by now). With a cleanup_radius, the solve takes each window map cleaned
+    around its own find_peaks cells."""
     from . import detect   # detect imports this module
-    std, shift = process_sensing(rx, cfg, schedule,
-                                 (WindowKind.STANDARD, WindowKind.SHIFTED), pat.n_guard)
-    if cleanup_radius is None:
-        return std, shift, solve_windows(std, shift, pat)
-    cleaned = [peak_cleanup(m, [d.cell for d in detect.find_peaks(
-        m, rel_threshold, max_peaks, guard)], cleanup_radius) for m in (std, shift)]
-    return std, shift, solve_windows(*cleaned, pat)
+    if cleanup_radius is not None:
+        std, shift = (peak_cleanup(m, [d.cell for d in detect.find_peaks(
+            m, rel_threshold, max_peaks, guard)], cleanup_radius) for m in (std, shift))
+    return solve_windows(std, shift, pat)

@@ -1,6 +1,6 @@
 """Small shared helpers: named random substreams, complex noise, physical
 constants, FFT sizes, and the process-wide settings made at import: the
-heap thresholds and the background worker."""
+heap thresholds, the one arena and the background worker."""
 
 import collections
 import concurrent.futures
@@ -73,19 +73,24 @@ def mps_to_kmh(v_mps: float) -> float:
 
 
 def _retain_freed_heap() -> None:
-    """Keep the memory a run frees in the process for the next run (glibc).
+    """Keep the memory a run frees in the process for the next run, in one
+    heap (glibc).
 
     A run allocates and frees tens of MB of arrays. With glibc's default,
     adaptive thresholds the freed top of the heap goes back to the kernel
     after each run, and the next run faults every page in again, zeroed:
     some 6,000 page faults and a quarter of a fig6 run's time. Fixed
     thresholds keep arrays under 32 MB on the heap and up to 256 MB of its
-    free top in the process. The thresholds hold for the whole process,
-    the importing program's own allocations too (README, "Library layout").
-    Nothing is changed when the allocator is tuned through the environment.
+    free top in the process. One arena serves every thread: the background
+    worker allocates from the heap the caller frees into, and the reverse,
+    where a heap of its own would hold the worker's freed memory apart
+    (some 2 MB on a fig7 run). These settings hold for the whole process,
+    the importing program's own allocations and threads too (README,
+    "Library layout"). Nothing is changed when the allocator is tuned
+    through the environment.
     """
     if any(v in os.environ for v in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
-                                     "MALLOC_MMAP_THRESHOLD_")):
+                                     "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX")):
         return
     try:
         if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
@@ -96,6 +101,7 @@ def _retain_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
     mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+    mallopt(-8, 1)           # M_ARENA_MAX
 
 
 # One worker thread, started by its first task, runs coarse numpy work that

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from jcas import (ChannelConfig, Scheme, Target, WaveformConfig,
+from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, WindowKind,
                   assemble_frame, build_pattern, find_peaks, make_base_set,
                   make_chirp, make_code_matrix, make_schedule,
                   make_sensing_waveforms, process_sensing, receive_tail,
@@ -249,8 +249,9 @@ def fig7_setup():
               for t in targets]
         rx = synthesize_rx(tx, tl, ChannelConfig(), cfg,
                            rng=substream(SEED, "c5/noise"))
-        return receive_tail(rx, cfg, sched, pat,
-                            cleanup_radius=2 if cleanup else None)
+        std, shift = process_sensing(rx, cfg, sched, tuple(WindowKind), pat.n_guard)
+        return std, shift, receive_tail(std, shift, pat,
+                                        cleanup_radius=2 if cleanup else None)
 
     return {"cfg": cfg, "run": run, "t0": t0}
 

@@ -307,6 +307,43 @@ class TestWrittenOverTx:
         assert got is tx
         assert got.tobytes() == want.tobytes()
 
+    # out is tx, or an array of tx's shape and dtype apart from it; anything
+    # else would corrupt, leave samples unwritten or round the frame
+    TARGET = [Target(60 * 3e8 * CFG.t_s / 2, 30.0)]
+
+    @pytest.mark.parametrize("lag", [-5, 5])
+    def test_out_overlapping_tx_rejected(self, lag):
+        frame = _frame(self.CFG, k=3, seed=3)
+        n = len(frame)
+        buf = np.zeros(n + abs(lag), dtype=complex)
+        tx, out = (buf[:n], buf[lag:]) if lag > 0 else (buf[-lag:], buf[:n])
+        tx[:] = frame
+        with pytest.raises(ValueError, match="shares memory"):
+            synthesize_rx(tx, self.TARGET, NO_NOISE, self.CFG, out=out)
+
+    def test_out_interleaved_with_tx_is_apart_from_it(self):
+        frame = _frame(self.CFG, k=3, seed=3)
+        buf = np.zeros(2 * len(frame), dtype=complex)
+        tx, out = buf[::2], buf[1::2]
+        tx[:] = frame
+        want = synthesize_rx(frame, self.TARGET, NO_NOISE, self.CFG)
+        assert synthesize_rx(tx, self.TARGET, NO_NOISE, self.CFG, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert tx.tobytes() == frame.tobytes()
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_out_of_another_length_rejected(self, extra):
+        tx = _frame(self.CFG, k=3, seed=3)
+        out = np.zeros(len(tx) + extra, dtype=complex)
+        with pytest.raises(ValueError, match="not tx's"):
+            synthesize_rx(tx, self.TARGET, NO_NOISE, self.CFG, out=out)
+
+    def test_out_of_another_dtype_rejected(self):
+        tx = _frame(self.CFG, k=3, seed=3)
+        with pytest.raises(ValueError, match="not tx's"):
+            synthesize_rx(tx, self.TARGET, NO_NOISE, self.CFG,
+                          out=np.zeros(len(tx), dtype=np.complex64))
+
 
 class TestAgainstTheOracle:
     TARGETS = [Target(0.0, 0.0), Target(50.0, 30.0),

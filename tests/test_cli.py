@@ -207,7 +207,7 @@ class TestRunSimulate:
         monkeypatch.setattr(cli, "write_rd_csv", write)
         report = run_simulate(scn, out)
         # one of near and far is written from the combined CSV's lines
-        from_lines = [c.args[0].name for c in write.call_args_list
+        from_lines = [os.path.basename(c.args[0]) for c in write.call_args_list
                       if c.kwargs["lines"] is not None]
         assert from_lines in (["rd_fsi_tail_near.csv"], ["rd_fsi_tail_far.csv"])
         for name in ("std", "shift", "near", "far", "combined"):
@@ -307,11 +307,11 @@ class TestRunSimulate:
     @pytest.mark.parametrize("scn", PRESET_RUNS, ids=lambda s: s.tag or s.scheme)
     def test_frames_are_dropped_before_detection(self, tmp_path, monkeypatch, scn):
         # the channel writes rx over tx, and that one buffer lives until the
-        # sensing call has returned; receive_tail's cleanup runs find_peaks
-        # inside that call
+        # sensing call has returned: the peak cleanup, the 2x2 solve and
+        # detection all run after it is gone
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
-        frames, sensing, alive = {}, [], []
-        synthesize, find_peaks = cli.synthesize_rx, detect.find_peaks
+        frames, alive = {}, []
+        synthesize, sense = cli.synthesize_rx, receiver.process_sensing
 
         def synthesize_rx(tx, *args, **kwargs):
             frames["tx"] = weakref.ref(tx)
@@ -320,27 +320,41 @@ class TestRunSimulate:
             frames["rx"] = weakref.ref(rx)
             return rx
 
-        def sense(fn):
-            def call(rx, *args, **kwargs):
-                assert rx is frames["rx"]()
-                sensing.append(fn)
-                try:
-                    return fn(rx, *args, **kwargs)
-                finally:
-                    sensing.pop()
-            return call
+        def process_sensing(rx, *args, **kwargs):
+            assert rx is frames["rx"]()
+            return sense(rx, *args, **kwargs)
 
-        def peaks(*args, **kwargs):
-            if not sensing:
-                alive.append({name: ref() is not None for name, ref in frames.items()})
-            return find_peaks(*args, **kwargs)
+        def after_sensing(mod, name):
+            fn = getattr(mod, name)
+
+            def call(*args, **kwargs):
+                alive.append((name, {key: ref() is not None for key, ref in frames.items()}))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, call)
 
         monkeypatch.setattr(cli, "synthesize_rx", synthesize_rx)
-        for name in ("process_sensing", "receive_tail"):
-            monkeypatch.setattr(receiver, name, sense(getattr(receiver, name)))
-        monkeypatch.setattr(detect, "find_peaks", peaks)
+        monkeypatch.setattr(receiver, "process_sensing", process_sensing)
+        for mod, name in ((receiver, "peak_cleanup"), (receiver, "solve_windows"),
+                          (detect, "find_peaks")):
+            after_sensing(mod, name)
         run_simulate(scn, tmp_path / "out")
-        assert alive == [{"tx": False, "rx": False}]
+        tail = ("solve_windows",) if scn.scheme == "fsi_tail" else ()
+        assert {name for name, _ in alive} == \
+            {"find_peaks", *tail, *("peak_cleanup",) * scn.peak_cleanup}
+        assert [seen for _, seen in alive if any(seen.values())] == []
+
+    def test_warm_run_interns_no_names(self, tmp_path, monkeypatch):
+        # pathlib interns each name it parses: a file name made anew on every
+        # run would spend a slot of the interpreter's interned-string table
+        # each time, and the table regrows (~0.9 MB) a few hundred runs in
+        monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
+        scn = Scenario(**TAIL_SMALL, peak_cleanup=True)
+        out = tmp_path / "out"
+        run_simulate(scn, out)   # the pattern built and stored
+        interned, intern = [], sys.intern
+        monkeypatch.setattr(sys, "intern", lambda s: interned.append(s) or intern(s))
+        run_simulate(scn, out)
+        assert interned == []
 
     # The tracemalloc peak of a warm op, in frames of 16 G L bytes, measured
     # at 2.50-2.66: the noise draws, the frame the channel writes rx over
@@ -950,7 +964,7 @@ class TestCliMain:
         src = Path(cli.__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items()
                if k not in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
-                            "MALLOC_MMAP_THRESHOLD_")}
+                            "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX")}
         code = ("import resource, sys; from jcas import cli\n"
                 "scn = cli.Scenario(scheme='sensing_only', "
                 "targets=[{'range_m': 200.0, 'velocity_kmh': 0.0}])\n"
@@ -973,7 +987,7 @@ class TestCliMain:
         src = Path(cli.__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items()
                if k not in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
-                            "MALLOC_MMAP_THRESHOLD_")}
+                            "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX")}
         code = ("import resource, sys; from jcas import receiver\n"
                 "assert 'jcas.cli' not in sys.modules\n"
                 "cfg = receiver.WaveformConfig()\n"
@@ -988,6 +1002,35 @@ class TestCliMain:
         faults = [int(line) for line in proc.stdout.split()]
         # glibc's adaptive defaults fault ~1,400 pages back in on every fig7 build
         assert faults[2] < 200, f"minor faults of the three builds: {faults}"
+
+    @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
+                        reason="the arena limit is set on glibc only")
+    def test_both_threads_allocate_from_one_heap(self, tmp_path):
+        # a fresh interpreter: a tail run with cleanup senses its shifted
+        # window on the background worker, whose allocations glibc would
+        # otherwise serve from a second arena that the caller never reuses
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_",
+                            "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX")}
+        code = ("import ctypes, sys; from jcas import cli\n"
+                f"cli.run_simulate(cli.Scenario(**{TAIL_SMALL!r}, peak_cleanup=True), "
+                "sys.argv[1])\n"
+                "libc = ctypes.CDLL(None)\n"
+                "libc.fopen.restype = ctypes.c_void_p\n"
+                "libc.fopen.argtypes = ctypes.c_char_p, ctypes.c_char_p\n"
+                "libc.malloc_info.argtypes = ctypes.c_int, ctypes.c_void_p\n"
+                "libc.fclose.argtypes = ctypes.c_void_p,\n"
+                "f = libc.fopen(sys.argv[2].encode(), b'w')\n"
+                "assert f and libc.malloc_info(0, f) == 0\n"
+                "libc.fclose(f)")
+        info = tmp_path / "malloc_info.xml"
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), str(info)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**env, "PYTHONPATH": str(src),
+                                   "JCAS_CACHE_DIR": str(tmp_path / "cache")})
+        assert proc.returncode == 0, proc.stderr
+        assert len(re.findall(r"<heap nr=", info.read_text())) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.builds(lambda grid, rest: {**grid, **rest}, _grids(), st.fixed_dictionaries(

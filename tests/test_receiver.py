@@ -826,7 +826,7 @@ class TestSolveWindows:
     def _solved(self, cfg, sched, targets, pat):
         tx = assemble_frame(cfg, sched, rng=substream(30, "p"))
         rx = synthesize_rx(tx, targets, ECHO_ONLY, cfg)
-        return receive_tail(rx, cfg, sched, pat)[2]
+        return receive_tail(*process_sensing(rx, cfg, sched, tuple(WindowKind)), pat)
 
     def _grid_map(self, cfg, sched, profiles, pat):
         return extract_band(slow_time_matched_filter(
@@ -902,11 +902,12 @@ class TestSolveWindows:
         # off grid, so its straddle shoulders give the cleanup cells to zero
         rx = synthesize_rx(tx, [Target(20.4 * 3e8 * cfg_small.t_s / 2, 0.0)],
                            ECHO_ONLY, cfg_small)
-        std, shift, solved = receive_tail(rx, cfg_small, sched, pat,
-                                          cleanup_radius=radius)
-        for got, kind in zip((std, shift), WindowKind):   # as captured
-            np.testing.assert_array_equal(
-                got.values, process_sensing(rx, cfg_small, sched, kind).values)
+        std, shift = process_sensing(rx, cfg_small, sched, tuple(WindowKind))
+        before = std.values.copy(), shift.values.copy()
+        solved = receive_tail(std, shift, pat, cleanup_radius=radius)
+        # the window maps are left as sensed, the cleanup works on copies
+        for got, want in zip((std, shift), before):
+            np.testing.assert_array_equal(got.values, want)
         # bit for bit the solve of the window maps, unless cleaned first
         plain = solve_windows(std, shift, pat).values
         assert np.array_equal(solved.values, plain) == (radius is None)
@@ -1173,6 +1174,7 @@ class TestConventions:
         nu0 = -2
         f_b = nu0 / (n_grid * cfg.t_chirp)
         rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-        dets = find_peaks(receive_tail(rx, cfg, sched, pat)[2])
+        dets = find_peaks(receive_tail(*process_sensing(rx, cfg, sched, tuple(WindowKind)),
+                                       pat))
         assert dets[0].range_bin == delta
         assert dets[0].doppler_bin == nu0

@@ -1,7 +1,7 @@
 """The names the benchmark in perfbench/ looks up in jcas exist, the
 background worker is reached, and process-wide settings made, only through
-jcas.util, and a map's neighborhood rule and the Doppler ramp's
-factorization are each written once.
+jcas.util, and a map's neighborhood rule, the Doppler ramp's factorization
+and the slow-time matched filter are each written once.
 
 perfbench wraps layers and calls entry points by module attribute, and its
 probes read the wrapped calls' arguments by name, so a name moved or
@@ -195,3 +195,24 @@ def test_the_ramp_rule_is_written_once():
     assert makers == {"outer": [("channel.py", "_ramp_pieces")],
                       "isqrt": [("channel.py", "_ramp_pieces")]}
     assert _functions_using(trees["channel.py"], helper) == {"doppler_ramp", "_add_echo"}
+
+
+def test_the_slow_time_matched_filter_is_written_once():
+    # the scatter onto the zero-filled occasion grid, its slow-time inverse
+    # DFT and the G/K scale (or a band's phase) are _slow_time_map's alone:
+    # the sensing chain and slow_time_matched_filter both call it
+    def slow_time_ifft(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "ifft"
+                and any(kw.arg == "axis" and ast.literal_eval(kw.value) == 1
+                        for kw in node.keywords))
+
+    def helper(node):
+        return isinstance(node, ast.Name) and node.id == "_slow_time_map"
+
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    makers = sorted((name, fn) for name, tree in trees.items()
+                    for fn in _functions_using(tree, slow_time_ifft))
+    assert makers == [("receiver.py", "_slow_time_map")]
+    assert _functions_using(trees["receiver.py"], helper) == \
+        {"slow_time_matched_filter", "_sense"}
