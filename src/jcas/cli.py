@@ -233,10 +233,10 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             print(f"warning: {e}", file=sys.stderr)
             pat = e.pattern
         flagged_bins = pat.flagged_bins
-        # both windows in one call, and no frame under the cleanup and solve
-        std, shift = receiver.process_sensing(
-            rx, cfg, schedule, (receiver.WindowKind.STANDARD, receiver.WindowKind.SHIFTED),
-            pat.n_guard)
+        # one call per window, std then shift, and no frame under the cleanup
+        # and solve
+        std, shift = (receiver.process_sensing(rx, cfg, schedule, kind, pat.n_guard)
+                      for kind in receiver.WindowKind)
         del rx
         rd = receiver.receive_tail(std, shift, pat,
                                    scn.cleanup_radius if scn.peak_cleanup else None,

@@ -232,13 +232,13 @@ def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
     return refs
 
 
-SENSE_BLOCK_CELLS = 1 << 15   # window samples _sense dechirps at a time
+SENSE_BLOCK_CELLS = 1 << 15   # window samples process_sensing dechirps at a time
 
 
 def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
-                    kind: WindowKind | tuple[WindowKind, ...] = WindowKind.STANDARD,
-                    n_guard: int = 1) -> RdMatrix | tuple[RdMatrix, ...]:
-    """Full sensing chain from receive samples to range-Doppler map.
+                    kind: WindowKind = WindowKind.STANDARD, n_guard: int = 1) -> RdMatrix:
+    """Full sensing chain from receive samples to the range-Doppler map of
+    one window kind.
 
     Random schemes give the full G-column map of slow_time_matched_filter.
     Periodic ones (periodic_td, fsi_tail) give the K-column unambiguous
@@ -246,29 +246,11 @@ def process_sensing(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
     [-K/2, K/2): column c holds signed bin signed_bin(c, K), and the bin
     width is still 1/(G T_chirp).
 
-    Given a tuple of window kinds, it returns one map per kind, in order.
-    The caller computes the first, and the background worker the others
-    beside it (util.share), or the caller after it when the worker is busy;
-    a failure in any window raises from here. The maps are the same bytes
-    as those of one call per kind.
+    SENSE_BLOCK_CELLS window samples' worth of occasions at a time are
+    dechirped (and folded, FSI), notched in their own array and written
+    straight into the zero-filled grid of the slow-time matched filter
+    (_slow_time_map).
     """
-    if isinstance(kind, WindowKind):
-        return _sense(rx, cfg, schedule, kind, n_guard)
-    maps = [None] * len(kind)
-
-    def sense(i: int) -> None:
-        maps[i] = _sense(rx, cfg, schedule, kind[i], n_guard)
-    with share(functools.partial(sense, i) for i in range(1, len(kind))):
-        sense(0)
-    return tuple(maps)
-
-
-def _sense(rx: np.ndarray, cfg: WaveformConfig, schedule: Schedule,
-           kind: WindowKind, n_guard: int) -> RdMatrix:
-    """process_sensing's map of one window kind. SENSE_BLOCK_CELLS window
-    samples' worth of occasions at a time are dechirped (and folded, FSI),
-    notched in their own array and written straight into the zero-filled
-    grid of the slow-time matched filter (_slow_time_map)."""
     g = occasion_grid_indices(schedule, cfg)
     n_grid = grid_size(schedule, cfg)
     band = unambiguous_band(schedule)
@@ -569,10 +551,9 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     Doppler bin nu), via the full pipeline.
 
     Synthesizes the complete K-symbol zero-data frame (or takes it as tx)
-    and an on-grid calibration echo, runs both windows through one
-    process_sensing call, and reads the cell of each. Inside build_pattern
-    the worker is building slices, so both windows mostly run on the
-    caller. Used to validate the fast calibration path.
+    and an on-grid calibration echo, senses it in each window kind, one
+    process_sensing call per kind, and reads the cell of each map. Used to
+    validate the fast calibration path.
     """
     from .channel import echo_component
     f_b = cfg.doppler_hz(nu, grid_size(schedule, cfg))
@@ -580,8 +561,7 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
         tx = assemble_frame(cfg, schedule)
     delta = d_bin + hyp * cfg.l_occ
     rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-    maps = process_sensing(rx, cfg, schedule, (WindowKind.STANDARD, WindowKind.SHIFTED),
-                           n_guard)
+    maps = (process_sensing(rx, cfg, schedule, kind, n_guard) for kind in WindowKind)
     return np.array([rd.values[d_bin, nu % rd.n_doppler] for rd in maps])
 
 
@@ -670,10 +650,10 @@ def peak_cleanup(rd: RdMatrix, cells, radius: int) -> RdMatrix:
 def receive_tail(std: RdMatrix, shift: RdMatrix, pat: PatternTensor,
                  cleanup_radius: int | None = None, rel_threshold: float = 0.05,
                  max_peaks: int | None = None, guard: int = 2) -> RdMatrix:
-    """The 2x2 solve of the tail-mode window maps std and shift, sensed with
-    the pattern's n_guard in one process_sensing call (the frame may be gone
-    by now). With a cleanup_radius, the solve takes each window map cleaned
-    around its own find_peaks cells."""
+    """The 2x2 solve of the tail-mode window maps std and shift, each sensed
+    with the pattern's n_guard by its own process_sensing call (the frame may
+    be gone by now). With a cleanup_radius, the solve takes each window map
+    cleaned around its own find_peaks cells."""
     from . import detect   # detect imports this module
     if cleanup_radius is not None:
         std, shift = (peak_cleanup(m, [d.cell for d in detect.find_peaks(

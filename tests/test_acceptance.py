@@ -249,7 +249,8 @@ def fig7_setup():
               for t in targets]
         rx = synthesize_rx(tx, tl, ChannelConfig(), cfg,
                            rng=substream(SEED, "c5/noise"))
-        std, shift = process_sensing(rx, cfg, sched, tuple(WindowKind), pat.n_guard)
+        std, shift = (process_sensing(rx, cfg, sched, kind, pat.n_guard)
+                      for kind in WindowKind)
         return std, shift, receive_tail(std, shift, pat,
                                         cleanup_radius=2 if cleanup else None)
 

@@ -254,21 +254,21 @@ class TestRunSimulate:
         # caller that bound the function directly would bypass it unseen.
         # Its tracer is single-threaded: every layer runs on the caller's
         # thread, and the background worker only runs numpy work inside
-        # them (the noise fill, slices of the pattern build, half the solve,
-        # the second window of a process_sensing call).
+        # them (the noise fill, slices of the pattern build, half the solve).
+        # A tail run senses each of its two windows in a call of its own.
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         simulate = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
                     (cli, "synthesize_rx"): 1, (cli, "write_rd_csv"): 5,
                     (cli, "write_rd_binary"): 5, (cli, "load_or_build_pattern"): 1,
                     (receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 1,
-                    (receiver, "process_sensing"): 1, (receiver, "peak_cleanup"): 2,
+                    (receiver, "process_sensing"): 2, (receiver, "peak_cleanup"): 2,
                     (receiver, "solve_windows"): 1, (detect, "find_peaks"): 3,
                     (detect, "evaluate"): 1}
         # calibrate validates while it builds: three cells, each through
-        # one call for both windows of an echo of the one zero-data frame
+        # one call per window of an echo of the one zero-data frame
         calibrate = {(receiver, "build_pattern"): 1, (receiver, "assemble_frame"): 2,
                      (receiver, "validate_pattern"): 0,
-                     (receiver, "process_sensing"): 3, (channel, "echo_component"): 3}
+                     (receiver, "process_sensing"): 6, (channel, "echo_component"): 3}
         threads = set()
 
         def spy(fn):
@@ -1006,8 +1006,8 @@ class TestCliMain:
     @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
                         reason="the arena limit is set on glibc only")
     def test_both_threads_allocate_from_one_heap(self, tmp_path):
-        # a fresh interpreter: a tail run with cleanup senses its shifted
-        # window on the background worker, whose allocations glibc would
+        # a fresh interpreter: a tail run with cleanup builds its pattern cold,
+        # slices of it on the background worker, whose allocations glibc would
         # otherwise serve from a second arena that the caller never reuses
         src = Path(cli.__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items()

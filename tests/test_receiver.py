@@ -21,7 +21,6 @@ from jcas.receiver import COND_MAX, RdMatrix, capture_windows, \
     invert_cells, pattern_cell_direct
 from jcas.scheduler import grid_size, occasion_grid_indices
 from jcas.selftest import steady_state_deviation
-from jcas.util import share
 
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
 NO_NOISE = ChannelConfig(noise_enabled=False)
@@ -372,6 +371,13 @@ class TestProcessSensing:
         assert (164, (-37) % 320) in cells
         assert (328, 74) in cells
 
+    def test_a_failing_window_raises(self, cfg_small):
+        # a slotted scheme has no shifted window
+        sched = make_schedule(Scheme.RTD, cfg_small.m_codes, 16, rng=substream(6, "s"))
+        rx = assemble_frame(cfg_small, sched, rng=substream(6, "p"))
+        with pytest.raises(ValueError, match="single window kind"):
+            process_sensing(rx, cfg_small, sched, WindowKind.SHIFTED)
+
 
 class TestGridSensing:
     """Every window is dechirped (and folded, FSI) and notched
@@ -426,84 +432,6 @@ class TestGridSensing:
             got = process_sensing(rx, cfg, sched, kind, n_guard)
         want = self.whole_array(rx, cfg, sched, kind, n_guard)
         assert got.values.tobytes() == want.tobytes()
-
-
-class TestBothWindows:
-    """process_sensing with a tuple of window kinds: one map per kind, the
-    first on the caller and the others on the background worker."""
-
-    @staticmethod
-    def _rx(cfg, scheme, k, seed):
-        sched = make_schedule(scheme, cfg.m_codes, k, rng=substream(seed, "s"))
-        tx = assemble_frame(cfg, sched, rng=substream(seed, "p"))
-        echo = Target(3 * 3e8 * cfg.t_s / 2, 10.0)
-        return sched, synthesize_rx(tx, [echo], ChannelConfig(), cfg,
-                                    rng=substream(seed, "n"))
-
-    @settings(max_examples=60, deadline=None)
-    @given(scheme=st.sampled_from([Scheme.FSI_TAIL, Scheme.FSI_RANDOM]),
-           m=st.integers(2, 6), l=st.integers(2, 24), cp_occasions=st.integers(0, 6),
-           k=st.integers(1, 40), n_guard=st.integers(1, 23),
-           symbols=st.one_of(st.none(), st.integers(1, 50)),
-           kinds=st.lists(st.sampled_from(WindowKind), min_size=1, max_size=3),
-           seed=st.integers(0, 2 ** 16))
-    @example(scheme=Scheme.FSI_TAIL, m=4, l=512, cp_occasions=1, k=64, n_guard=1,
-             symbols=None, kinds=[WindowKind.STANDARD, WindowKind.SHIFTED], seed=0)
-    @example(scheme=Scheme.FSI_RANDOM, m=4, l=512, cp_occasions=1, k=33, n_guard=2,
-             symbols=None, kinds=[WindowKind.SHIFTED, WindowKind.STANDARD], seed=1)
-    def test_maps_are_the_single_kind_calls(self, scheme, m, l, cp_occasions, k,
-                                            n_guard, symbols, kinds, seed):
-        # symbols per block drawn below K, above it and not dividing it; the
-        # single-kind calls run at the module's block size
-        cfg = WaveformConfig(n_fft=m * l, m_codes=m, n_cp=min(cp_occasions, m) * l,
-                             scs_hz=480e3)
-        n_guard = 1 + (n_guard - 1) % (l - 1)
-        sched, rx = self._rx(cfg, scheme, k, seed)
-        want = [process_sensing(rx, cfg, sched, kind, n_guard) for kind in kinds]
-        block = receiver.SENSE_BLOCK_CELLS if symbols is None else symbols * cfg.n_fft
-        with mock.patch.object(receiver, "SENSE_BLOCK_CELLS", block):
-            got = process_sensing(rx, cfg, sched, tuple(kinds), n_guard)
-        assert isinstance(got, tuple) and len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.values.tobytes() == w.values.tobytes()
-            assert g.grid_size == w.grid_size and g.cfg == w.cfg
-
-    def test_worker_held_in_a_share_block(self, cfg_small, monkeypatch):
-        # the worker runs a task of an outer share block throughout: both
-        # windows run on the caller, without waiting for the worker
-        sched, rx = self._rx(cfg_small, Scheme.FSI_TAIL, 16, 5)
-        kinds = (WindowKind.STANDARD, WindowKind.SHIFTED)
-        want = [process_sensing(rx, cfg_small, sched, kind) for kind in kinds]
-        threads, real = [], receiver._sense
-
-        def spy(*args):
-            threads.append(threading.get_ident())
-            return real(*args)
-        monkeypatch.setattr(receiver, "_sense", spy)
-        started, release, held = (threading.Event() for _ in range(3))
-
-        def hold():
-            started.set()
-            release.wait(20)
-            held.set()
-        with share([hold]):
-            try:
-                assert started.wait(20)
-                got = process_sensing(rx, cfg_small, sched, kinds)
-                assert not held.is_set()   # not waited for behind the outer task
-            finally:
-                release.set()
-        assert threads == [threading.get_ident()] * 2
-        assert [g.values.tobytes() for g in got] == [w.values.tobytes() for w in want]
-
-    @pytest.mark.parametrize("kinds", [(WindowKind.STANDARD, WindowKind.SHIFTED),
-                                       (WindowKind.SHIFTED, WindowKind.STANDARD)])
-    def test_a_failing_window_raises(self, cfg_small, kinds):
-        # a slotted scheme has no shifted window, on whichever thread it runs
-        sched = make_schedule(Scheme.RTD, cfg_small.m_codes, 16, rng=substream(6, "s"))
-        rx = assemble_frame(cfg_small, sched, rng=substream(6, "p"))
-        with pytest.raises(ValueError, match="single window kind"):
-            process_sensing(rx, cfg_small, sched, kinds)
 
 
 def solve_oracle(cells):
@@ -826,7 +754,8 @@ class TestSolveWindows:
     def _solved(self, cfg, sched, targets, pat):
         tx = assemble_frame(cfg, sched, rng=substream(30, "p"))
         rx = synthesize_rx(tx, targets, ECHO_ONLY, cfg)
-        return receive_tail(*process_sensing(rx, cfg, sched, tuple(WindowKind)), pat)
+        return receive_tail(*(process_sensing(rx, cfg, sched, kind) for kind in WindowKind),
+                            pat)
 
     def _grid_map(self, cfg, sched, profiles, pat):
         return extract_band(slow_time_matched_filter(
@@ -902,7 +831,7 @@ class TestSolveWindows:
         # off grid, so its straddle shoulders give the cleanup cells to zero
         rx = synthesize_rx(tx, [Target(20.4 * 3e8 * cfg_small.t_s / 2, 0.0)],
                            ECHO_ONLY, cfg_small)
-        std, shift = process_sensing(rx, cfg_small, sched, tuple(WindowKind))
+        std, shift = (process_sensing(rx, cfg_small, sched, kind) for kind in WindowKind)
         before = std.values.copy(), shift.values.copy()
         solved = receive_tail(std, shift, pat, cleanup_radius=radius)
         # the window maps are left as sensed, the cleanup works on copies
@@ -1174,7 +1103,7 @@ class TestConventions:
         nu0 = -2
         f_b = nu0 / (n_grid * cfg.t_chirp)
         rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-        dets = find_peaks(receive_tail(*process_sensing(rx, cfg, sched, tuple(WindowKind)),
-                                       pat))
+        dets = find_peaks(receive_tail(*(process_sensing(rx, cfg, sched, kind)
+                                         for kind in WindowKind), pat))
         assert dets[0].range_bin == delta
         assert dets[0].doppler_bin == nu0

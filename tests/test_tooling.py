@@ -122,12 +122,24 @@ def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):
 
 def test_the_worker_is_reached_through_pending_and_share_only():
     # util.Pending for one deferred call (the noise draw), util.share for a
-    # queue of tasks run beside a block; everything else stays in util
+    # queue of tasks run beside a block (the pattern build's slices and half
+    # its solve); everything else stays in util, and the sensing chain runs
+    # on the caller
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     users = {call: sorted(name for name, text in sources.items() if call in text)
-             for call in ("background_worker(", ".submit(", "Pending(")}
-    assert users == {"background_worker(": ["util.py"], ".submit(": ["util.py"],
-                     "Pending(": ["channel.py", "util.py"]}
+             for call in ("background_worker(", ".submit(")}
+    assert users == {"background_worker(": ["util.py"], ".submit(": ["util.py"]}
+
+    def calls(name):
+        return lambda node: (isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    callers = {name: sorted((module, fn) for module, tree in trees.items()
+                            for fn in _functions_using(tree, calls(name)))
+               for name in ("share", "Pending")}
+    assert callers == {"share": [("receiver.py", "build_pattern"), ("receiver.py", "solve")],
+                       "Pending": [("channel.py", "start_noise"), ("util.py", "share")]}
 
 
 def test_process_wide_settings_are_made_in_util_only():
@@ -215,4 +227,4 @@ def test_the_slow_time_matched_filter_is_written_once():
                     for fn in _functions_using(tree, slow_time_ifft))
     assert makers == [("receiver.py", "_slow_time_map")]
     assert _functions_using(trees["receiver.py"], helper) == \
-        {"slow_time_matched_filter", "_sense"}
+        {"slow_time_matched_filter", "process_sensing"}
