@@ -371,13 +371,6 @@ class TestProcessSensing:
         assert (164, (-37) % 320) in cells
         assert (328, 74) in cells
 
-    def test_a_failing_window_raises(self, cfg_small):
-        # a slotted scheme has no shifted window
-        sched = make_schedule(Scheme.RTD, cfg_small.m_codes, 16, rng=substream(6, "s"))
-        rx = assemble_frame(cfg_small, sched, rng=substream(6, "p"))
-        with pytest.raises(ValueError, match="single window kind"):
-            process_sensing(rx, cfg_small, sched, WindowKind.SHIFTED)
-
 
 class TestGridSensing:
     """Every window is dechirped (and folded, FSI) and notched
@@ -433,6 +426,21 @@ class TestGridSensing:
         want = self.whole_array(rx, cfg, sched, kind, n_guard)
         assert got.values.tobytes() == want.tobytes()
 
+
+
+class TestBothWindows:
+    """A tail frame's two windows, sensed one call per kind as run_simulate
+    senses them."""
+
+    @pytest.mark.parametrize("kinds", [(WindowKind.STANDARD, WindowKind.SHIFTED),
+                                       (WindowKind.SHIFTED, WindowKind.STANDARD)])
+    def test_a_failing_window_raises(self, cfg_small, kinds):
+        # a slotted scheme has no shifted window, whichever window comes first
+        sched = make_schedule(Scheme.RTD, cfg_small.m_codes, 16, rng=substream(6, "s"))
+        rx = assemble_frame(cfg_small, sched, rng=substream(6, "p"))
+        with pytest.raises(ValueError, match="single window kind"):
+            for kind in kinds:
+                process_sensing(rx, cfg_small, sched, kind)
 
 def solve_oracle(cells):
     """np.linalg.cond and the row-normalized np.linalg.inv of each 2x2 cell;
