@@ -216,19 +216,28 @@ def _slow_time_map(blocks: Iterable, g: np.ndarray, n_grid: int, band: int,
     return RdMatrix(values=rd, grid_size=n_grid, cfg=cfg)
 
 
-def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
-                    kind: WindowKind, symbols: slice = slice(None)) -> np.ndarray:
-    """Mixer references of the symbols in the slice, (symbols, N).
+def _fsi_codes(cfg: WaveformConfig, schedule: Schedule, kind: WindowKind,
+               symbols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Code c_k and rotation rho_k of the mixer reference rho_k b[c_k] of
+    each symbol k in the slice.
 
     A window that starts s = WindowKind.start samples into its symbol sees
     the body cyclically advanced by N_CP - s, which by the code-shift
     identity turns code alpha into code (alpha + (N_CP - s)/L) mod M.
     """
-    _, _, b = transmit_constants(cfg)
     shift = (cfg.n_cp - kind.start(cfg)) // cfg.l_occ
     ks = np.arange(schedule.k)[symbols]
-    refs = b[(np.asarray(schedule.alpha)[ks] + shift) % cfg.m_codes]
-    refs *= symbol_rotation(ks, cfg.m_codes, schedule.scheme)[:, None]
+    return ((np.asarray(schedule.alpha)[ks] + shift) % cfg.m_codes,
+            symbol_rotation(ks, cfg.m_codes, schedule.scheme))
+
+
+def _fsi_references(cfg: WaveformConfig, schedule: Schedule,
+                    kind: WindowKind, symbols: slice = slice(None)) -> np.ndarray:
+    """Mixer references of the symbols in the slice, (symbols, N)."""
+    _, _, b = transmit_constants(cfg)
+    codes, rho = _fsi_codes(cfg, schedule, kind, symbols)
+    refs = b[codes]
+    refs *= rho[:, None]
     return refs
 
 
@@ -523,9 +532,10 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
     the caller and the background worker share (util.share), each slice in
     buffers it allocates on its thread. With ``validate``, the caller first
     computes the cells that validate_pattern checks through the direct
-    pipeline, while the worker builds, and the pattern is checked against
-    them as validate_pattern does, and returned with the worst deviation
-    as ``validation_error``.
+    pipeline (pattern_cell_direct: each cell of both windows summed alone,
+    no map sensed), while the worker builds slices. The pattern is checked
+    against them as validate_pattern does, and returned with the worst
+    deviation as ``validation_error``.
     """
     if schedule.scheme is not Scheme.FSI_TAIL:
         raise ValueError("pattern calibration applies to tail-mode schedules")
@@ -548,21 +558,63 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
                         nu: int, hyp: int, n_guard: int = 1,
                         tx: np.ndarray | None = None) -> np.ndarray:
     """Independent calibration of one pattern cell, (range bin d_bin, signed
-    Doppler bin nu), via the full pipeline.
+    Doppler bin nu), via the direct pipeline: the cell of each window
+    kind's process_sensing map, (standard, shifted), computed alone.
 
     Synthesizes the complete K-symbol zero-data frame (or takes it as tx)
-    and an on-grid calibration echo, senses it in each window kind, one
-    process_sensing call per kind, and reads the cell of each map. Used to
-    validate the fast calibration path.
+    and an on-grid calibration echo. With x_k a window's samples of symbol
+    k and ref_k its mixer references, the map's column c = nu mod n_doppler
+    at signed bin b is
+        RD[d, c] = (1/K) sum_k e^{+j2pi g_k b/G} L^{-1/2}
+                   sum_{i<N} e^{-j2pi d i/L} ref_k[i] conj(x_k[i]),
+    the sensing chain with its fast-time DFT and its slow-time inverse DFT
+    each taken at one bin. e^{-j2pi d i/L} has period L, so the sum over i
+    is the DFT bin of the delay-and-sum fold; a band map's phase times its
+    K-point inverse DFT is the same sum over g_k = g_0 + kP. Range bins
+    below n_guard are notched to 0. No steady state is assumed, so this
+    checks build_pattern's fast path independently.
+
+    ref_k = rho_k b[c_k] (_fsi_codes), so the sum over k is taken first:
+    each code c mixes once, with z_c = sum_{k: c_k = c} conj(s_k rho_k) x_k
+    for the slow weights s_k, summed SENSE_BLOCK_CELLS window samples at a
+    time. A tail window holds one code.
     """
     from .channel import echo_component
-    f_b = cfg.doppler_hz(nu, grid_size(schedule, cfg))
+    check_n_guard(n_guard, cfg.l_occ)
+    if not schedule.scheme.is_fsi:
+        raise ValueError("slotted schemes have a single window kind")
+    if not 0 <= d_bin < cfg.l_occ:
+        raise ValueError("range bin outside the map")
+    if d_bin < n_guard:
+        return np.zeros(2, dtype=complex)
+    n_grid = grid_size(schedule, cfg)
     if tx is None:
         tx = assemble_frame(cfg, schedule)
-    delta = d_bin + hyp * cfg.l_occ
-    rx = echo_component(tx, delta, f_b, 1.0, cfg.t_s)
-    maps = (process_sensing(rx, cfg, schedule, kind, n_guard) for kind in WindowKind)
-    return np.array([rd.values[d_bin, nu % rd.n_doppler] for rd in maps])
+    rx = echo_component(tx, d_bin + hyp * cfg.l_occ, cfg.doppler_hz(nu, n_grid),
+                        1.0, cfg.t_s)
+    l, g = cfg.l_occ, occasion_grid_indices(schedule, cfg)
+    n_doppler = unambiguous_band(schedule) or n_grid
+    # the exponents reduced in integers, so no phase rounds with the index
+    fast = np.exp(-2j * np.pi / l * (d_bin * np.arange(l) % l)) / np.sqrt(l)
+    slow = np.exp(2j * np.pi / n_grid * (g * signed_bin(nu % n_doppler, n_doppler)
+                                         % n_grid)) / len(g)
+    _, _, b = transmit_constants(cfg)
+    step = max(1, SENSE_BLOCK_CELLS // cfg.n_fft)
+    cell = np.empty(2, dtype=complex)
+    for w, kind in enumerate(WindowKind):
+        windows = capture_windows(rx, cfg, schedule.k, kind)
+        codes, rho = _fsi_codes(cfg, schedule, kind)
+        weight = np.conj(slow * rho)
+        z = np.zeros(b.shape, dtype=complex)
+        for i in range(0, schedule.k, step):
+            ks = slice(i, i + step)
+            for c in set(codes[ks].tolist()):
+                z[c] += (windows[ks] * np.where(codes[ks] == c, weight[ks], 0)[:, None]
+                         ).sum(axis=0)
+        y = delay_and_sum(mix(z, b), cfg.m_codes)
+        y *= fast
+        cell[w] = y.sum()
+    return cell
 
 
 def _direct_cells(cfg: WaveformConfig, schedule: Schedule, n_guard: int,

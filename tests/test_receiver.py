@@ -619,6 +619,52 @@ class TestPattern:
         assert got.tobytes() == want.tobytes()
         assert np.all(want[:, cols] != 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 12), hyp=st.integers(0, 1), n_guard=st.integers(1, 3),
+           col=st.one_of(st.sampled_from(["0", "n/2-1", "n/2"]), st.integers(0, 255)),
+           d_bin=st.one_of(st.sampled_from(["n_guard", "L-1", "notched"]),
+                           st.integers(0, 63)),
+           random_codes=st.booleans())
+    @example(k=16, hyp=1, n_guard=1, col="n/2", d_bin="L-1", random_codes=False)
+    @example(k=16, hyp=0, n_guard=3, col="0", d_bin="notched", random_codes=False)
+    @example(k=9, hyp=1, n_guard=1, col="n/2-1", d_bin="n_guard", random_codes=True)
+    def test_direct_cell_is_the_cell_of_the_sensed_maps(self, cfg_small, k, hyp, n_guard,
+                                                        col, d_bin, random_codes):
+        # the oracle senses both whole maps of the same echo and reads the
+        # cell; the band edges n/2-1 and n/2 (signed -n/2) of the map's n
+        # columns, the first unnotched and the last range bin, a notched one;
+        # tail windows hold one code, random ones up to M
+        l = cfg_small.l_occ
+        sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, k,
+                              rng=np.random.default_rng(k)) if random_codes else \
+            make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, k)
+        n = grid_size(sched, cfg_small) if random_codes else k
+        col = {"0": 0, "n/2-1": n // 2 - 1, "n/2": n // 2}.get(col, col) % n
+        d_bin = {"n_guard": n_guard, "L-1": l - 1, "notched": n_guard - 1}.get(d_bin, d_bin)
+        nu = signed_bin(col, n)
+        rx = echo_component(assemble_frame(cfg_small, sched), d_bin + hyp * l,
+                            cfg_small.doppler_hz(nu, grid_size(sched, cfg_small)),
+                            1.0, cfg_small.t_s)
+        maps = (process_sensing(rx, cfg_small, sched, kind, n_guard) for kind in WindowKind)
+        want = np.array([rd.values[d_bin, nu % rd.n_doppler] for rd in maps])
+        got = pattern_cell_direct(cfg_small, sched, d_bin, nu, hyp, n_guard)
+        assert got.shape == (2,)
+        if d_bin < n_guard:
+            assert np.all(got == 0) and np.all(want == 0)
+        else:
+            assert receiver.deviation(got, want) <= 1e-12
+
+    def test_direct_cell_rejects_what_no_map_holds(self, cfg_small):
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 4)
+        for d_bin in (-1, cfg_small.l_occ):
+            with pytest.raises(ValueError, match="range bin"):
+                pattern_cell_direct(cfg_small, sched, d_bin, 0, 0)
+        with pytest.raises(ValueError, match="n_guard"):
+            pattern_cell_direct(cfg_small, sched, 5, 0, 0, n_guard=0)
+        with pytest.raises(ValueError, match="single window kind"):
+            pattern_cell_direct(cfg_small, make_schedule(Scheme.PERIODIC_TD,
+                                                         cfg_small.m_codes, 4), 5, 0, 0)
+
     @pytest.mark.parametrize("m", [2, 4, 8])
     @pytest.mark.parametrize("cp_occasions", [0, 1, 2])
     @pytest.mark.parametrize("k", [3, 7])
@@ -744,7 +790,7 @@ class TestPatternWorker:
         # buffers of a 32nd of the band that each slice allocates on its own
         # thread; building the windows one after the other at full band
         # peaked at 17.7 MB here. With validation, the direct cells run on
-        # the caller beside the worker's slices: 12.5 MB
+        # the caller beside the worker's slices: 10.3-10.6 MB
         cfg = WaveformConfig()
         sched = make_schedule(Scheme.FSI_TAIL, cfg.m_codes, 64)
         for validate, bound in (False, 15e6), (True, 16e6):

@@ -1,7 +1,8 @@
 """The names the benchmark in perfbench/ looks up in jcas exist, the
 background worker is reached, and process-wide settings made, only through
-jcas.util, and a map's neighborhood rule, the Doppler ramp's factorization
-and the slow-time matched filter are each written once.
+jcas.util, a map's neighborhood rule, the Doppler ramp's factorization
+and the slow-time matched filter are each written once, and the direct
+pattern cell calls no BLAS.
 
 perfbench wraps layers and calls entry points by module attribute, and its
 probes read the wrapped calls' arguments by name, so a name moved or
@@ -228,3 +229,19 @@ def test_the_slow_time_matched_filter_is_written_once():
     assert makers == [("receiver.py", "_slow_time_map")]
     assert _functions_using(trees["receiver.py"], helper) == \
         {"slow_time_matched_filter", "process_sensing"}
+
+
+def test_the_direct_cell_calls_no_blas():
+    # jcas calibrate leaves the BLAS thread count as it finds it; unpinned,
+    # a validated fig7 build in one process took 39.9 ms (median of 38
+    # interleaved rounds) with the direct cell's sums written as @
+    # products, against 38.0 ms with elementwise sums and 44.9 ms for the
+    # whole-map cells before them; the BLAS threads contend with the
+    # worker's pattern slices
+    tree = ast.parse((SRC / "receiver.py").read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "pattern_cell_direct")
+    blas = [ast.unparse(node) for node in ast.walk(fn)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and re.search(r"dot|matmul", ast.unparse(node.func))]
+    assert blas == []
