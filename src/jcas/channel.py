@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, Pending, add_noise, check_db, next_fast_len
+from .util import SPEED_OF_LIGHT, add_noise, check_db, next_fast_len
 from .waveform import WaveformConfig
 
 
@@ -146,21 +145,9 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
     return out
 
 
-def start_noise(rng: np.random.Generator, n: int) -> Pending:
-    """rng.standard_normal((2, n)), the noise draws of a frame of n samples,
-    started on the background worker into a buffer allocated here. A draw
-    the worker has not begun is drawn on the caller (util.Pending); either
-    way the draws are the same."""
-    # the frame-size buffer stays on the caller's heap: drawn into an array
-    # the worker allocates (rng.standard_normal((2, n)) on the worker), the
-    # fig6_sweep benchmark's peak_rss_mb read 62.5-62.7 -> 64.2-64.3 MB in
-    # 3/3 pairs on a 2-vCPU guest
-    return Pending(functools.partial(rng.standard_normal, out=np.empty((2, n))))
-
-
 def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
                   cfg: WaveformConfig,
-                  rng: np.random.Generator | Pending | None = None,
+                  rng: np.random.Generator | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Receive samples of the transmit samples tx: scaled SI + echoes +
     circular Gaussian noise, written into out and returned.
@@ -180,10 +167,9 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     a whole-frame sum: the SI, then each echo in target order, then the
     noise.
 
-    rng is the Generator to draw the noise from, or its draws already
-    started (start_noise), the real parts' first, as the Generator gives
-    them. A pending draw is taken only once the SI and echoes are in the
-    frame; either gives the same samples.
+    rng is the Generator the noise is drawn from (util.add_noise), once the
+    SI and echoes are in the frame, so its draw buffer is not alive while
+    they are made.
     """
     n = len(tx)
     if n == 0:

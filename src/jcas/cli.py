@@ -33,11 +33,10 @@ from . import comms, detect, receiver
 from .artifacts import read_rd_binary, write_rd_binary, write_rd_csv
 from .cache import CacheError, cache_dir, load_or_build_pattern, pattern_cache_key, \
     pattern_path
-from .channel import ChannelConfig, Target, start_noise, synthesize_rx, \
-    target_to_delay_doppler
+from .channel import ChannelConfig, Target, synthesize_rx, target_to_delay_doppler
 from .scheduler import Scheme, grid_size, make_schedule, unambiguous_band
 from .util import check_db, kmh_to_mps, substream
-from .waveform import WaveformConfig, assemble_frame, frame_len, random_bits
+from .waveform import WaveformConfig, assemble_frame, random_bits
 
 
 class ScenarioError(ValueError):
@@ -202,8 +201,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              seed=scn.seed)
     # Each frame-size array lives only while it is read. The link runs first,
     # while no sensing frame or map is alive (its substreams are its own);
-    # the channel writes rx over tx, the noise draws go when it returns, and
-    # rx once its windows are sensed.
+    # the channel writes rx over tx and drops its noise draws before it
+    # returns, and rx goes once its windows are sensed.
     ber = evm = None
     if scn.comms_enabled and scheme.is_fsi:
         ber, evm = comms.run_link(
@@ -212,12 +211,11 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
             snr_db=scn.comms_snr_db, rng=substream(scn.seed, f"{tag}/comms-noise"))
 
     cc = scn.channel_config()
-    noise = start_noise(substream(scn.seed, f"{tag}/noise"),
-                        frame_len(cfg, schedule)) if cc.noise_enabled else None
     tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        rx = synthesize_rx(tx, scn.target_list(), cc, cfg, noise, out=tx)
-    del noise, tx
+        rx = synthesize_rx(tx, scn.target_list(), cc, cfg,
+                           substream(scn.seed, f"{tag}/noise"), out=tx)
+    del tx
     if not np.isfinite(rx).all():
         raise ScenarioError("the receive samples overflow: reduce the SI, "
                             "noise or target levels")
@@ -400,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             reports = [run_calibrate(scn) if args.verb == "calibrate"
                        else run_simulate(scn, args.out_dir)]
     # MemoryError: an allocation refused for the scenario's sizes, in this
-    # thread or re-raised from the noise worker
+    # thread or re-raised from the background worker
     except (ScenarioError, MemoryError) as e:
         print(f"scenario error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Small shared helpers: named random substreams, complex noise, physical
 constants, FFT sizes, and the process-wide settings made at import: the
-heap thresholds, the one arena and the background worker."""
+heap thresholds, the one arena and the background worker, which share
+runs tasks on."""
 
 import collections
 import concurrent.futures
@@ -9,7 +10,6 @@ import ctypes
 import hashlib
 import os
 from collections.abc import Callable, Iterable, Iterator
-from typing import Any
 
 import numpy as np
 
@@ -28,16 +28,13 @@ def substream(seed: int, *names: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + keys))
 
 
-def add_noise(rx: np.ndarray, sigma: float, rng) -> None:
+def add_noise(rx: np.ndarray, sigma: float, rng: np.random.Generator | None) -> None:
     """rx += sigma (z_0 + j z_1), in place: complex white Gaussian noise from
-    the (2, len(rx)) standard normal draws z, the real parts' first, of rng,
-    a Generator, or held by rng, a draw started as a Pending."""
+    the (2, len(rx)) standard normal draws z of the Generator rng, the real
+    parts' first."""
     if rng is None:
         raise ValueError("noise requires a random source")
-    z = rng.standard_normal((2, len(rx))) if isinstance(rng, np.random.Generator) \
-        else rng.result()
-    if z.shape != (2, len(rx)):
-        raise ValueError(f"noise draws shaped {z.shape}, not (2, {len(rx)})")
+    z = rng.standard_normal((2, len(rx)))
     z *= sigma   # Generator.normal(0, s) draws exactly s * standard_normal
     rx.real += z[0]
     rx.imag += z[1]
@@ -106,8 +103,8 @@ def _retain_freed_heap() -> None:
 
 # One worker thread, started by its first task, runs coarse numpy work that
 # releases the GIL beside the caller, on a second CPU if there is one. Work
-# reaches it only through Pending and share below, and never calls a function
-# that perfbench wraps: the tracer keeps one span stack, the caller's.
+# reaches it only through share below, and never calls a function that
+# perfbench wraps: the tracer keeps one span stack, the caller's.
 _worker: concurrent.futures.ThreadPoolExecutor
 
 
@@ -130,32 +127,14 @@ def background_worker() -> concurrent.futures.Executor:
     return _worker
 
 
-class Pending:
-    """call() started on the background worker.
-
-    result() gives its value: it waits for a call the worker has begun, and
-    cancels one it has not and calls it on the calling thread instead, so a
-    busy worker never costs more than calling inline. call must give the
-    same value on either thread.
-    """
-
-    def __init__(self, call: Callable[[], Any]):
-        self._call = call
-        self._future = background_worker().submit(call)
-
-    def result(self) -> Any:
-        if self._future.cancel():
-            return self._call()
-        return self._future.result()
-
-
 @contextlib.contextmanager
 def share(tasks: Iterable[Callable[[], None]]) -> Iterator[None]:
     """Run tasks beside the with-block: the background worker takes them off
     one queue from entry on, and the caller takes the rest after the block.
-    The exit waits until the worker's part has ended or been taken back; a
-    failure in the block or in any task raises from there, and no task
-    starts after it."""
+    The exit waits until the worker's part has ended, or takes it back if
+    the worker has not begun it, so a busy worker costs no more than running
+    inline; a failure in the block or in any task raises from there, and no
+    task starts after it."""
     queue = collections.deque(tasks)
 
     def run() -> None:
@@ -168,10 +147,10 @@ def share(tasks: Iterable[Callable[[], None]]) -> Iterator[None]:
                 task()
         finally:
             queue.clear()
-    helper = Pending(run)
+    helper = background_worker().submit(run)
     try:
         yield
         run()
     finally:
         queue.clear()
-        helper.result()
+        helper.cancel() or helper.result()

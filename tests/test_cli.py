@@ -254,7 +254,7 @@ class TestRunSimulate:
         # caller that bound the function directly would bypass it unseen.
         # Its tracer is single-threaded: every layer runs on the caller's
         # thread, and the background worker only runs numpy work inside
-        # them (the noise fill, slices of the pattern build, half the solve).
+        # them (slices of the pattern build, half the solve).
         # A tail run senses each of its two windows in a call of its own.
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         simulate = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
@@ -357,11 +357,14 @@ class TestRunSimulate:
         assert interned == []
 
     # The tracemalloc peak of a warm op, in frames of 16 G L bytes, measured
-    # at 2.50-2.66: the noise draws, the frame the channel writes rx over
-    # and the half-frame |tx|^2 of the noise level. It was 3.21 while rx was
-    # a second frame beside tx (3.68 where fsi_tail read back the pattern
-    # it had just stored), and 4.11-6.51 before each buffer was dropped
-    # after its last read. The budget leaves a third of a frame of margin.
+    # at 2.17-2.50: the frame the channel writes rx over and its noise draws
+    # (2.17, fsi_tail and periodic_td), or the frame and a window's grid in
+    # sensing (2.45-2.50, the others). It was 2.50-2.66 while the draws were
+    # made ahead on the background worker, alive beside the half-frame
+    # |tx|^2 of the noise level, 3.21 while rx was a second frame beside tx
+    # (3.68 where fsi_tail read back the pattern it had just stored), and
+    # 4.11-6.51 before each buffer was dropped after its last read. The
+    # budget leaves half a frame of margin.
     FRAME_BUDGET = 3.0
 
     def test_warm_op_peak_memory_is_within_budget(self, tmp_path, monkeypatch):
@@ -397,28 +400,41 @@ class TestRunSimulate:
     @pytest.mark.parametrize("noise", [False, True])
     def test_noise_drawn_only_when_enabled(self, tmp_path, small_scenario,
                                            monkeypatch, noise):
-        draw = mock.Mock(wraps=cli.start_noise)
-        monkeypatch.setattr(cli, "start_noise", draw)
+        draw = mock.Mock(wraps=channel.add_noise)
+        monkeypatch.setattr(channel, "add_noise", draw)
         small_scenario.noise_enabled = noise
         run_simulate(small_scenario, tmp_path)
         assert draw.call_count == noise
 
-    def test_forked_child_draws_noise(self, tmp_path, small_scenario):
-        # the child of a process whose noise worker has started
+    def test_forked_child_draws_noise(self, tmp_path):
+        # the child of a process whose background worker has started (the
+        # parent's cold tail run builds its pattern beside it) runs the tail
+        # scenario, noise and a pattern build on a cache of its own, and then
+        # has a worker of its own: the parent's thread is not in the child,
+        # and share takes back what no thread runs, so only a call waited on
+        # would hang
         src = Path(cli.__file__).resolve().parents[1]
-        code = ("import multiprocessing as mp, sys; from jcas import cli\n"
-                f"scn = cli.Scenario(**{small_scenario.to_dict()!r})\n"
+        code = ("import multiprocessing as mp, os, sys, threading\n"
+                "from jcas import cli, util\n"
+                f"scn = cli.Scenario(**{TAIL_SMALL!r})\n"
                 "cli.run_simulate(scn, sys.argv[1])\n"
-                "p = mp.get_context('fork').Process(target=cli.run_simulate, "
-                "args=(scn, sys.argv[1]))\n"
+                "def child():\n"
+                "    os.environ['JCAS_CACHE_DIR'] = sys.argv[2]\n"
+                "    cli.run_simulate(scn, sys.argv[1])\n"
+                "    assert len(os.listdir(sys.argv[2])) == 1\n"
+                "    ident = util.background_worker().submit(threading.get_ident)\n"
+                "    assert ident.result(30) != threading.get_ident()\n"
+                "p = mp.get_context('fork').Process(target=child)\n"
                 "p.start(); p.join(60)\n"
                 "alive = p.is_alive(); p.kill()\n"
                 "print(alive, p.exitcode)")
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"),
+                               str(tmp_path / "child")],
                               capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+                              env={**os.environ, "PYTHONPATH": str(src),
+                                   "JCAS_CACHE_DIR": str(tmp_path / "parent")})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "0"]
+        assert proc.stdout.split() == ["False", "0"], proc.stderr
 
     def test_tail_presets_share_an_out_dir(self, tmp_path):
         # fig7 and fig7_offgrid write every file under its own name

@@ -122,14 +122,13 @@ def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):
 
 
 def test_the_worker_is_reached_through_pending_and_share_only():
-    # util.Pending for one deferred call (the noise draw), util.share for a
-    # queue of tasks run beside a block (the pattern build's slices and half
-    # its solve); everything else stays in util, and the sensing chain runs
-    # on the caller
+    # util.share, a queue of tasks run beside a block, is the one entry
+    # point, for the pattern build's slices and the halves of its solve; no
+    # util.Pending is called, and the noise draw and the sensing chain run on
+    # the caller
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    users = {call: sorted(name for name, text in sources.items() if call in text)
-             for call in ("background_worker(", ".submit(")}
-    assert users == {"background_worker(": ["util.py"], ".submit(": ["util.py"]}
+    assert sorted(name for name, text in sources.items()
+                  if "background_worker(" in text) == ["util.py"]
 
     def calls(name):
         return lambda node: (isinstance(node, ast.Call) and name in (
@@ -138,9 +137,9 @@ def test_the_worker_is_reached_through_pending_and_share_only():
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     callers = {name: sorted((module, fn) for module, tree in trees.items()
                             for fn in _functions_using(tree, calls(name)))
-               for name in ("share", "Pending")}
+               for name in ("share", "Pending", "submit")}
     assert callers == {"share": [("receiver.py", "build_pattern"), ("receiver.py", "solve")],
-                       "Pending": [("channel.py", "start_noise"), ("util.py", "share")]}
+                       "Pending": [], "submit": [("util.py", "share")]}
 
 
 def test_process_wide_settings_are_made_in_util_only():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from jcas import WaveformConfig
-from jcas.util import Pending, background_worker, next_fast_len, share
+from jcas.util import background_worker, next_fast_len, share
 
 
 @pytest.fixture(scope="module")
@@ -38,31 +38,6 @@ class TestNextFastLen:
 
     def test_sizes_below_one(self):
         assert next_fast_len(0) == 1
-
-
-class TestPending:
-    def test_runs_on_the_background_worker(self):
-        started = threading.Event()
-
-        def task():
-            started.set()
-            return threading.get_ident()
-        pending = Pending(task)
-        assert started.wait(20)
-        assert pending.result() != threading.get_ident()
-        assert background_worker() is background_worker()
-
-    def test_call_not_begun_is_taken_back(self, block_worker):
-        blocker = block_worker()
-        task = Pending(threading.get_ident)
-        assert task.result() == threading.get_ident()
-        assert not blocker.done()   # not waited for behind the blocker
-
-    def test_exception_reaches_the_caller(self):
-        def fail():
-            raise KeyError("task failed")
-        with pytest.raises(KeyError, match="task failed"):
-            Pending(fail).result()
 
 
 class TestShare:
