@@ -147,7 +147,7 @@ def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
 
 def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
                   cfg: WaveformConfig,
-                  rng: np.random.Generator | None = None,
+                  rng: np.random.Generator | np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Receive samples of the transmit samples tx: scaled SI + echoes +
     circular Gaussian noise, written into out and returned.
@@ -167,9 +167,11 @@ def synthesize_rx(tx: np.ndarray, targets: list[Target], cc: ChannelConfig,
     a whole-frame sum: the SI, then each echo in target order, then the
     noise.
 
-    rng is the Generator the noise is drawn from (util.add_noise), once the
-    SI and echoes are in the frame, so its draw buffer is not alive while
-    they are made.
+    rng is the Generator to draw the noise from, or its (2, n) draws made
+    ahead, the real parts' first, as the Generator gives them (run_simulate
+    draws them on the background worker while it assembles the frame); the
+    noise is added once the SI and echoes are in the frame, and either gives
+    the same samples.
     """
     n = len(tx)
     if n == 0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import numbers
@@ -35,8 +36,8 @@ from .cache import CacheError, cache_dir, load_or_build_pattern, pattern_cache_k
     pattern_path
 from .channel import ChannelConfig, Target, synthesize_rx, target_to_delay_doppler
 from .scheduler import Scheme, grid_size, make_schedule, unambiguous_band
-from .util import check_db, kmh_to_mps, substream
-from .waveform import WaveformConfig, assemble_frame, random_bits
+from .util import check_db, kmh_to_mps, share, substream
+from .waveform import WaveformConfig, assemble_frame, frame_len, random_bits
 
 
 class ScenarioError(ValueError):
@@ -201,8 +202,8 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                              seed=scn.seed)
     # Each frame-size array lives only while it is read. The link runs first,
     # while no sensing frame or map is alive (its substreams are its own);
-    # the channel writes rx over tx and drops its noise draws before it
-    # returns, and rx goes once its windows are sensed.
+    # the channel writes rx over tx, the noise draws go when it returns, and
+    # rx once its windows are sensed.
     ber = evm = None
     if scn.comms_enabled and scheme.is_fsi:
         ber, evm = comms.run_link(
@@ -210,12 +211,21 @@ def run_simulate(scn: Scenario, out_dir: str | Path) -> dict:
                                        2 * (cfg.m_codes - 1) * cfg.l_occ * scn.k),
             snr_db=scn.comms_snr_db, rng=substream(scn.seed, f"{tag}/comms-noise"))
 
+    # the noise is drawn on the background worker while the frame is
+    # assembled, into a buffer allocated here: drawn into an array the worker
+    # allocates, the fig6_sweep benchmark's peak_rss_mb read 62.5-62.7 ->
+    # 64.2-64.3 MB in 3/3 pairs on a 2-vCPU guest
     cc = scn.channel_config()
-    tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
+    noise, draws = None, []
+    if cc.noise_enabled:
+        noise = np.empty((2, frame_len(cfg, schedule)))
+        draws = [functools.partial(substream(scn.seed, f"{tag}/noise").standard_normal,
+                                   out=noise)]
+    with share(draws):
+        tx = assemble_frame(cfg, schedule, rng=substream(scn.seed, f"{tag}/payload"))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        rx = synthesize_rx(tx, scn.target_list(), cc, cfg,
-                           substream(scn.seed, f"{tag}/noise"), out=tx)
-    del tx
+        rx = synthesize_rx(tx, scn.target_list(), cc, cfg, noise, out=tx)
+    del noise, draws, tx
     if not np.isfinite(rx).all():
         raise ScenarioError("the receive samples overflow: reduce the SI, "
                             "noise or target levels")

@@ -28,13 +28,18 @@ def substream(seed: int, *names: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + keys))
 
 
-def add_noise(rx: np.ndarray, sigma: float, rng: np.random.Generator | None) -> None:
+def add_noise(rx: np.ndarray, sigma: float,
+              rng: np.random.Generator | np.ndarray | None) -> None:
     """rx += sigma (z_0 + j z_1), in place: complex white Gaussian noise from
-    the (2, len(rx)) standard normal draws z of the Generator rng, the real
-    parts' first."""
+    the (2, len(rx)) standard normal draws z, the real parts' first, of rng,
+    a Generator, or rng itself, draws made ahead, which are scaled in
+    place."""
     if rng is None:
         raise ValueError("noise requires a random source")
-    z = rng.standard_normal((2, len(rx)))
+    z = rng.standard_normal((2, len(rx))) if isinstance(rng, np.random.Generator) \
+        else rng
+    if z.shape != (2, len(rx)):
+        raise ValueError(f"noise draws shaped {z.shape}, not (2, {len(rx)})")
     z *= sigma   # Generator.normal(0, s) draws exactly s * standard_normal
     rx.real += z[0]
     rx.imag += z[1]

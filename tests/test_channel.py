@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -13,6 +14,7 @@ from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, assemble_frame,
                   target_to_delay_doppler)
 from jcas.channel import doppler_ramp, echo_component
 from jcas.cli import Scenario
+from jcas.util import share
 
 NO_NOISE = ChannelConfig(noise_enabled=False)
 ECHO_ONLY = ChannelConfig(si_enabled=False, noise_enabled=False)
@@ -375,6 +377,49 @@ class TestAgainstTheOracle:
         want = oracle_synthesize(tx, [], cc, cfg_small, substream(11, "noise"))
         got = synthesize_rx(tx, [], cc, cfg_small, substream(11, "noise"))
         assert got.tobytes() == want.tobytes()
+
+    def test_pending_noise_is_byte_identical(self, cfg_small):
+        # the draws run_simulate makes ahead, on the background worker while
+        # it assembles the frame
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(si_enabled=False, echo_snr_db=-7.0)
+        want = oracle_synthesize(tx, [], cc, cfg_small, substream(11, "noise"))
+        draws = np.empty((2, len(tx)))
+        with share([functools.partial(substream(11, "noise").standard_normal,
+                                      out=draws)]):
+            pass
+        got = synthesize_rx(tx, [], cc, cfg_small, draws)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pending_draw_equals_inline_draw_with_echoes(self, cfg_small):
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(echo_snr_db=-7.0)
+        targets = self.TARGETS
+        want = synthesize_rx(tx, targets, cc, cfg_small, substream(3, "noise"))
+        draws = substream(3, "noise").standard_normal((2, len(tx)))
+        got = synthesize_rx(tx, targets, cc, cfg_small, draws)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pending_draw_not_begun_is_drawn_by_the_caller(self, cfg_small,
+                                                           block_worker):
+        tx = _frame(cfg_small, k=8)
+        cc = ChannelConfig(echo_snr_db=-7.0)
+        want = synthesize_rx(tx, [], cc, cfg_small, substream(3, "noise"))
+        blocker = block_worker()
+        draws = np.empty((2, len(tx)))
+        with share([functools.partial(substream(3, "noise").standard_normal,
+                                      out=draws)]):
+            pass
+        # taken back, not waited for behind the blocker
+        assert not blocker.done()
+        got = synthesize_rx(tx, [], cc, cfg_small, draws)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pending_draw_of_another_length_rejected(self, cfg_small):
+        tx = _frame(cfg_small, k=8)
+        with pytest.raises(ValueError, match="noise draws shaped"):
+            synthesize_rx(tx, [], ChannelConfig(), cfg_small,
+                          np.zeros((2, len(tx) - 1)))
 
     def test_fig7_peak_memory(self):
         # the old loop peaked at 3.55 frame sizes on this frame

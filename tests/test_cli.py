@@ -254,7 +254,7 @@ class TestRunSimulate:
         # caller that bound the function directly would bypass it unseen.
         # Its tracer is single-threaded: every layer runs on the caller's
         # thread, and the background worker only runs numpy work inside
-        # them (slices of the pattern build, half the solve).
+        # them (the noise fill, slices of the pattern build, half the solve).
         # A tail run senses each of its two windows in a call of its own.
         monkeypatch.setenv("JCAS_CACHE_DIR", str(tmp_path / "cache"))
         simulate = {(cli, "make_schedule"): 1, (cli, "assemble_frame"): 1,
@@ -357,14 +357,11 @@ class TestRunSimulate:
         assert interned == []
 
     # The tracemalloc peak of a warm op, in frames of 16 G L bytes, measured
-    # at 2.17-2.50: the frame the channel writes rx over and its noise draws
-    # (2.17, fsi_tail and periodic_td), or the frame and a window's grid in
-    # sensing (2.45-2.50, the others). It was 2.50-2.66 while the draws were
-    # made ahead on the background worker, alive beside the half-frame
-    # |tx|^2 of the noise level, 3.21 while rx was a second frame beside tx
-    # (3.68 where fsi_tail read back the pattern it had just stored), and
-    # 4.11-6.51 before each buffer was dropped after its last read. The
-    # budget leaves half a frame of margin.
+    # at 2.50-2.66: the noise draws, the frame the channel writes rx over
+    # and the half-frame |tx|^2 of the noise level. It was 3.21 while rx was
+    # a second frame beside tx (3.68 where fsi_tail read back the pattern
+    # it had just stored), and 4.11-6.51 before each buffer was dropped
+    # after its last read. The budget leaves a third of a frame of margin.
     FRAME_BUDGET = 3.0
 
     def test_warm_op_peak_memory_is_within_budget(self, tmp_path, monkeypatch):

@@ -123,9 +123,9 @@ def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):
 
 def test_the_worker_is_reached_through_pending_and_share_only():
     # util.share, a queue of tasks run beside a block, is the one entry
-    # point, for the pattern build's slices and the halves of its solve; no
-    # util.Pending is called, and the noise draw and the sensing chain run on
-    # the caller
+    # point, for the noise draw beside the frame's assembly, the pattern
+    # build's slices and the halves of its solve; no util.Pending is called,
+    # and the sensing chain runs on the caller
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert sorted(name for name, text in sources.items()
                   if "background_worker(" in text) == ["util.py"]
@@ -138,7 +138,8 @@ def test_the_worker_is_reached_through_pending_and_share_only():
     callers = {name: sorted((module, fn) for module, tree in trees.items()
                             for fn in _functions_using(tree, calls(name)))
                for name in ("share", "Pending", "submit")}
-    assert callers == {"share": [("receiver.py", "build_pattern"), ("receiver.py", "solve")],
+    assert callers == {"share": [("cli.py", "run_simulate"), ("receiver.py", "build_pattern"),
+                                 ("receiver.py", "solve")],
                        "Pending": [], "submit": [("util.py", "share")]}
 
 
