@@ -57,26 +57,17 @@ def target_to_delay_doppler(t: Target, carrier_hz: float, t_s: float
 ECHO_BLOCK_SAMPLES = 1 << 13   # frame samples the channel makes at a time
 
 
-def doppler_ramp(doppler_hz: float, t_s: float, stop: int, start: int = 0,
-                 scale: complex = 1.0) -> np.ndarray:
-    """scale * e^{j2pi f t_s i} for the sample indices i in [start, stop).
+def _ramp_pieces(doppler_hz: float, t_s: float, stop: int, scale: complex,
+                 bounds: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """scale * e^{j2pi f t_s m} for the sample indices m in [i, j) of each
+    (i, j) of bounds in turn (empty where j <= i), every m below stop.
 
-    Each index is split as i = B a + b with B = isqrt(stop), and the ramp is
+    Each index is split as m = B a + b with B = isqrt(stop), and the ramp is
     the outer product of two short exact tables, e^{j theta B a} (times
     scale) and e^{j theta b}: one complex multiply per sample in place of
     one complex exponential. theta B a and theta b are each rounded once,
-    as theta i is in the direct form.
-    """
-    ramp, = _ramp_pieces(doppler_hz, t_s, stop, scale, [(start, stop)])
-    return ramp
-
-
-def _ramp_pieces(doppler_hz: float, t_s: float, stop: int, scale: complex,
-                 bounds: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """doppler_ramp(doppler_hz, t_s, stop, i, scale)[:j - i] for each (i, j)
-    of bounds in turn (empty where j <= i). Each piece is made from the rows
-    of the outer product that cover it, so every sample is the product
-    doppler_ramp gives it."""
+    as theta m is in the direct form, and a sample is the same product in
+    whichever piece it falls."""
     theta = 2 * np.pi * doppler_hz * t_s
     block = max(math.isqrt(stop), 1)
     coarse = np.exp(1j * theta * (np.arange((stop - 1) // block + 1) * block))
@@ -91,12 +82,22 @@ def _ramp_pieces(doppler_hz: float, t_s: float, stop: int, scale: complex,
 def _add_echo(tx: np.ndarray, delay_samples: float, doppler_hz: float,
               amplitude: float, t_s: float, fractional: bool,
               blocks: Sequence[tuple[int, np.ndarray]]) -> Iterator[None]:
-    """Adds the echo of tx (see echo_component) a block at a time: its k-th
-    step adds the echo's samples [i, i + len(out)) into out, for the k-th
-    (i, out) of blocks, in any order. At its step for a block that ends at
-    sample j, an integer-delay echo reads tx only below j, so a caller may
-    overwrite tx from its end back; a fractional one reads all of tx at its
-    first step, into its whole-frame spectrum."""
+    """Adds one delayed, Doppler-shifted copy of tx a block at a time: its
+    k-th step adds the echo's samples [i, i + len(out)) into out, for the
+    k-th (i, out) of blocks, in any order.
+
+    An integer-delay echo (the delay rounded to a whole sample) shifts
+    linearly: leading gap zero-filled, tail dropped. At its step for a block
+    that ends at sample j it reads tx only below j, so a caller may
+    overwrite tx from its end back. A fractional one applies an exact
+    frequency-domain phase ramp to the frame zero-padded to at least
+    n + ceil(delay) samples and keeps the first n, so it too shifts
+    linearly: on an integer delay it equals the integer mode, and the
+    frame's end does not wrap into the leading gap. It reads all of tx at
+    its first step, into its whole-frame spectrum. In both modes a delay of
+    the frame length or more gives no echo. The Doppler ramp runs over the
+    receive sample index (_ramp_pieces).
+    """
     n = len(tx)
     if not delay_samples < n:   # beyond the frame: no echo in either mode
         shift = n
@@ -123,24 +124,14 @@ def _add_echo(tx: np.ndarray, delay_samples: float, doppler_hz: float,
 
 
 def echo_component(tx: np.ndarray, delay_samples: float, doppler_hz: float,
-                   amplitude: float, t_s: float,
-                   fractional: bool = False) -> np.ndarray:
-    """One delayed, Doppler-shifted copy of the transmit stream.
-
-    Integer delays shift linearly (leading gap zero-filled, tail dropped).
-    The optional fractional mode applies an exact frequency-domain phase
-    ramp to the frame zero-padded to at least n + ceil(delay) samples and
-    keeps the first n, so it too shifts linearly: on an integer delay it
-    equals the integer mode, and the frame's end does not wrap into the
-    leading gap. In both modes a delay of the frame length or more gives
-    no echo. The Doppler ramp runs over the receive sample index
-    (doppler_ramp).
-    """
+                   amplitude: float, t_s: float) -> np.ndarray:
+    """One echo of tx as a new array: delayed by delay_samples rounded to a
+    whole sample, Doppler-shifted and scaled (_add_echo's integer mode)."""
     out = np.zeros(len(tx), dtype=complex)
     blocks = [(i, out[i:i + ECHO_BLOCK_SAMPLES])
               for i in range(0, len(tx), ECHO_BLOCK_SAMPLES)]
     for _ in _add_echo(tx, delay_samples, doppler_hz, amplitude, t_s,
-                       fractional, blocks):
+                       False, blocks):
         pass
     return out
 

@@ -555,16 +555,15 @@ def build_pattern(cfg: WaveformConfig, schedule: Schedule,
 
 
 def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
-                        nu: int, hyp: int, n_guard: int = 1,
-                        tx: np.ndarray | None = None) -> np.ndarray:
-    """Independent calibration of one pattern cell, (range bin d_bin, signed
-    Doppler bin nu), via the direct pipeline: the cell of each window
+                        nu: int, hyp: int, n_guard: int, tx: np.ndarray) -> np.ndarray:
+    """Independent calibration of one tail-pattern cell, (range bin d_bin,
+    signed Doppler bin nu), via the direct pipeline: the cell of each window
     kind's process_sensing map, (standard, shifted), computed alone.
 
-    Synthesizes the complete K-symbol zero-data frame (or takes it as tx)
-    and an on-grid calibration echo. With x_k a window's samples of symbol
-    k and ref_k its mixer references, the map's column c = nu mod n_doppler
-    at signed bin b is
+    tx is the complete K-symbol zero-data frame of the fsi_tail schedule,
+    which an on-grid calibration echo delays. With x_k a window's samples
+    of symbol k and ref_k its mixer references, the map's column
+    c = nu mod K at signed bin b is
         RD[d, c] = (1/K) sum_k e^{+j2pi g_k b/G} L^{-1/2}
                    sum_{i<N} e^{-j2pi d i/L} ref_k[i] conj(x_k[i]),
     the sensing chain with its fast-time DFT and its slow-time inverse DFT
@@ -574,29 +573,27 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
     below n_guard are notched to 0. No steady state is assumed, so this
     checks build_pattern's fast path independently.
 
-    ref_k = rho_k b[c_k] (_fsi_codes), so the sum over k is taken first:
-    each code c mixes once, with z_c = sum_{k: c_k = c} conj(s_k rho_k) x_k
-    for the slow weights s_k, summed SENSE_BLOCK_CELLS window samples at a
-    time. A tail window holds one code.
+    ref_k = rho_k b[c] (_fsi_codes): a tail window holds one code c, so the
+    sum over k is taken first, z = sum_k conj(s_k rho_k) x_k for the slow
+    weights s_k, summed SENSE_BLOCK_CELLS window samples at a time, and
+    mixed once with b[c].
     """
     from .channel import echo_component
     check_n_guard(n_guard, cfg.l_occ)
-    if not schedule.scheme.is_fsi:
-        raise ValueError("slotted schemes have a single window kind")
+    if schedule.scheme is not Scheme.FSI_TAIL:
+        raise ValueError("pattern calibration applies to tail-mode schedules")
     if not 0 <= d_bin < cfg.l_occ:
         raise ValueError("range bin outside the map")
     if d_bin < n_guard:
         return np.zeros(2, dtype=complex)
     n_grid = grid_size(schedule, cfg)
-    if tx is None:
-        tx = assemble_frame(cfg, schedule)
     rx = echo_component(tx, d_bin + hyp * cfg.l_occ, cfg.doppler_hz(nu, n_grid),
                         1.0, cfg.t_s)
     l, g = cfg.l_occ, occasion_grid_indices(schedule, cfg)
-    n_doppler = unambiguous_band(schedule) or n_grid
+    band = unambiguous_band(schedule)
     # the exponents reduced in integers, so no phase rounds with the index
     fast = np.exp(-2j * np.pi / l * (d_bin * np.arange(l) % l)) / np.sqrt(l)
-    slow = np.exp(2j * np.pi / n_grid * (g * signed_bin(nu % n_doppler, n_doppler)
+    slow = np.exp(2j * np.pi / n_grid * (g * signed_bin(nu % band, band)
                                          % n_grid)) / len(g)
     _, _, b = transmit_constants(cfg)
     step = max(1, SENSE_BLOCK_CELLS // cfg.n_fft)
@@ -605,13 +602,10 @@ def pattern_cell_direct(cfg: WaveformConfig, schedule: Schedule, d_bin: int,
         windows = capture_windows(rx, cfg, schedule.k, kind)
         codes, rho = _fsi_codes(cfg, schedule, kind)
         weight = np.conj(slow * rho)
-        z = np.zeros(b.shape, dtype=complex)
+        z = np.zeros(cfg.n_fft, dtype=complex)
         for i in range(0, schedule.k, step):
-            ks = slice(i, i + step)
-            for c in set(codes[ks].tolist()):
-                z[c] += (windows[ks] * np.where(codes[ks] == c, weight[ks], 0)[:, None]
-                         ).sum(axis=0)
-        y = delay_and_sum(mix(z, b), cfg.m_codes)
+            z += (windows[i:i + step] * weight[i:i + step, None]).sum(axis=0)
+        y = delay_and_sum(mix(z, b[codes[0]]), cfg.m_codes)
         y *= fast
         cell[w] = y.sum()
     return cell

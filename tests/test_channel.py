@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jcas import (ChannelConfig, Scheme, Target, WaveformConfig, assemble_frame,
                   channel, make_schedule, substream, synthesize_rx,
                   target_to_delay_doppler)
-from jcas.channel import doppler_ramp, echo_component
+from jcas.channel import echo_component
 from jcas.cli import Scenario
 from jcas.util import share
 
@@ -139,7 +139,7 @@ class TestEchoComponent:
     def test_fractional_matches_integer_on_grid(self, cfg_small, rng):
         x = rng.normal(size=512) + 1j * rng.normal(size=512)
         a = echo_component(x, 9.0, 0.0, 1.0, cfg_small.t_s)
-        b = echo_component(x, 9.0, 0.0, 1.0, cfg_small.t_s, fractional=True)
+        b = fractional_echo(x, 9.0, 0.0, 1.0, cfg_small.t_s)
         # the padded transform shifts linearly: the leading gap stays empty
         np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -153,8 +153,8 @@ class TestEchoComponent:
         # a fractional (circular) delay used to wrap n + 10 back to 10
         x = rng.normal(size=256) + 1j * rng.normal(size=256)
         for delay in (256.0, 266.0, 1e6):
-            for fractional in (False, True):
-                out = echo_component(x, delay, 1e4, 1.0, 1e-6, fractional)
+            for make in (echo_component, fractional_echo):
+                out = make(x, delay, 1e4, 1.0, 1e-6)
                 assert out.shape == x.shape and not out.any()
 
     def test_target_beyond_the_frame_adds_nothing(self, cfg_small):
@@ -164,6 +164,11 @@ class TestEchoComponent:
             cc = ChannelConfig(noise_enabled=False, fractional_delay=fractional)
             assert synthesize_rx(tx, [far], cc, cfg_small).tobytes() == \
                 synthesize_rx(tx, [], cc, cfg_small).tobytes()
+
+
+def ramp(f, t_s, n, start, scale=1.0):
+    """The Doppler ramp of samples [start, n) as _add_echo makes it."""
+    return next(channel._ramp_pieces(f, t_s, n, scale, [(start, n)]))
 
 
 class TestDopplerRamp:
@@ -179,10 +184,10 @@ class TestDopplerRamp:
         f = f_ts / t_s
         start = int(start_frac * n)
         ref = np.exp(2j * np.pi * f * t_s * np.arange(n))
-        ramp = doppler_ramp(f, t_s, n, start)
-        assert ramp.shape == (n - start,)
-        np.testing.assert_allclose(ramp, ref[start:], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(doppler_ramp(f, t_s, n, start, scale=-2.5),
+        got = ramp(f, t_s, n, start)
+        assert got.shape == (n - start,)
+        np.testing.assert_allclose(got, ref[start:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ramp(f, t_s, n, start, scale=-2.5),
                                    -2.5 * ref[start:], rtol=0, atol=3e-12)
 
 
@@ -193,6 +198,13 @@ def add_echo_blocks(rx, tx, delay, f, amplitude, t_s, fractional, block,
     blocks = [(i, rx[i:i + block]) for i in (reversed(starts) if backward else starts)]
     for _ in channel._add_echo(tx, delay, f, amplitude, t_s, fractional, blocks):
         pass
+
+
+def fractional_echo(tx, delay, f, amplitude, t_s):
+    """The fractional-delay echo synthesize_rx adds, as a new array."""
+    out = np.zeros(len(tx), dtype=complex)
+    add_echo_blocks(out, tx, delay, f, amplitude, t_s, True, max(len(tx), 1))
+    return out
 
 
 class TestBlockedEcho:
@@ -222,7 +234,7 @@ class TestBlockedEcho:
         if fractional:   # the echo in one piece
             add_echo_blocks(want, tx, delay, f, amplitude, t_s, True, n)
         else:
-            want[d:] += doppler_ramp(f, t_s, n, d, amplitude) * tx[:n - d]
+            want[d:] += ramp(f, t_s, n, d, amplitude) * tx[:n - d]
         add_echo_blocks(rx, tx, delay, f, amplitude, t_s, fractional, block,
                         backward)
         assert rx.tobytes() == want.tobytes()
@@ -367,8 +379,8 @@ class TestAgainstTheOracle:
                                                      cfg_small.t_s)
             want = oracle_echo(tx, delay, doppler, t.amplitude, cfg_small.t_s,
                                fractional)
-            got = echo_component(tx, delay, doppler, t.amplitude,
-                                 cfg_small.t_s, fractional)
+            make = fractional_echo if fractional else echo_component
+            got = make(tx, delay, doppler, t.amplitude, cfg_small.t_s)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_noise_is_byte_identical(self, cfg_small):
@@ -378,7 +390,7 @@ class TestAgainstTheOracle:
         got = synthesize_rx(tx, [], cc, cfg_small, substream(11, "noise"))
         assert got.tobytes() == want.tobytes()
 
-    def test_pending_noise_is_byte_identical(self, cfg_small):
+    def test_noise_drawn_ahead_is_byte_identical(self, cfg_small):
         # the draws run_simulate makes ahead, on the background worker while
         # it assembles the frame
         tx = _frame(cfg_small, k=8)
@@ -391,7 +403,7 @@ class TestAgainstTheOracle:
         got = synthesize_rx(tx, [], cc, cfg_small, draws)
         assert got.tobytes() == want.tobytes()
 
-    def test_pending_draw_equals_inline_draw_with_echoes(self, cfg_small):
+    def test_noise_drawn_ahead_equals_generator_draw_with_echoes(self, cfg_small):
         tx = _frame(cfg_small, k=8)
         cc = ChannelConfig(echo_snr_db=-7.0)
         targets = self.TARGETS
@@ -400,8 +412,8 @@ class TestAgainstTheOracle:
         got = synthesize_rx(tx, targets, cc, cfg_small, draws)
         assert got.tobytes() == want.tobytes()
 
-    def test_pending_draw_not_begun_is_drawn_by_the_caller(self, cfg_small,
-                                                           block_worker):
+    def test_noise_draw_ahead_not_begun_is_made_by_the_caller(self, cfg_small,
+                                                              block_worker):
         tx = _frame(cfg_small, k=8)
         cc = ChannelConfig(echo_snr_db=-7.0)
         want = synthesize_rx(tx, [], cc, cfg_small, substream(3, "noise"))
@@ -415,7 +427,7 @@ class TestAgainstTheOracle:
         got = synthesize_rx(tx, [], cc, cfg_small, draws)
         assert got.tobytes() == want.tobytes()
 
-    def test_pending_draw_of_another_length_rejected(self, cfg_small):
+    def test_noise_drawn_ahead_of_another_length_rejected(self, cfg_small):
         tx = _frame(cfg_small, k=8)
         with pytest.raises(ValueError, match="noise draws shaped"):
             synthesize_rx(tx, [], ChannelConfig(), cfg_small,

@@ -526,11 +526,9 @@ class TestPattern:
         monkeypatch.setattr(receiver, "assemble_frame", counting)
         validate_pattern(pat, cfg_small, sched, n_cells=3)
         assert len(frames) == 1
-        # the shared frame is the one pattern_cell_direct builds on its own
+        # the shared frame is the schedule's zero-data frame
         monkeypatch.undo()
-        np.testing.assert_array_equal(
-            pattern_cell_direct(cfg_small, sched, 5, -2, 1),
-            pattern_cell_direct(cfg_small, sched, 5, -2, 1, tx=frames[0]))
+        assert frames[0].tobytes() == assemble_frame(cfg_small, sched).tobytes()
 
     def test_validation_rejects_a_nan_pattern(self, cfg_small):
         sched, pat = tail_setup(cfg_small)
@@ -621,33 +619,29 @@ class TestPattern:
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 12), hyp=st.integers(0, 1), n_guard=st.integers(1, 3),
-           col=st.one_of(st.sampled_from(["0", "n/2-1", "n/2"]), st.integers(0, 255)),
+           col=st.one_of(st.sampled_from(["0", "k/2-1", "k/2"]), st.integers(0, 255)),
            d_bin=st.one_of(st.sampled_from(["n_guard", "L-1", "notched"]),
-                           st.integers(0, 63)),
-           random_codes=st.booleans())
-    @example(k=16, hyp=1, n_guard=1, col="n/2", d_bin="L-1", random_codes=False)
-    @example(k=16, hyp=0, n_guard=3, col="0", d_bin="notched", random_codes=False)
-    @example(k=9, hyp=1, n_guard=1, col="n/2-1", d_bin="n_guard", random_codes=True)
+                           st.integers(0, 63)))
+    @example(k=16, hyp=1, n_guard=1, col="k/2", d_bin="L-1")
+    @example(k=16, hyp=0, n_guard=3, col="0", d_bin="notched")
+    @example(k=9, hyp=1, n_guard=1, col="k/2-1", d_bin="n_guard")
     def test_direct_cell_is_the_cell_of_the_sensed_maps(self, cfg_small, k, hyp, n_guard,
-                                                        col, d_bin, random_codes):
+                                                        col, d_bin):
         # the oracle senses both whole maps of the same echo and reads the
-        # cell; the band edges n/2-1 and n/2 (signed -n/2) of the map's n
-        # columns, the first unnotched and the last range bin, a notched one;
-        # tail windows hold one code, random ones up to M
+        # cell; the band edges k/2-1 and k/2 (signed -k/2) of the map's k
+        # columns, the first unnotched and the last range bin, a notched one
         l = cfg_small.l_occ
-        sched = make_schedule(Scheme.FSI_RANDOM, cfg_small.m_codes, k,
-                              rng=np.random.default_rng(k)) if random_codes else \
-            make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, k)
-        n = grid_size(sched, cfg_small) if random_codes else k
-        col = {"0": 0, "n/2-1": n // 2 - 1, "n/2": n // 2}.get(col, col) % n
+        sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, k)
+        col = {"0": 0, "k/2-1": k // 2 - 1, "k/2": k // 2}.get(col, col) % k
         d_bin = {"n_guard": n_guard, "L-1": l - 1, "notched": n_guard - 1}.get(d_bin, d_bin)
-        nu = signed_bin(col, n)
-        rx = echo_component(assemble_frame(cfg_small, sched), d_bin + hyp * l,
+        nu = signed_bin(col, k)
+        tx = assemble_frame(cfg_small, sched)
+        rx = echo_component(tx, d_bin + hyp * l,
                             cfg_small.doppler_hz(nu, grid_size(sched, cfg_small)),
                             1.0, cfg_small.t_s)
         maps = (process_sensing(rx, cfg_small, sched, kind, n_guard) for kind in WindowKind)
         want = np.array([rd.values[d_bin, nu % rd.n_doppler] for rd in maps])
-        got = pattern_cell_direct(cfg_small, sched, d_bin, nu, hyp, n_guard)
+        got = pattern_cell_direct(cfg_small, sched, d_bin, nu, hyp, n_guard, tx)
         assert got.shape == (2,)
         if d_bin < n_guard:
             assert np.all(got == 0) and np.all(want == 0)
@@ -656,14 +650,19 @@ class TestPattern:
 
     def test_direct_cell_rejects_what_no_map_holds(self, cfg_small):
         sched = make_schedule(Scheme.FSI_TAIL, cfg_small.m_codes, 4)
+        tx = assemble_frame(cfg_small, sched)
         for d_bin in (-1, cfg_small.l_occ):
             with pytest.raises(ValueError, match="range bin"):
-                pattern_cell_direct(cfg_small, sched, d_bin, 0, 0)
+                pattern_cell_direct(cfg_small, sched, d_bin, 0, 0, 1, tx)
         with pytest.raises(ValueError, match="n_guard"):
-            pattern_cell_direct(cfg_small, sched, 5, 0, 0, n_guard=0)
-        with pytest.raises(ValueError, match="single window kind"):
-            pattern_cell_direct(cfg_small, make_schedule(Scheme.PERIODIC_TD,
-                                                         cfg_small.m_codes, 4), 5, 0, 0)
+            pattern_cell_direct(cfg_small, sched, 5, 0, 0, 0, tx)
+        # only the tail pattern is calibrated: no other schedule has a cell
+        for scheme in (Scheme.PERIODIC_TD, Scheme.FSI_RANDOM):
+            other = make_schedule(scheme, cfg_small.m_codes, 4,
+                                  rng=np.random.default_rng(4))
+            with pytest.raises(ValueError, match="tail-mode"):
+                pattern_cell_direct(cfg_small, other, 5, 0, 0, 1,
+                                    assemble_frame(cfg_small, other))
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     @pytest.mark.parametrize("cp_occasions", [0, 1, 2])
@@ -683,13 +682,15 @@ class TestPattern:
     @staticmethod
     def _assert_every_cell_direct(cfg, sched):
         pat = build_pattern(cfg, sched)
+        tx = assemble_frame(cfg, sched)
         tol = 1e-12 * np.max(np.abs(pat.p))
         # the direct pipeline notches the guard bins; the pattern keeps them
         for col in range(pat.band):
             signed = signed_bin(col, pat.band)
             for d in range(pat.n_guard, cfg.l_occ):
                 for hyp in (0, 1):
-                    direct = pattern_cell_direct(cfg, sched, d, signed, hyp)
+                    direct = pattern_cell_direct(cfg, sched, d, signed, hyp,
+                                                 pat.n_guard, tx)
                     assert np.max(np.abs(pat.p[d, col, :, hyp] - direct)) <= tol
 
     @settings(max_examples=200, deadline=None)

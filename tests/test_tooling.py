@@ -121,7 +121,7 @@ def test_perfbench_pattern_path_is_the_cached_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_the_worker_is_reached_through_pending_and_share_only():
+def test_the_worker_is_reached_through_share_only():
     # util.share, a queue of tasks run beside a block, is the one entry
     # point, for the noise draw beside the frame's assembly, the pattern
     # build's slices and the halves of its solve; no util.Pending is called,
@@ -187,9 +187,9 @@ def _functions_using(tree: ast.Module, uses) -> set[str]:
 
 def test_the_ramp_rule_is_written_once():
     # the factored Doppler ramp (B = isqrt(n), the outer product of two
-    # exact tables) is made in one helper, which doppler_ramp and the echo
-    # applied a block at a time share; a second copy of the factorization
-    # could round differently
+    # exact tables) is made in one helper, which only the echo applied a
+    # block at a time calls; a second copy of the factorization could round
+    # differently
     def outer(node):
         return (isinstance(node, ast.Attribute) and node.attr == "outer"
                 and isinstance(node.value, ast.Attribute) and node.value.attr == "multiply")
@@ -207,7 +207,7 @@ def test_the_ramp_rule_is_written_once():
               for rule in (outer, isqrt)}
     assert makers == {"outer": [("channel.py", "_ramp_pieces")],
                       "isqrt": [("channel.py", "_ramp_pieces")]}
-    assert _functions_using(trees["channel.py"], helper) == {"doppler_ramp", "_add_echo"}
+    assert _functions_using(trees["channel.py"], helper) == {"_add_echo"}
 
 
 def test_the_slow_time_matched_filter_is_written_once():
